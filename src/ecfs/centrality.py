@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,9 @@ class EigenResult:
 
 
 def _as_matrix(A) -> np.ndarray:
-    M = A.A if isinstance(A, AdjacencyMatrix) else np.asarray(A, dtype=float)
+    if isinstance(A, AdjacencyMatrix):
+        return A.A  # its constructor proved it square, finite and non-negative
+    M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
@@ -162,6 +164,55 @@ def rank_features(v0: ScoreVector | np.ndarray) -> FeatureRanking:
     return FeatureRanking(order=order, scores=values[order])
 
 
+@dataclass(frozen=True, eq=False)
+class FeatureScores:
+    """Fisher and mutual-information scores of one already-normalized dataset.
+
+    Precondition: `data` is already normalized; nothing here normalizes again.
+    Each score is computed on first use and then reused, so every ranking taken
+    from one instance shares one scoring pass and Fisher-only callers never pay
+    for MI. Sigma is rebuilt from `data` per ranking, never kept (it is n x n).
+    """
+
+    data: Dataset
+    bins: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def fisher(self) -> ScoreVector:
+        if "fisher" not in self._memo:
+            self._memo["fisher"] = fisher_scores(self.data)
+        return self._memo["fisher"]
+
+    @property
+    def mutual_information(self) -> ScoreVector:
+        if "mi" not in self._memo:
+            self._memo["mi"] = mutual_information_scores(self.data, self.bins)
+        return self._memo["mi"]
+
+
+def score_features(dn: Dataset, bins: int | None = None) -> FeatureScores:
+    """Score an already-normalized dataset once, for every ranking taken from it.
+
+    Precondition: `dn` is already normalized; score_features does not
+    normalize. bins defaults to max(2, floor(sqrt(T))) of dn's sample count.
+    """
+    if bins is None:
+        bins = default_bin_count(dn.n_samples)
+    return FeatureScores(dn, bins)
+
+
+def _centrality_ranking(
+    scores: FeatureScores, alpha: float, tol: float = 1e-10, max_iter: int = 10000
+) -> tuple[FeatureRanking, EigenResult, AdjacencyMatrix]:
+    # Sigma is only an argument here, so it is freed as soon as the blend is built
+    adjacency = build_adjacency(
+        scores.fisher, scores.mutual_information, sigma_matrix(scores.data), alpha
+    )
+    eigen = power_iteration(adjacency, tol=tol, max_iter=max_iter)
+    return rank_features(ScoreVector(eigen.v0, "centrality")), eigen, adjacency
+
+
 @dataclass(frozen=True)
 class EcfsRun:
     """Every intermediate of one centrality ranking, for reports and debugging."""
@@ -184,24 +235,19 @@ def ecfs_run(
 ) -> EcfsRun:
     """Run the full ranking pipeline, keeping intermediates.
 
-    Normalizes features, scores them (Fisher, mutual information), builds the
-    blended adjacency, extracts its dominant eigenvector, and ranks by it.
+    Normalizes features once, scores them (Fisher, mutual information), builds
+    the blended adjacency, extracts its dominant eigenvector, and ranks by it.
     """
-    if bins is None:
-        bins = default_bin_count(d.n_samples)
     dn, stats = normalize_features(d)
-    f = fisher_scores(dn)
-    m = mutual_information_scores(dn, bins)
-    adjacency = build_adjacency(f, m, sigma_matrix(dn), alpha)
-    eigen = power_iteration(adjacency, tol=tol, max_iter=max_iter)
-    ranking = rank_features(ScoreVector(eigen.v0, "centrality"))
+    scores = score_features(dn, bins)
+    ranking, eigen, adjacency = _centrality_ranking(scores, alpha, tol, max_iter)
     return EcfsRun(
         ranking=ranking,
         eigen=eigen,
         adjacency=adjacency,
-        fisher=f,
-        mutual_information=m,
-        bins=bins,
+        fisher=scores.fisher,
+        mutual_information=scores.mutual_information,
+        bins=scores.bins,
         degenerate_features=stats.degenerate_columns,
     )
 

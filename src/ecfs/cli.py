@@ -61,6 +61,24 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output-format", choices=("json", "csv"), default="json")
 
 
+def _add_resample_flags(p: argparse.ArgumentParser) -> None:
+    """Flags evaluate and stability share: the repeated-split protocol."""
+    _add_data_flags(p)
+    p.add_argument("--alpha", default="0.5")
+    p.add_argument("--bins", type=int, default=None)
+    p.add_argument("--cardinalities", default="50,100,150,200",
+                   help="comma-separated top-k sizes to score")
+    p.add_argument("--train-fraction", type=float, default=2.0 / 3.0)
+    p.add_argument("--repeats", type=int, default=100)
+    p.add_argument("--methods", default="ec_fs,fisher,mi")
+    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--workers", type=int, default=1,
+                   help="thread count over repeats; output does not depend on it")
+    _add_cv_flags(p)
+    p.add_argument("--seed", type=int, default=None)
+    _add_output_flags(p)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ecfs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -85,38 +103,14 @@ def _build_parser() -> _Parser:
     _add_output_flags(p_rank)
 
     p_eval = sub.add_parser("evaluate", help="repeated-split AUC / stability / significance")
-    _add_data_flags(p_eval)
-    p_eval.add_argument("--alpha", default="0.5")
-    p_eval.add_argument("--bins", type=int, default=None)
-    p_eval.add_argument("--cardinalities", default="50,100,150,200",
-                        help="comma-separated top-k sizes to score")
-    p_eval.add_argument("--train-fraction", type=float, default=2.0 / 3.0)
-    p_eval.add_argument("--repeats", type=int, default=100)
-    p_eval.add_argument("--methods", default="ec_fs,fisher,mi")
+    _add_resample_flags(p_eval)
     p_eval.add_argument("--fixed-c", type=float, default=1.0,
                         help="classifier C when alpha is fixed, and for baselines")
-    p_eval.add_argument("--epochs", type=int, default=50)
-    p_eval.add_argument("--workers", type=int, default=1,
-                        help="thread count over repeats; output does not depend on it")
     p_eval.add_argument("--positive-class", default=None,
                         help="for multiclass data: evaluate this class against the rest")
-    _add_cv_flags(p_eval)
-    p_eval.add_argument("--seed", type=int, default=None)
-    _add_output_flags(p_eval)
 
     p_stab = sub.add_parser("stability", help="selection stability across training splits")
-    _add_data_flags(p_stab)
-    p_stab.add_argument("--alpha", default="0.5")
-    p_stab.add_argument("--bins", type=int, default=None)
-    p_stab.add_argument("--cardinalities", default="50,100,150,200")
-    p_stab.add_argument("--train-fraction", type=float, default=2.0 / 3.0)
-    p_stab.add_argument("--repeats", type=int, default=100)
-    p_stab.add_argument("--methods", default="ec_fs,fisher,mi")
-    p_stab.add_argument("--epochs", type=int, default=50)
-    p_stab.add_argument("--workers", type=int, default=1)
-    _add_cv_flags(p_stab)
-    p_stab.add_argument("--seed", type=int, default=None)
-    _add_output_flags(p_stab)
+    _add_resample_flags(p_stab)
 
     p_synth = sub.add_parser("synth", help="generate a labelled Gaussian benchmark")
     p_synth.add_argument("--samples", type=int, required=True)
@@ -216,6 +210,16 @@ def _validate_resample(args, errors: list[str]) -> dict:
         errors.append(f"unknown methods {bad}; choose from {list(METHODS)}")
     resolved["methods"] = methods
     return resolved
+
+
+def _protocol_kwargs(args, common: dict, resample: dict) -> dict:
+    """Keyword arguments run_evaluation and run_stability share."""
+    return dict(
+        methods=resample["methods"], cardinalities=resample["cardinalities"],
+        alpha=common["alpha"], bins=args.bins, alpha_grid=common["alpha_grid"],
+        c_grid=common["c_grid"], folds=args.folds, cv_cardinality=args.cv_cardinality,
+        epochs=args.epochs, workers=args.workers,
+    )
 
 
 def _fail(errors: list[str]) -> int:
@@ -371,20 +375,8 @@ def _cmd_evaluate(args) -> int:
     plan = SplitPlan(train_fraction=args.train_fraction, n_repeats=args.repeats,
                      seed=common["seed"])
     t0 = time.perf_counter()
-    report = run_evaluation(
-        d, plan,
-        methods=resample["methods"],
-        cardinalities=resample["cardinalities"],
-        alpha=common["alpha"],
-        fixed_c=args.fixed_c,
-        bins=args.bins,
-        alpha_grid=common["alpha_grid"],
-        c_grid=common["c_grid"],
-        folds=args.folds,
-        cv_cardinality=args.cv_cardinality,
-        epochs=args.epochs,
-        workers=args.workers,
-    )
+    report = run_evaluation(d, plan, fixed_c=args.fixed_c,
+                            **_protocol_kwargs(args, common, resample))
     print(f"wall time: {time.perf_counter() - t0:.3f}s (ranking + training + scoring)",
           file=sys.stderr)
     if args.positive_class is not None:
@@ -404,19 +396,7 @@ def _cmd_stability(args) -> int:
     d = _load(args)
     plan = SplitPlan(train_fraction=args.train_fraction, n_repeats=args.repeats,
                      seed=common["seed"])
-    report = run_stability(
-        d, plan,
-        methods=resample["methods"],
-        cardinalities=resample["cardinalities"],
-        alpha=common["alpha"],
-        bins=args.bins,
-        alpha_grid=common["alpha_grid"],
-        c_grid=common["c_grid"],
-        folds=args.folds,
-        cv_cardinality=args.cv_cardinality,
-        epochs=args.epochs,
-        workers=args.workers,
-    )
+    report = run_stability(d, plan, **_protocol_kwargs(args, common, resample))
     _write(_dump_json(report) if args.output_format == "json" else _stability_csv(report),
            args.output)
     return 0

@@ -14,9 +14,8 @@ from itertools import combinations
 import numpy as np
 from scipy.special import betainc
 
-from .baselines import rank_by_fisher, rank_by_mi
-from .centrality import ecfs_rank
-from .data import Dataset, FeatureRanking, fit_normalization
+from .centrality import _centrality_ranking, rank_features, score_features
+from .data import Dataset, FeatureRanking, NormalizationStats, fit_normalization
 
 METHODS = ("ec_fs", "fisher", "mi")
 DEFAULT_ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -210,21 +209,6 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (2 * wins + ties) / (2 * n_pos * n_neg)
 
 
-def _fit_fold_score(
-    train_d: Dataset,
-    val_d: Dataset,
-    selected: np.ndarray,
-    C: float,
-    epochs: int,
-    seed: int,
-) -> float:
-    stats = fit_normalization(train_d.X)
-    trn = Dataset(stats.transform(train_d.X), train_d.y)
-    val_X = stats.transform(val_d.X)
-    model = train_linear_classifier(trn, selected, C, epochs=epochs, seed=seed)
-    return roc_auc(model.decision(val_X[:, selected]), val_d.y)
-
-
 def cross_validate(
     train: Dataset,
     alpha_grid=DEFAULT_ALPHA_GRID,
@@ -237,10 +221,10 @@ def cross_validate(
 ) -> tuple[float, float]:
     """Pick (alpha, C) by stratified k-fold AUC on the training data only.
 
-    Each fold fits its own normalization and ranking, selects the top
-    `cardinality` features (capped at the feature count), and scores the
-    held-out fold. Exact mean-AUC ties break toward the smaller alpha, then
-    the smaller C.
+    Each fold fits its own normalization and is scored once; every alpha's
+    ranking derives from those scores, selects the top `cardinality` features
+    (capped at the feature count), and scores the held-out fold. Exact
+    mean-AUC ties break toward the smaller alpha, then the smaller C.
     """
     alphas = sorted(set(float(a) for a in alpha_grid))
     Cs = sorted(set(float(c) for c in C_grid))
@@ -266,20 +250,18 @@ def cross_validate(
         stats = fit_normalization(trd.X)
         trn = Dataset(stats.transform(trd.X), trd.y)
         va_X = stats.transform(vad.X)
+        scores = score_features(trn, bins)
         for ai, a in enumerate(alphas):
-            sel = ecfs_rank(trn, a, bins).top(cardinality)
+            sel = _centrality_ranking(scores, a)[0].top(cardinality)
             for ci, c in enumerate(Cs):
                 model = train_linear_classifier(
                     trn, sel, c, epochs=epochs, seed=derive_seed(seed, j, ai, ci)
                 )
                 table[ai, ci] += roc_auc(model.decision(va_X[:, sel]), vad.y)
     table /= folds
-    best = (0, 0)
-    for ai in range(len(alphas)):
-        for ci in range(len(Cs)):
-            if table[ai, ci] > table[best]:
-                best = (ai, ci)
-    return alphas[best[0]], Cs[best[1]]
+    # argmax returns the first maximum in row-major order: smallest alpha, then C
+    ai, ci = np.unravel_index(int(np.argmax(table)), table.shape)
+    return alphas[ai], Cs[ci]
 
 
 def kuncheva_index(set_a, set_b, n_total: int) -> float:
@@ -347,17 +329,6 @@ def two_sample_ttest(x, y) -> float:
     return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
-def _rank_with(method: str, d: Dataset, alpha: float, bins: int | None) -> FeatureRanking:
-    # dispatch through module globals so tests can instrument the rankers
-    if method == "ec_fs":
-        return ecfs_rank(d, alpha, bins)
-    if method == "fisher":
-        return rank_by_fisher(d)
-    if method == "mi":
-        return rank_by_mi(d, bins)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
 def _as_cardinalities(cardinalities, n_features: int) -> list[int]:
     ks = sorted(set(int(k) for k in cardinalities))
     if not ks:
@@ -381,15 +352,16 @@ def _check_methods(methods) -> list[str]:
     return ms
 
 
-def _resolve_alpha(alpha) -> tuple[bool, float | None]:
+def _resolve_alpha(alpha) -> float | None:
+    # None stands for "cv": pick alpha per repeat by cross-validation
     if isinstance(alpha, str):
         if alpha != "cv":
             raise ValueError(f"alpha must be a number in [0, 1] or 'cv', got {alpha!r}")
-        return True, None
+        return None
     a = float(alpha)
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {a}")
-    return False, a
+    return a
 
 
 def _sd(values: list[float]) -> float:
@@ -405,6 +377,84 @@ def _map_repeats(fn, n_repeats: int, workers: int) -> list:
         return [fn(r) for r in range(n_repeats)]
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, range(n_repeats)))
+
+
+# every method's ranking from one scoring pass; FeatureScores computes a score
+# only when a requested method reads it
+_RANKERS = {
+    "ec_fs": lambda scores, alpha: _centrality_ranking(scores, alpha)[0],
+    "fisher": lambda scores, alpha: rank_features(scores.fisher),
+    "mi": lambda scores, alpha: rank_features(scores.mutual_information),
+}
+
+
+@dataclass(frozen=True)
+class _Repeat:
+    """What one repeat keeps for the report: no rows, so memory stays flat in n_repeats."""
+
+    alpha: float  # the alpha ec_fs ranked at
+    C: float | None  # the cross-validated C; None at a fixed alpha
+    rankings: dict[str, FeatureRanking]
+
+
+def _repeat_body(
+    d: Dataset, splits: list[tuple[np.ndarray, np.ndarray]], seed: int, methods: list[str],
+    alpha: float | None, bins: int | None, cv_args: dict,
+):
+    """Repeat r as run_evaluation and run_stability share it: fit normalization
+    on the training rows alone, pick (alpha, C) on them by cross_validate when
+    alpha is None, and derive every method's ranking from one scoring pass.
+    Returns the kept record, the normalized training rows and their statistics."""
+
+    def body(r: int) -> tuple[_Repeat, Dataset, NormalizationStats]:
+        trd = d.subset(splits[r][0])
+        stats = fit_normalization(trd.X)
+        trn = Dataset(stats.transform(trd.X), trd.y, d.feature_names, d.label_names)
+        alpha_r, c_r = alpha, None
+        if alpha is None:
+            alpha_r, c_r = cross_validate(
+                trd, seed=derive_seed(seed, r, 101), bins=bins, **cv_args
+            )
+        scores = score_features(trn, bins)
+        rankings = {m: _RANKERS[m](scores, alpha_r) for m in methods}
+        return _Repeat(alpha_r, c_r, rankings), trn, stats
+
+    return body
+
+
+def _stability_block(results: list[_Repeat], methods: list[str], ks: list[int]) -> dict:
+    block = {}
+    for method in methods:
+        curve = stability_curve([res.rankings[method] for res in results], ks)
+        block[method] = [{"cardinality": k, "kuncheva": v} for k, v in curve]
+    return block
+
+
+def _report(
+    command: str, d: Dataset, plan: SplitPlan, methods: list[str], ks: list[int],
+    alpha: float | None, bins: int | None, results: list[_Repeat], stability: dict,
+) -> dict:
+    report = {
+        "schema_version": 1,
+        "command": command,
+        "n_samples": d.n_samples,
+        "n_features": d.n_features,
+        "label_mapping": list(d.label_names) if d.label_names else None,
+        "config": {
+            "methods": methods,
+            "cardinalities": ks,
+            "alpha": "cv" if alpha is None else alpha,
+            "bins": bins,
+            "train_fraction": plan.train_fraction,
+            "n_repeats": plan.n_repeats,
+            "seed": plan.seed,
+            "stratified": plan.stratified,
+        },
+        "stability": stability,
+    }
+    if "ec_fs" in methods:
+        report["alpha_per_repeat"] = [float(res.alpha) for res in results]
+    return report
 
 
 def run_evaluation(
@@ -423,9 +473,12 @@ def run_evaluation(
     epochs: int = 50,
     workers: int = 1,
 ) -> dict:
-    """Full protocol: repeated stratified splits, per-split rankings fit on the
-    training side only, classifier AUC on the held-out side, stability and
-    pairwise significance across repeats.
+    """Full protocol: repeated stratified splits, classifier AUC on the held-out
+    side, stability and pairwise significance across repeats.
+
+    Each repeat runs run_stability's body (training rows normalized and scored
+    once, every ranking derived from those scores), then trains a classifier
+    on each top-k set and scores the test rows under the training statistics.
 
     alpha may be a number or "cv", in which case each repeat picks (alpha, C)
     on its own training split. Baselines always train at fixed_c. The returned
@@ -435,112 +488,69 @@ def run_evaluation(
         raise ValueError("evaluation requires binary labels; binarize one-vs-rest first")
     methods = _check_methods(methods)
     ks = _as_cardinalities(cardinalities, d.n_features)
-    cv_mode, fixed_alpha = _resolve_alpha(alpha)
+    fixed_alpha = _resolve_alpha(alpha)
+    cv_mode = fixed_alpha is None
     if not fixed_c > 0:
         raise ValueError("fixed_c must be positive")
+    cv_args = dict(alpha_grid=alpha_grid, C_grid=c_grid, folds=folds,
+                   cardinality=cv_cardinality, epochs=epochs)
     splits = split_indices(d.y, plan)
+    body = _repeat_body(d, splits, plan.seed, methods, fixed_alpha, bins, cv_args)
 
-    def one_repeat(r: int) -> dict:
-        tr_idx, te_idx = splits[r]
-        trd = d.subset(tr_idx)
-        ted = d.subset(te_idx)
-        stats = fit_normalization(trd.X)
-        trn = Dataset(stats.transform(trd.X), trd.y, d.feature_names, d.label_names)
+    def one_repeat(r: int) -> tuple[_Repeat, float, dict[str, list[float]]]:
+        rep, trn, stats = body(r)
+        c_r = fixed_c if rep.C is None else rep.C
+        ted = d.subset(splits[r][1])
         te_X = stats.transform(ted.X)
-        alpha_r, c_r = fixed_alpha, fixed_c
-        if cv_mode:
-            alpha_r, c_r = cross_validate(
-                trd,
-                alpha_grid,
-                c_grid,
-                folds=folds,
-                cardinality=cv_cardinality,
-                seed=derive_seed(plan.seed, r, 101),
-                bins=bins,
-                epochs=epochs,
-            )
-        rankings: dict[str, FeatureRanking] = {}
-        aucs: dict[str, list[float]] = {}
+        aucs = {}
         for method in methods:
-            a = alpha_r if method == "ec_fs" else 0.0
-            rankings[method] = _rank_with(method, trn, a, bins)
             c_used = c_r if method == "ec_fs" else fixed_c
             row = []
             for k in ks:
-                sel = rankings[method].top(k)
+                sel = rep.rankings[method].top(k)
                 model = train_linear_classifier(
-                    trn,
-                    sel,
-                    c_used,
-                    epochs=epochs,
+                    trn, sel, c_used, epochs=epochs,
                     seed=derive_seed(plan.seed, r, _METHOD_SEED[method], k),
                 )
                 row.append(roc_auc(model.decision(te_X[:, sel]), ted.y))
             aucs[method] = row
-        return {"rankings": rankings, "aucs": aucs, "alpha": alpha_r, "C": c_r}
+        return rep, c_r, aucs
 
-    results = _map_repeats(one_repeat, plan.n_repeats, workers)
+    results, cs, aucs = zip(*_map_repeats(one_repeat, plan.n_repeats, workers))
 
     auc_block: dict = {}
     for method in methods:
         per_card = {}
-        means = []
         for ki, k in enumerate(ks):
-            samples = [float(res["aucs"][method][ki]) for res in results]
-            mean = float(np.mean(samples))
-            per_card[str(k)] = {"mean": mean, "sd": _sd(samples), "samples": samples}
-            means.append(mean)
-        auc_block[method] = {"per_cardinality": per_card, "average": float(np.mean(means))}
-
-    stability_block = {}
-    if plan.n_repeats >= 2:
-        for method in methods:
-            curve = stability_curve([res["rankings"][method] for res in results], ks)
-            stability_block[method] = [
-                {"cardinality": k, "kuncheva": v} for k, v in curve
-            ]
+            samples = [float(row[method][ki]) for row in aucs]
+            per_card[str(k)] = {"mean": float(np.mean(samples)), "sd": _sd(samples),
+                                "samples": samples}
+        average = float(np.mean([cell["mean"] for cell in per_card.values()]))
+        auc_block[method] = {"per_cardinality": per_card, "average": average}
 
     significance = {}
     if "ec_fs" in methods and plan.n_repeats >= 2:
-        for method in methods:
-            if method == "ec_fs":
-                continue
-            ps = {}
-            for ki, k in enumerate(ks):
-                a = [res["aucs"]["ec_fs"][ki] for res in results]
-                b = [res["aucs"][method][ki] for res in results]
-                ps[str(k)] = two_sample_ttest(a, b)
-            significance[f"ec_fs_vs_{method}"] = ps
+        for method in (m for m in methods if m != "ec_fs"):
+            significance[f"ec_fs_vs_{method}"] = {
+                str(k): two_sample_ttest([row["ec_fs"][ki] for row in aucs],
+                                         [row[method][ki] for row in aucs])
+                for ki, k in enumerate(ks)
+            }
 
-    report = {
-        "schema_version": 1,
-        "command": "evaluate",
-        "n_samples": d.n_samples,
-        "n_features": d.n_features,
-        "label_mapping": list(d.label_names) if d.label_names else None,
-        "config": {
-            "methods": methods,
-            "cardinalities": ks,
-            "alpha": "cv" if cv_mode else fixed_alpha,
-            "fixed_c": fixed_c,
-            "bins": bins,
-            "train_fraction": plan.train_fraction,
-            "n_repeats": plan.n_repeats,
-            "seed": plan.seed,
-            "stratified": plan.stratified,
-            "epochs": epochs,
-            "alpha_grid": [float(a) for a in alpha_grid] if cv_mode else None,
-            "c_grid": [float(c) for c in c_grid] if cv_mode else None,
-            "folds": folds if cv_mode else None,
-            "cv_cardinality": cv_cardinality if cv_mode else None,
-        },
-        "auc": auc_block,
-        "stability": stability_block,
-        "significance": significance,
-    }
+    stability = _stability_block(results, methods, ks) if plan.n_repeats >= 2 else {}
+    report = _report("evaluate", d, plan, methods, ks, fixed_alpha, bins, results, stability)
+    report["config"].update({
+        "fixed_c": fixed_c,
+        "epochs": epochs,
+        "alpha_grid": [float(a) for a in alpha_grid] if cv_mode else None,
+        "c_grid": [float(c) for c in c_grid] if cv_mode else None,
+        "folds": folds if cv_mode else None,
+        "cv_cardinality": cv_cardinality if cv_mode else None,
+    })
+    report["auc"] = auc_block
+    report["significance"] = significance
     if "ec_fs" in methods:
-        report["alpha_per_repeat"] = [float(res["alpha"]) for res in results]
-        report["c_per_repeat"] = [float(res["C"]) for res in results]
+        report["c_per_repeat"] = [float(c) for c in cs]
     return report
 
 
@@ -561,63 +571,20 @@ def run_stability(
 ) -> dict:
     """Selection stability across repeated training splits, no classifier.
 
-    Rankings are fit on each repeat's training side; the report holds the mean
-    pairwise Kuncheva overlap of the top-k sets per method and cardinality.
+    Each repeat normalizes its training rows on their own statistics, scores
+    them once and derives every method's ranking from those scores, exactly as
+    in run_evaluation; the report holds the mean pairwise Kuncheva overlap of
+    the top-k sets per method and cardinality.
     """
     methods = _check_methods(methods)
     ks = _as_cardinalities(cardinalities, d.n_features)
-    cv_mode, fixed_alpha = _resolve_alpha(alpha)
+    fixed_alpha = _resolve_alpha(alpha)
     if plan.n_repeats < 2:
         raise ValueError("stability needs at least 2 repeats")
+    cv_args = dict(alpha_grid=alpha_grid, C_grid=c_grid, folds=folds,
+                   cardinality=cv_cardinality, epochs=epochs)
     splits = split_indices(d.y, plan)
-
-    def one_repeat(r: int) -> dict:
-        tr_idx, _ = splits[r]
-        trd = d.subset(tr_idx)
-        stats = fit_normalization(trd.X)
-        trn = Dataset(stats.transform(trd.X), trd.y, d.feature_names, d.label_names)
-        alpha_r = fixed_alpha
-        if cv_mode:
-            alpha_r, _ = cross_validate(
-                trd,
-                alpha_grid,
-                c_grid,
-                folds=folds,
-                cardinality=cv_cardinality,
-                seed=derive_seed(plan.seed, r, 101),
-                bins=bins,
-                epochs=epochs,
-            )
-        rankings = {}
-        for method in methods:
-            a = alpha_r if method == "ec_fs" else 0.0
-            rankings[method] = _rank_with(method, trn, a, bins)
-        return {"rankings": rankings, "alpha": alpha_r}
-
-    results = _map_repeats(one_repeat, plan.n_repeats, workers)
-    stability_block = {}
-    for method in methods:
-        curve = stability_curve([res["rankings"][method] for res in results], ks)
-        stability_block[method] = [{"cardinality": k, "kuncheva": v} for k, v in curve]
-
-    report = {
-        "schema_version": 1,
-        "command": "stability",
-        "n_samples": d.n_samples,
-        "n_features": d.n_features,
-        "label_mapping": list(d.label_names) if d.label_names else None,
-        "config": {
-            "methods": methods,
-            "cardinalities": ks,
-            "alpha": "cv" if cv_mode else fixed_alpha,
-            "bins": bins,
-            "train_fraction": plan.train_fraction,
-            "n_repeats": plan.n_repeats,
-            "seed": plan.seed,
-            "stratified": plan.stratified,
-        },
-        "stability": stability_block,
-    }
-    if "ec_fs" in methods:
-        report["alpha_per_repeat"] = [float(res["alpha"]) for res in results]
-    return report
+    body = _repeat_body(d, splits, plan.seed, methods, fixed_alpha, bins, cv_args)
+    results = _map_repeats(lambda r: body(r)[0], plan.n_repeats, workers)
+    stability = _stability_block(results, methods, ks)
+    return _report("stability", d, plan, methods, ks, fixed_alpha, bins, results, stability)

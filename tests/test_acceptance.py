@@ -178,8 +178,8 @@ def test_acceptance_6_auc_oracle():
     _verdict(6, "auc-oracle", ok)
 
 
-def _time_build_and_sweep(n: int, reps: int) -> float:
-    """Best-of-reps wall time of one adjacency build plus one eigensweep."""
+def _build_and_sweep(n: int):
+    """A no-argument callable that times one adjacency build plus one eigensweep."""
     rng = np.random.default_rng(n)
     f = ScoreVector(rng.random(n), "fisher")
     m = ScoreVector(rng.random(n), "mutual_information")
@@ -194,21 +194,29 @@ def _time_build_and_sweep(n: int, reps: int) -> float:
         w /= np.linalg.norm(w)
         return time.perf_counter() - t0
 
-    once()  # warm allocator and caches before measuring
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    try:
-        best = min(once() for _ in range(reps))
-    finally:
-        if gc_was_on:
-            gc.enable()
-    return best
+    return once
 
 
 def test_acceptance_7_complexity_slope():
-    sizes = (250, 500, 1000, 2000)
-    times = [_time_build_and_sweep(n, reps=9) for n in sizes]
-    slope = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+    # sizes start at 500 so fixed per-call costs do not flatten the low end;
+    # rounds visit each size in turn, so a burst of machine load lands on all
+    # sizes alike, and the median of each size discards the bursts
+    sizes = (500, 1000, 2000, 4000)
+    timers = [_build_and_sweep(n) for n in sizes]
+    for once in timers:
+        once()  # warm allocator and caches before measuring
+    times: list[list[float]] = [[] for _ in sizes]
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(11):
+            for samples, once in zip(times, timers):
+                samples.append(once())
+    finally:
+        if gc_was_on:
+            gc.enable()
+    medians = [statistics.median(t) for t in times]
+    slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
     print(f"  measured slope: {slope:.3f} over n={sizes}")
     _verdict(7, "complexity-slope", slope <= 2.3)
 

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import ecfs
+import ecfs.baselines
+import ecfs.centrality
 import ecfs.evaluation as ev
+import ecfs.graph
 from ecfs import (
     Dataset,
     FeatureRanking,
@@ -31,6 +35,46 @@ from ecfs import (
 
 def _ds(X, y):
     return Dataset(np.asarray(X, dtype=float), np.asarray(y, dtype=int))
+
+
+def _spy_scoring(monkeypatch) -> list:
+    """Record every dataset the harness hands to score_features."""
+    seen = []
+    real = ev.score_features
+
+    def spy(dn, bins=None):
+        seen.append(dn)
+        return real(dn, bins)
+
+    monkeypatch.setattr(ev, "score_features", spy)
+    return seen
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Count calls of an ecfs function through every module that binds it."""
+    calls = []
+    real = getattr(ecfs.graph, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (ecfs, ecfs.graph, ecfs.centrality, ecfs.baselines, ev):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def _assert_scored_training_rows_only(d, plan, seen) -> None:
+    """One scoring pass per repeat, on exactly its training rows, transformed
+    with statistics fitted on those rows alone."""
+    expected = split_indices(d.y, plan)
+    assert len(seen) == len(expected)
+    for (tr_idx, _), ds in zip(expected, seen):
+        want = fit_normalization(d.X[tr_idx]).transform(d.X[tr_idx])
+        assert ds.n_samples == len(tr_idx) < d.n_samples
+        np.testing.assert_array_equal(ds.X, want)
+        np.testing.assert_array_equal(ds.y, d.y[tr_idx])
 
 
 class TestSplits:
@@ -245,6 +289,14 @@ class TestCrossValidate:
         assert got_mean >= table.min()
         assert got_mean == table.max()
 
+    def test_scores_each_fold_once_for_all_alphas(self, monkeypatch):
+        d = self._fixture()
+        seen = _spy_scoring(monkeypatch)
+        folds = 3
+        cross_validate(d, (0.0, 0.25, 0.5, 0.75, 1.0), (0.1, 1.0), folds=folds,
+                       cardinality=4, seed=2, epochs=3)
+        assert len(seen) == folds
+
     def test_fold_with_single_class_rejected(self):
         y = np.array([0] * 3 + [1] * 12)
         rng = np.random.default_rng(2)
@@ -393,24 +445,21 @@ class TestRunEvaluation:
     def test_rankings_never_see_test_rows(self, monkeypatch):
         d = self._fixture()
         plan = SplitPlan(n_repeats=3, seed=7)
-        expected = split_indices(d.y, plan)
-        seen = []
-        real = ev.ecfs_rank
-
-        def spy(ds, alpha, bins):
-            seen.append(ds)
-            return real(ds, alpha, bins)
-
-        monkeypatch.setattr(ev, "ecfs_rank", spy)
+        seen = _spy_scoring(monkeypatch)
         run_evaluation(d, plan, cardinalities=(2, 4), epochs=4)
+        _assert_scored_training_rows_only(d, plan, seen)
+
+    def test_scores_once_per_repeat_and_skips_unneeded_scores(self, monkeypatch):
+        d = self._fixture()
+        seen = _spy_scoring(monkeypatch)
+        mi_calls = _count_calls(monkeypatch, "mutual_information_scores")
+        run_evaluation(d, SplitPlan(n_repeats=3, seed=0), methods=("fisher",),
+                       cardinalities=(3,), epochs=4)
         assert len(seen) == 3
-        for r, ds in enumerate(seen):
-            tr_idx, _ = expected[r]
-            stats = fit_normalization(d.X[tr_idx])
-            want = stats.transform(d.X[tr_idx])
-            assert ds.n_samples == len(tr_idx) < d.n_samples
-            np.testing.assert_array_equal(ds.X, want)
-            np.testing.assert_array_equal(ds.y, d.y[tr_idx])
+        assert mi_calls == []
+        run_evaluation(d, SplitPlan(n_repeats=3, seed=0), cardinalities=(3,), epochs=4)
+        assert len(seen) == 6
+        assert len(mi_calls) == 3  # ec_fs and mi share one MI pass per repeat
 
     def test_cv_mode_records_grid_choices(self):
         d = self._fixture()
@@ -483,6 +532,15 @@ class TestRunStability:
         d, _ = generate_synthetic(SyntheticSpec(12, 6, 2, 2.0, 1.0, seed=0))
         with pytest.raises(ValueError, match="2 repeats"):
             run_stability(d, SplitPlan(n_repeats=1, seed=0), cardinalities=(2,))
+
+    def test_rankings_never_see_test_rows(self, monkeypatch):
+        d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
+        plan = SplitPlan(n_repeats=3, seed=7)
+        seen = _spy_scoring(monkeypatch)
+        mi_calls = _count_calls(monkeypatch, "mutual_information_scores")
+        run_stability(d, plan, methods=("fisher", "ec_fs"), cardinalities=(2, 4))
+        _assert_scored_training_rows_only(d, plan, seen)
+        assert len(mi_calls) == 3  # only ec_fs needs MI, once per repeat
 
 
 class TestSeedDerivation:

@@ -12,9 +12,9 @@ from .graph import (
     ScoreVector,
     build_adjacency,
     default_bin_count,
+    feature_spreads,
     fisher_scores,
     mutual_information_scores,
-    sigma_matrix,
 )
 
 
@@ -46,8 +46,6 @@ class EigenResult:
 
 
 def _as_matrix(A) -> np.ndarray:
-    if isinstance(A, AdjacencyMatrix):
-        return A.A  # its constructor proved it square, finite and non-negative
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
@@ -75,16 +73,18 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
         PowerIterationError: residual still above tol after max_iter sweeps;
             the exception carries the last residual.
     """
-    M = _as_matrix(A)
+    # an AdjacencyMatrix's constructor proved its vectors finite and non-negative
+    M = A if isinstance(A, AdjacencyMatrix) else _as_matrix(A)
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = M.shape[0]
     v = np.ones(n) / np.sqrt(n)
-    if not M.any():
-        return EigenResult(0.0, v, 0, 0.0, degenerate=True)
     w = M @ v
+    if not w.any():
+        # M is non-negative and v positive, so M v = 0 only when M = 0
+        return EigenResult(0.0, v, 0, 0.0, degenerate=True)
     residual = np.inf
     for it in range(1, max_iter + 1):
         nrm = float(np.linalg.norm(w))
@@ -114,7 +114,7 @@ def matrix_power_oracle(A, l_max: int = 2**20, agree_tol: float = 1e-10) -> Eige
     direction under the original matrix. Independent of power_iteration by
     construction; intended as a cross-check.
     """
-    M = _as_matrix(A)
+    M = np.array(list(A.rows())) if isinstance(A, AdjacencyMatrix) else _as_matrix(A)
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
     n = M.shape[0]
@@ -166,12 +166,12 @@ def rank_features(v0: ScoreVector | np.ndarray) -> FeatureRanking:
 
 @dataclass(frozen=True, eq=False)
 class FeatureScores:
-    """Fisher and mutual-information scores of one already-normalized dataset.
+    """Fisher scores, mutual-information scores and spreads of one normalized dataset.
 
     Precondition: `data` is already normalized; nothing here normalizes again.
-    Each score is computed on first use and then reused, so every ranking taken
-    from one instance shares one scoring pass and Fisher-only callers never pay
-    for MI. Sigma is rebuilt from `data` per ranking, never kept (it is n x n).
+    Each vector is computed on first use and then reused, so every ranking
+    taken from one instance, at any alpha, shares one scoring pass, and
+    Fisher-only callers never pay for MI.
     """
 
     data: Dataset
@@ -190,6 +190,12 @@ class FeatureScores:
             self._memo["mi"] = mutual_information_scores(self.data, self.bins)
         return self._memo["mi"]
 
+    @property
+    def spreads(self) -> np.ndarray:
+        if "spreads" not in self._memo:
+            self._memo["spreads"] = feature_spreads(self.data)
+        return self._memo["spreads"]
+
 
 def score_features(dn: Dataset, bins: int | None = None) -> FeatureScores:
     """Score an already-normalized dataset once, for every ranking taken from it.
@@ -205,10 +211,7 @@ def score_features(dn: Dataset, bins: int | None = None) -> FeatureScores:
 def _centrality_ranking(
     scores: FeatureScores, alpha: float, tol: float = 1e-10, max_iter: int = 10000
 ) -> tuple[FeatureRanking, EigenResult, AdjacencyMatrix]:
-    # Sigma is only an argument here, so it is freed as soon as the blend is built
-    adjacency = build_adjacency(
-        scores.fisher, scores.mutual_information, sigma_matrix(scores.data), alpha
-    )
+    adjacency = build_adjacency(scores.fisher, scores.mutual_information, scores.spreads, alpha)
     eigen = power_iteration(adjacency, tol=tol, max_iter=max_iter)
     return rank_features(ScoreVector(eigen.v0, "centrality")), eigen, adjacency
 

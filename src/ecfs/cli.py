@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
     p_rank.add_argument("--dump-scores", default=None,
                         help="also write the per-feature score vectors as JSON")
     p_rank.add_argument("--dump-adjacency", default=None,
-                        help="also write the dense adjacency as row-major text")
+                        help="also write the dense adjacency as row-major text, row by row")
     _add_output_flags(p_rank)
 
     p_eval = sub.add_parser("evaluate", help="repeated-split AUC / stability / significance")

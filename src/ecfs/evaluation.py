@@ -392,8 +392,8 @@ _RANKERS = {
 class _Repeat:
     """What one repeat keeps for the report: no rows, so memory stays flat in n_repeats."""
 
-    alpha: float  # the alpha ec_fs ranked at
-    C: float | None  # the cross-validated C; None at a fixed alpha
+    alpha: float | None  # the alpha ec_fs ranked at; None when ec_fs is not requested
+    C: float | None  # the cross-validated C; None at a fixed alpha or without ec_fs
     rankings: dict[str, FeatureRanking]
 
 
@@ -402,16 +402,16 @@ def _repeat_body(
     alpha: float | None, bins: int | None, cv_args: dict,
 ):
     """Repeat r as run_evaluation and run_stability share it: fit normalization
-    on the training rows alone, pick (alpha, C) on them by cross_validate when
-    alpha is None, and derive every method's ranking from one scoring pass.
-    Returns the kept record, the normalized training rows and their statistics."""
+    on the training rows alone, cross-validate (alpha, C) on them when alpha is
+    None and ec_fs (the one method reading the pair) is requested, rank every method
+    from one scoring pass; return the record, the rows and their statistics."""
 
     def body(r: int) -> tuple[_Repeat, Dataset, NormalizationStats]:
         trd = d.subset(splits[r][0])
         stats = fit_normalization(trd.X)
         trn = Dataset(stats.transform(trd.X), trd.y, d.feature_names, d.label_names)
         alpha_r, c_r = alpha, None
-        if alpha is None:
+        if alpha is None and "ec_fs" in methods:
             alpha_r, c_r = cross_validate(
                 trd, seed=derive_seed(seed, r, 101), bins=bins, **cv_args
             )

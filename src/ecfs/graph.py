@@ -112,14 +112,10 @@ def mutual_information_scores(d: Dataset, bins: int | None = None) -> ScoreVecto
     return ScoreVector(out, "mutual_information")
 
 
-def sigma_matrix(d: Dataset) -> np.ndarray:
-    """Pairwise dispersion: entry (i, j) is max of the two feature std devs.
-
-    Population standard deviations over all samples. On sum-to-1 normalized
-    input every entry lands in [0, 1]. Symmetric by construction.
-    """
-    s = d.X.std(axis=0)
-    return np.maximum.outer(s, s)
+def feature_spreads(d: Dataset) -> np.ndarray:
+    """Population standard deviation s_i of each feature. The feature graph's
+    dispersion edge (i, j) weighs max(s_i, s_j), in [0, 1] on normalized input."""
+    return d.X.std(axis=0)
 
 
 def _minmax_rescale(values: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -131,72 +127,73 @@ def _minmax_rescale(values: np.ndarray) -> tuple[np.ndarray, bool]:
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
-    """Non-negative weighted adjacency of the feature graph, plus its mixing weight.
+    """The feature graph A = alpha * outer(fs, ms) + (1 - alpha) * Sigma with
+    Sigma[i, j] = max(s_i, s_j), held as its vectors and never formed as n x n.
 
-    degenerate_fisher / degenerate_mi flag score vectors that were constant and
-    therefore rescaled to all zeros.
+    fs, ms are the rescaled relevance scores, s the feature spreads. `A @ v`
+    costs O(n) after one O(n log n) sort of s. degenerate_fisher / degenerate_mi
+    flag score vectors that were constant and therefore rescaled to all zeros.
     """
 
-    A: np.ndarray
+    fs: np.ndarray
+    ms: np.ndarray
+    s: np.ndarray
     alpha: float
     degenerate_fisher: bool = False
     degenerate_mi: bool = False
 
     def __post_init__(self) -> None:
-        A = np.asarray(self.A)
-        if A.dtype != np.float64 or A.flags.writeable:
-            # copy unless the caller already handed over an immutable array
-            A = np.array(A, dtype=float)
-            A.setflags(write=False)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {A.shape}")
-        if A.shape[0] < 1:
-            raise ValueError("adjacency must have at least one node")
-        # scalar reductions instead of boolean masks: NaN poisons min/max and
-        # any infinity surfaces as an endpoint, so two passes cover both checks
-        mn, mx = A.min(), A.max()
-        if not (np.isfinite(mn) and np.isfinite(mx)):
-            raise ValueError("adjacency entries must be finite")
-        if mn < 0:
-            raise ValueError("adjacency entries must be non-negative")
+        for name in ("fs", "ms", "s"):
+            v = np.array(getattr(self, name), dtype=float)
+            if v.ndim != 1 or v.shape != np.shape(self.fs) or v.shape[0] < 1:
+                raise ValueError("fs, ms and s must be non-empty vectors of one feature count")
+            if not (np.isfinite(v).all() and v.min() >= 0):
+                raise ValueError(f"{name} entries must be finite and non-negative")
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        object.__setattr__(self, "A", A)
+        order = np.argsort(self.s, kind="stable")
+        n_at_most = np.searchsorted(self.s[order], self.s, side="right")
+        # equal spreads share one position, hence bit-equal Sigma products
+        sorted_s = (order, self.s[order], n_at_most - 1, len(order) - n_at_most)
+        object.__setattr__(self, "_sorted", sorted_s)
 
     @property
-    def n_features(self) -> int:
-        return self.A.shape[0]
+    def shape(self) -> tuple[int, int]:
+        return (len(self.s), len(self.s))
+
+    def __matmul__(self, v) -> np.ndarray:
+        """A v; (Sigma v)_i = s_i * sum(v_j : s_j <= s_i) + sum(s_j v_j : s_j > s_i)."""
+        rank1 = self.alpha * float(self.ms @ v) * self.fs
+        order, s_sorted, at_most, n_above = self._sorted
+        vs = np.asarray(v, dtype=float)[order]
+        # entry k of above sums s_j v_j over the k largest spreads
+        above = np.append(0.0, np.cumsum((s_sorted * vs)[::-1]))
+        return rank1 + (1.0 - self.alpha) * (self.s * np.cumsum(vs)[at_most] + above[n_above])
+
+    def rows(self):
+        """Yield the dense rows of A in order, each entry rounded exactly as
+        alpha * (fs_i * ms_j) + (1 - alpha) * max(s_i, s_j)."""
+        for fi, si in zip(self.fs, self.s):
+            yield self.alpha * (fi * self.ms) + (1.0 - self.alpha) * np.maximum(si, self.s)
 
     def dump_text(self, path) -> None:
-        """Row-major plain-text dump for debugging."""
-        np.savetxt(path, self.A)
+        """Row-major plain-text dump for debugging, written one row at a time."""
+        with open(path, "w") as fh:
+            for row in self.rows():
+                np.savetxt(fh, row[None])
 
 
 def build_adjacency(
-    f: ScoreVector, m: ScoreVector, Sigma: np.ndarray, alpha: float
+    f: ScoreVector, m: ScoreVector, s: np.ndarray, alpha: float
 ) -> AdjacencyMatrix:
-    """Blend the rank-1 relevance product with the dispersion matrix.
+    """Blend the rank-1 relevance product with the dispersion graph of spreads s.
 
-    Both score vectors are min-max rescaled to [0, 1] (a constant vector
-    becomes all zeros and is flagged), then
-    A = alpha * outer(f, m) + (1 - alpha) * Sigma.
+    Both score vectors are min-max rescaled to [0, 1] (a constant vector becomes
+    all zeros and is flagged); the result is the operator of
+    A = alpha * outer(f, m) + (1 - alpha) * Sigma, Sigma[i, j] = max(s_i, s_j).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    Sigma = np.asarray(Sigma, dtype=float)
-    n = len(f)
-    if len(m) != n or Sigma.shape != (n, n):
-        raise ValueError("score vectors and Sigma must agree on the feature count")
     fs, degenerate_f = _minmax_rescale(f.values)
     ms, degenerate_m = _minmax_rescale(m.values)
-    # in-place blend; per-entry rounding matches alpha*outer + (1-alpha)*Sigma
-    A = np.outer(fs, ms)
-    A *= alpha
-    # row blocks keep the scaled-Sigma temporary small enough to recycle
-    step = max(1, (4 << 20) // (8 * n))
-    for i in range(0, n, step):
-        A[i:i + step] += (1.0 - alpha) * Sigma[i:i + step]
-    A.setflags(write=False)
-    return AdjacencyMatrix(
-        A=A, alpha=alpha, degenerate_fisher=degenerate_f, degenerate_mi=degenerate_m
-    )
+    return AdjacencyMatrix(fs, ms, s, alpha, degenerate_f, degenerate_m)

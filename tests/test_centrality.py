@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ecfs import (
     build_adjacency,
     ecfs_rank,
     ecfs_run,
+    feature_spreads,
     fisher_scores,
     generate_synthetic,
     matrix_power_oracle,
@@ -16,7 +19,6 @@ from ecfs import (
     normalize_features,
     power_iteration,
     rank_features,
-    sigma_matrix,
 )
 
 
@@ -99,9 +101,13 @@ class TestPowerIteration:
     def test_accepts_adjacency_wrapper(self):
         f = ScoreVector(np.array([0.0, 1.0]), "fisher")
         m = ScoreVector(np.array([1.0, 0.0]), "mutual_information")
-        adj = build_adjacency(f, m, np.array([[0.2, 0.5], [0.5, 0.4]]), 0.5)
+        adj = build_adjacency(f, m, np.array([0.2, 0.5]), 0.5)
         res = power_iteration(adj)
         assert res.residual <= 1e-10
+        dense = power_iteration(np.array(list(adj.rows())))
+        assert res.iterations == dense.iterations
+        np.testing.assert_allclose(res.v0, dense.v0, rtol=1e-13)
+        assert res.lambda0 == pytest.approx(dense.lambda0, rel=1e-13)
 
 
 class TestMatrixPowerOracle:
@@ -131,6 +137,16 @@ class TestMatrixPowerOracle:
         A = rng.random((50, 50))
         a = power_iteration(A)
         b = matrix_power_oracle(A)
+        assert np.abs(a.v0 - b.v0).max() <= 1e-8
+        assert abs(a.lambda0 - b.lambda0) <= 1e-8 * abs(b.lambda0)
+
+    def test_accepts_adjacency_wrapper(self):
+        rng = np.random.default_rng(9)
+        adj = build_adjacency(ScoreVector(rng.random(30), "fisher"),
+                              ScoreVector(rng.random(30), "mutual_information"),
+                              rng.random(30), 0.4)
+        a = power_iteration(adj)
+        b = matrix_power_oracle(adj)
         assert np.abs(a.v0 - b.v0).max() <= 1e-8
         assert abs(a.lambda0 - b.lambda0) <= 1e-8 * abs(b.lambda0)
 
@@ -221,17 +237,20 @@ class TestEcfsRank:
     def test_alpha_zero_matches_sigma_eigenranking(self):
         d, _ = self._informative_dataset()
         dn, _ = normalize_features(d)
+        s = feature_spreads(dn)
         direct = rank_features(
-            ScoreVector(power_iteration(sigma_matrix(dn)).v0, "centrality")
+            ScoreVector(power_iteration(np.maximum.outer(s, s)).v0, "centrality")
         )
         np.testing.assert_array_equal(ecfs_rank(d, alpha=0.0).order, direct.order)
 
     def test_alpha_one_matches_relevance_product_eigenranking(self):
         d, _ = self._informative_dataset()
         dn, _ = normalize_features(d)
-        f = fisher_scores(dn)
-        m = mutual_information_scores(dn)
-        k_only = build_adjacency(f, m, np.zeros((d.n_features, d.n_features)), 1.0)
+        f = fisher_scores(dn).values
+        m = mutual_information_scores(dn).values
+        fs = (f - f.min()) / (f.max() - f.min())
+        ms = (m - m.min()) / (m.max() - m.min())
+        k_only = np.outer(fs, ms)
         direct = rank_features(ScoreVector(power_iteration(k_only).v0, "centrality"))
         np.testing.assert_array_equal(ecfs_rank(d, alpha=1.0).order, direct.order)
 
@@ -249,6 +268,19 @@ class TestEcfsRank:
         b = ecfs_rank(d, alpha=0.3)
         np.testing.assert_array_equal(a.order, b.order)
         np.testing.assert_array_equal(a.scores, b.scores)
+
+    def test_memory_stays_below_one_dense_array(self):
+        # one n x n float array is 8 n^2 bytes; the whole run must stay under
+        # an eighth of that
+        n = 4000
+        d, _ = generate_synthetic(SyntheticSpec(30, n, 10, 2.0, 1.0, seed=3))
+        tracemalloc.start()
+        try:
+            ecfs_run(d, alpha=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n
 
     def test_single_seed_recovery(self):
         d, inf = generate_synthetic(SyntheticSpec(200, 500, 20, 2.0, 1.0, seed=0))

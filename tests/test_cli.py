@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from ecfs import fisher_scores, load_dataset, mutual_information_scores, normalize_features
 from ecfs.cli import main
 
 
@@ -77,6 +78,17 @@ class TestRank:
         A = np.loadtxt(adj)
         assert A.shape == (12, 12)
         assert A.min() >= 0.0
+        # the streamed rows are byte-equal to a dump of the dense blend
+        dn, _ = normalize_features(load_dataset(data))
+        f = fisher_scores(dn).values
+        m = mutual_information_scores(dn).values
+        s = dn.X.std(axis=0)
+        dense = 0.5 * np.outer((f - f.min()) / (f.max() - f.min()),
+                               (m - m.min()) / (m.max() - m.min()))
+        dense += 0.5 * np.maximum.outer(s, s)
+        ref = tmp_path / "dense.txt"
+        np.savetxt(ref, dense)
+        assert adj.read_bytes() == ref.read_bytes()
         scores = json.loads(sc.read_text())
         for key in ("fisher", "mutual_information", "centrality"):
             assert len(scores[key]["values"]) == 12

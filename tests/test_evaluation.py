@@ -17,11 +17,14 @@ from ecfs import (
     SyntheticSpec,
     cross_validate,
     derive_seed,
-    ecfs_rank,
+    fisher_scores,
     fit_normalization,
     generate_synthetic,
     kuncheva_index,
     make_splits,
+    mutual_information_scores,
+    power_iteration,
+    rank_features,
     roc_auc,
     run_evaluation,
     run_stability,
@@ -261,7 +264,13 @@ class TestCrossValidate:
         got = cross_validate(d, alphas, cs, folds=folds, cardinality=cardinality,
                              seed=seed, epochs=epochs)
 
-        # independent replay with plain loops over the same primitives
+        # independent replay with plain loops over the same primitives; each
+        # alpha's ranking comes from the dense n x n blend, so this is also the
+        # cross-validation-level oracle for the structured operator
+        def rescaled(values):
+            lo, hi = values.min(), values.max()
+            return np.zeros_like(values) if lo == hi else (values - lo) / (hi - lo)
+
         fold_parts = stratified_fold_indices(d.y, folds, seed)
         table = np.zeros((len(alphas), len(cs)))
         for j in range(folds):
@@ -272,8 +281,12 @@ class TestCrossValidate:
             trn = Dataset(stats.transform(trd.X), trd.y)
             va_X = stats.transform(d.X[va_idx])
             va_y = d.y[va_idx]
+            fs = rescaled(fisher_scores(trn).values)
+            ms = rescaled(mutual_information_scores(trn).values)
+            s = trn.X.std(axis=0)
             for ai, a in enumerate(alphas):
-                sel = ecfs_rank(trn, a, None).top(cardinality)
+                A = a * np.outer(fs, ms) + (1 - a) * np.maximum.outer(s, s)
+                sel = rank_features(power_iteration(A).v0).top(cardinality)
                 for ci, c in enumerate(cs):
                     model = train_linear_classifier(
                         trn, sel, c, epochs=epochs, seed=derive_seed(seed, j, ai, ci)
@@ -460,6 +473,27 @@ class TestRunEvaluation:
         run_evaluation(d, SplitPlan(n_repeats=3, seed=0), cardinalities=(3,), epochs=4)
         assert len(seen) == 6
         assert len(mi_calls) == 3  # ec_fs and mi share one MI pass per repeat
+
+    def test_cv_runs_only_for_ec_fs(self, monkeypatch):
+        # no other method reads the cross-validated (alpha, C) pair
+        calls = []
+        real = ev.cross_validate
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "cross_validate", spy)
+        d = self._fixture()
+        cv = dict(alpha="cv", alpha_grid=(0.0, 1.0), c_grid=(1.0,), folds=2,
+                  cv_cardinality=3, epochs=4)
+        plan = SplitPlan(n_repeats=2, seed=1)
+        rep = run_evaluation(d, plan, methods=("fisher", "mi"), cardinalities=(3,), **cv)
+        run_stability(d, plan, methods=("fisher", "mi"), cardinalities=(3,), **cv)
+        assert calls == []
+        assert "alpha_per_repeat" not in rep and "c_per_repeat" not in rep
+        run_evaluation(d, plan, methods=("ec_fs",), cardinalities=(3,), **cv)
+        assert len(calls) == plan.n_repeats
 
     def test_cv_mode_records_grid_choices(self):
         d = self._fixture()

@@ -9,9 +9,10 @@ from ecfs import (
     ScoreVector,
     build_adjacency,
     default_bin_count,
+    feature_spreads,
     fisher_scores,
     mutual_information_scores,
-    sigma_matrix,
+    power_iteration,
 )
 
 
@@ -188,26 +189,41 @@ class TestMutualInformation:
         np.testing.assert_array_equal(a, b)
 
 
-class TestSigmaMatrix:
+def _rescaled(values):
+    values = np.asarray(values, dtype=float)
+    return (values - values.min()) / (values.max() - values.min())
+
+
+def _dense(adj):
+    return np.array(list(adj.rows()))
+
+
+class TestFeatureSpreads:
     def test_pairwise_max_rule(self):
         # columns built to have population std devs exactly 0.1 and 0.3
         d = _ds([[0.5 - 0.1, 0.5 - 0.3], [0.5 + 0.1, 0.5 + 0.3]], [0, 1])
-        S = sigma_matrix(d)
-        np.testing.assert_allclose(S, [[0.1, 0.3], [0.3, 0.3]], rtol=1e-12)
+        s = feature_spreads(d)
+        np.testing.assert_allclose(s, [0.1, 0.3], rtol=1e-12)
+        f, m = ScoreVector(np.zeros(2), "fisher"), ScoreVector(np.zeros(2), "mutual_information")
+        np.testing.assert_allclose(_dense(build_adjacency(f, m, s, 0.0)),
+                                   [[0.1, 0.3], [0.3, 0.3]], rtol=1e-12)
 
     def test_symmetric_nonnegative_bounded_on_normalized_input(self):
         rng = np.random.default_rng(8)
         from ecfs import normalize_features
 
         d, _ = normalize_features(_ds(rng.normal(size=(25, 9)), np.arange(25) % 2))
-        S = sigma_matrix(d)
+        s = feature_spreads(d)
+        assert s.shape == (9,)
+        assert s.min() >= 0.0
+        assert s.max() <= 1.0
+        f = ScoreVector(rng.random(9), "fisher")
+        S = _dense(build_adjacency(f, f, s, 0.0))
         np.testing.assert_array_equal(S, S.T)
-        assert S.min() >= 0.0
-        assert S.max() <= 1.0
 
     def test_constant_features_produce_zero_rows(self):
         d = _ds([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]], [0, 1, 0, 1])
-        assert not sigma_matrix(d).any()
+        assert not feature_spreads(d).any()
 
 
 class TestBuildAdjacency:
@@ -217,16 +233,17 @@ class TestBuildAdjacency:
         return f, m
 
     def test_hand_example(self):
+        # Sigma = [[0.2, 0.5], [0.5, 0.5]], outer(f, m) = [[0, 0], [1, 0]]
         f, m = self._fm()
-        Sigma = np.array([[0.2, 0.5], [0.5, 0.4]])
-        A = build_adjacency(f, m, Sigma, 0.5).A
-        np.testing.assert_allclose(A, [[0.1, 0.25], [0.75, 0.2]], rtol=1e-15)
+        A = _dense(build_adjacency(f, m, np.array([0.2, 0.5]), 0.5))
+        np.testing.assert_allclose(A, [[0.1, 0.25], [0.75, 0.25]], rtol=1e-15)
 
     def test_alpha_boundaries(self):
         f, m = self._fm()
-        Sigma = np.array([[0.2, 0.5], [0.5, 0.4]])
-        np.testing.assert_array_equal(build_adjacency(f, m, Sigma, 0.0).A, Sigma)
-        np.testing.assert_array_equal(build_adjacency(f, m, Sigma, 1.0).A,
+        s = np.array([0.2, 0.5])
+        np.testing.assert_array_equal(_dense(build_adjacency(f, m, s, 0.0)),
+                                      np.maximum.outer(s, s))
+        np.testing.assert_array_equal(_dense(build_adjacency(f, m, s, 1.0)),
                                       np.outer([0.0, 1.0], [1.0, 0.0]))
 
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.77, 0.9])
@@ -235,49 +252,104 @@ class TestBuildAdjacency:
         n = 6
         f = ScoreVector(rng.random(n), "fisher")
         m = ScoreVector(rng.random(n), "mutual_information")
-        Sigma = np.abs(rng.random((n, n)))
-        Sigma = np.maximum(Sigma, Sigma.T)
-        A = build_adjacency(f, m, Sigma, alpha).A
-        fs = (f.values - f.values.min()) / (f.values.max() - f.values.min())
-        ms = (m.values - m.values.min()) / (m.values.max() - m.values.min())
-        want = alpha * np.outer(fs, ms) + (1 - alpha) * Sigma
-        assert np.abs(A - want).max() <= 1e-12
+        s = rng.random(n)
+        A = _dense(build_adjacency(f, m, s, alpha))
+        want = alpha * np.outer(_rescaled(f.values), _rescaled(m.values)) + (
+            1 - alpha
+        ) * np.maximum.outer(s, s)
+        np.testing.assert_array_equal(A, want)
 
     def test_alpha_out_of_range(self):
         f, m = self._fm()
-        Sigma = np.zeros((2, 2))
         for bad in (-0.1, 1.5):
             with pytest.raises(ValueError, match="alpha"):
-                build_adjacency(f, m, Sigma, bad)
+                build_adjacency(f, m, np.zeros(2), bad)
 
     def test_constant_scores_flagged_and_zeroed(self):
         f = ScoreVector(np.array([0.5, 0.5]), "fisher")
         m = ScoreVector(np.array([0.0, 1.0]), "mutual_information")
-        adj = build_adjacency(f, m, np.zeros((2, 2)), 1.0)
+        adj = build_adjacency(f, m, np.zeros(2), 1.0)
         assert adj.degenerate_fisher and not adj.degenerate_mi
-        assert not adj.A.any()
+        assert not _dense(adj).any()
+        assert not (adj @ np.ones(2)).any()
 
     def test_entries_bounded_for_normalized_scores(self):
         rng = np.random.default_rng(31)
         n = 10
         f = ScoreVector(rng.random(n) * 100, "fisher")
         m = ScoreVector(rng.random(n), "mutual_information")
-        sig = rng.random(n)
-        Sigma = np.maximum.outer(sig, sig)
-        A = build_adjacency(f, m, Sigma, 0.4).A
+        A = _dense(build_adjacency(f, m, rng.random(n), 0.4))
         assert A.min() >= 0.0 and A.max() <= 1.0
 
     def test_shape_mismatch_rejected(self):
         f, m = self._fm()
         with pytest.raises(ValueError, match="feature count"):
-            build_adjacency(f, m, np.zeros((3, 3)), 0.5)
+            build_adjacency(f, m, np.zeros(3), 0.5)
+        with pytest.raises(ValueError, match="feature count"):
+            build_adjacency(f, m, np.zeros((2, 2)), 0.5)
 
     def test_dump_text_roundtrip(self, tmp_path):
         f, m = self._fm()
-        adj = build_adjacency(f, m, np.array([[0.2, 0.5], [0.5, 0.4]]), 0.5)
+        adj = build_adjacency(f, m, np.array([0.2, 0.5]), 0.5)
         p = tmp_path / "adj.txt"
         adj.dump_text(p)
-        np.testing.assert_allclose(np.loadtxt(p), adj.A)
+        ref = tmp_path / "dense.txt"
+        np.savetxt(ref, _dense(adj))
+        assert p.read_bytes() == ref.read_bytes()
+        np.testing.assert_allclose(np.loadtxt(p), [[0.1, 0.25], [0.75, 0.25]], rtol=1e-15)
+
+
+class TestAdjacencyOperator:
+    """`A @ v` of the structured operator against the dense rows it stands for."""
+
+    @staticmethod
+    def _tied_operator(alpha, n=300, seed=40):
+        # few distinct values, so s has zeros and many exact ties, and whole
+        # groups of features share (fs, ms, s)
+        rng = np.random.default_rng(seed)
+        f = ScoreVector(rng.integers(0, 4, n) / 3.0, "fisher")
+        m = ScoreVector(rng.integers(0, 3, n) / 2.0, "mutual_information")
+        s = rng.integers(0, 5, n) / 8.0
+        return build_adjacency(f, m, s, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_matvec_matches_dense_rows(self, alpha):
+        rng = np.random.default_rng(41)
+        for adj in (self._tied_operator(alpha),
+                    build_adjacency(ScoreVector(rng.random(257), "fisher"),
+                                    ScoreVector(rng.random(257), "mutual_information"),
+                                    rng.random(257), alpha)):
+            dense = _dense(adj)
+            assert adj.shape == dense.shape
+            for v in (np.ones(adj.shape[0]), rng.random(adj.shape[0])):
+                want = dense @ v
+                got = adj @ v
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_equal_features_give_bit_equal_products(self, alpha):
+        adj = self._tied_operator(alpha)
+        w = adj @ np.random.default_rng(42).random(adj.shape[0])
+        keys = list(zip(adj.fs, adj.ms, adj.s))
+        groups: dict = {}
+        for i, key in enumerate(keys):
+            groups.setdefault(key, []).append(i)
+        assert max(len(g) for g in groups.values()) > 1
+        for members in groups.values():
+            assert len(set(w[members].tolist())) == 1
+
+    def test_zero_operator_is_degenerate_after_zero_iterations(self):
+        zero_scores = ScoreVector(np.zeros(5), "fisher")
+        adj = build_adjacency(zero_scores, zero_scores, np.zeros(5), 0.3)
+        assert not (adj @ np.ones(5)).any()
+        res = power_iteration(adj)
+        assert res.degenerate and res.iterations == 0 and res.lambda0 == 0.0
+
+    def test_wrong_vector_length_rejected(self):
+        adj = self._tied_operator(0.5, n=4)
+        for n in (3, 5):
+            with pytest.raises(ValueError):
+                adj @ np.ones(n)
 
 
 class TestScoreVector:
@@ -298,5 +370,9 @@ class TestScoreVector:
         assert sv.to_dict() == {"kind": "mutual_information", "values": [0.25, 1.0]}
 
     def test_adjacency_rejects_negative_entries(self):
+        fs = np.array([0.0, 1.0])
         with pytest.raises(ValueError, match="non-negative"):
-            AdjacencyMatrix(np.array([[0.1, -0.2], [0.0, 0.1]]), 0.5)
+            AdjacencyMatrix(fs, fs, np.array([0.1, -0.2]), 0.5)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                AdjacencyMatrix(fs, fs, np.array([0.1, bad]), 0.5)

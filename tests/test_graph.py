@@ -198,7 +198,9 @@ def _dense(adj):
     return np.array(list(adj.rows()))
 
 
-class TestFeatureSpreads:
+class TestSigmaMatrix:
+    """Sigma_ij = max(s_i, s_j), held as the spread vector s."""
+
     def test_pairwise_max_rule(self):
         # columns built to have population std devs exactly 0.1 and 0.3
         d = _ds([[0.5 - 0.1, 0.5 - 0.3], [0.5 + 0.1, 0.5 + 0.3]], [0, 1])

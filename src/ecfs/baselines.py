@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-from .centrality import rank_features
+from .centrality import score_features
 from .data import Dataset, FeatureRanking, normalize_features
-from .graph import fisher_scores, mutual_information_scores
 
 
 def rank_by_fisher(d: Dataset) -> FeatureRanking:
     """Rank features by Fisher separation alone, on the normalized data."""
     dn, _ = normalize_features(d)
-    return rank_features(fisher_scores(dn))
+    return score_features(dn).ranking("fisher")
 
 
 def rank_by_mi(d: Dataset, bins: int | None = None) -> FeatureRanking:
     """Rank features by histogram mutual information alone, on the normalized data."""
     dn, _ = normalize_features(d)
-    return rank_features(mutual_information_scores(dn, bins))
+    return score_features(dn, bins).ranking("mi")

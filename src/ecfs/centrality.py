@@ -17,6 +17,8 @@ from .graph import (
     mutual_information_scores,
 )
 
+METHODS = ("ec_fs", "fisher", "mi")
+
 
 class PowerIterationError(RuntimeError):
     """Iteration budget exhausted before the residual dropped below tolerance.
@@ -170,8 +172,8 @@ class FeatureScores:
 
     Precondition: `data` is already normalized; nothing here normalizes again.
     Each vector is computed on first use and then reused, so every ranking
-    taken from one instance, at any alpha, shares one scoring pass, and
-    Fisher-only callers never pay for MI.
+    taken from one instance (`ranking`, for any method and any alpha) shares
+    one scoring pass, and Fisher-only callers never pay for MI.
     """
 
     data: Dataset
@@ -195,6 +197,14 @@ class FeatureScores:
         if "spreads" not in self._memo:
             self._memo["spreads"] = feature_spreads(self.data)
         return self._memo["spreads"]
+
+    def ranking(self, method: str, alpha: float | None = None) -> FeatureRanking:
+        """The ranking a method in METHODS gives; only ec_fs reads alpha."""
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        if method == "ec_fs":
+            return _centrality_ranking(self, alpha)[0]
+        return rank_features(self.fisher if method == "fisher" else self.mutual_information)
 
 
 def score_features(dn: Dataset, bins: int | None = None) -> FeatureScores:

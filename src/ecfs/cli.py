@@ -124,10 +124,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args, errors: list[str]) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get(ENV_SEED, "0"))
+    text = os.environ.get(ENV_SEED, "0")
+    if text.strip().isdecimal():
+        return int(text)
+    errors.append(f"{ENV_SEED} must be a non-negative integer, got {text!r}")
+    return 0
 
 
 def _parse_alpha(text: str):
@@ -152,7 +156,7 @@ def _validate_common(args, errors: list[str]) -> dict:
         errors.append(f"--alpha must be a number or 'cv', got {args.alpha!r}")
     if args.bins is not None and args.bins < 2:
         errors.append(f"--bins must be at least 2, got {args.bins}")
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, errors)
     if seed < 0:
         errors.append(f"seed must be non-negative, got {seed}")
     resolved["seed"] = seed
@@ -364,13 +368,11 @@ def _cmd_evaluate(args) -> int:
     if errors:
         return _fail(errors)
     d = _load(args)
-    if d.n_classes > 2:
-        if args.positive_class is None:
-            return _fail([
-                f"dataset has {d.n_classes} classes; pass --positive-class to evaluate one against the rest"
-            ])
-        d = _binarize(d, args.positive_class)
-    elif args.positive_class is not None:
+    if d.n_classes > 2 and args.positive_class is None:
+        return _fail([
+            f"dataset has {d.n_classes} classes; pass --positive-class to evaluate one against the rest"
+        ])
+    if args.positive_class is not None:
         d = _binarize(d, args.positive_class)
     plan = SplitPlan(train_fraction=args.train_fraction, n_repeats=args.repeats,
                      seed=common["seed"])
@@ -403,7 +405,10 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    seed = _resolve_seed(args)
+    errors: list[str] = []
+    seed = _resolve_seed(args, errors)
+    if errors:
+        return _fail(errors)
     spec = SyntheticSpec(
         n_samples=args.samples,
         n_features=args.features,

@@ -14,10 +14,9 @@ from itertools import combinations
 import numpy as np
 from scipy.special import betainc
 
-from .centrality import _centrality_ranking, rank_features, score_features
-from .data import Dataset, FeatureRanking, NormalizationStats, fit_normalization
+from .centrality import METHODS, score_features
+from .data import Dataset, FeatureRanking, NormalizationStats, normalize_features
 
-METHODS = ("ec_fs", "fisher", "mi")
 DEFAULT_ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0)
 DEFAULT_CARDINALITIES = (50, 100, 150, 200)
@@ -209,6 +208,12 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (2 * wins + ties) / (2 * n_pos * n_neg)
 
 
+def _heldout_auc(trn: Dataset, sel, C: float, epochs: int, seed: int, X, y) -> float:
+    """Train on columns `sel` of trn; AUC on held-out rows X (under trn's statistics)."""
+    model = train_linear_classifier(trn, sel, C, epochs=epochs, seed=seed)
+    return roc_auc(model.decision(X[:, sel]), y)
+
+
 def cross_validate(
     train: Dataset,
     alpha_grid=DEFAULT_ALPHA_GRID,
@@ -221,9 +226,9 @@ def cross_validate(
 ) -> tuple[float, float]:
     """Pick (alpha, C) by stratified k-fold AUC on the training data only.
 
-    Each fold fits its own normalization and is scored once; every alpha's
-    ranking derives from those scores, selects the top `cardinality` features
-    (capped at the feature count), and scores the held-out fold. Exact
+    Each fold is normalized and scored once; every alpha's ec_fs ranking derives
+    from those scores, selects the top `cardinality` features (capped at the
+    feature count), and scores the held-out fold at every C (_heldout_auc). Exact
     mean-AUC ties break toward the smaller alpha, then the smaller C.
     """
     alphas = sorted(set(float(a) for a in alpha_grid))
@@ -245,19 +250,14 @@ def cross_validate(
         for part, name in ((tr_idx, "training side"), (va_idx, "validation side")):
             if len(np.unique(train.y[part])) != n_classes:
                 raise SplitError(f"fold {j} leaves a single class on its {name}")
-        trd = train.subset(tr_idx)
-        vad = train.subset(va_idx)
-        stats = fit_normalization(trd.X)
-        trn = Dataset(stats.transform(trd.X), trd.y)
-        va_X = stats.transform(vad.X)
+        trn, stats = normalize_features(train.subset(tr_idx))
+        va_X, va_y = stats.transform(train.X[va_idx]), train.y[va_idx]
         scores = score_features(trn, bins)
         for ai, a in enumerate(alphas):
-            sel = _centrality_ranking(scores, a)[0].top(cardinality)
+            sel = scores.ranking("ec_fs", a).top(cardinality)
             for ci, c in enumerate(Cs):
-                model = train_linear_classifier(
-                    trn, sel, c, epochs=epochs, seed=derive_seed(seed, j, ai, ci)
-                )
-                table[ai, ci] += roc_auc(model.decision(va_X[:, sel]), vad.y)
+                seed_c = derive_seed(seed, j, ai, ci)
+                table[ai, ci] += _heldout_auc(trn, sel, c, epochs, seed_c, va_X, va_y)
     table /= folds
     # argmax returns the first maximum in row-major order: smallest alpha, then C
     ai, ci = np.unravel_index(int(np.argmax(table)), table.shape)
@@ -379,15 +379,6 @@ def _map_repeats(fn, n_repeats: int, workers: int) -> list:
         return list(ex.map(fn, range(n_repeats)))
 
 
-# every method's ranking from one scoring pass; FeatureScores computes a score
-# only when a requested method reads it
-_RANKERS = {
-    "ec_fs": lambda scores, alpha: _centrality_ranking(scores, alpha)[0],
-    "fisher": lambda scores, alpha: rank_features(scores.fisher),
-    "mi": lambda scores, alpha: rank_features(scores.mutual_information),
-}
-
-
 @dataclass(frozen=True)
 class _Repeat:
     """What one repeat keeps for the report: no rows, so memory stays flat in n_repeats."""
@@ -401,22 +392,21 @@ def _repeat_body(
     d: Dataset, splits: list[tuple[np.ndarray, np.ndarray]], seed: int, methods: list[str],
     alpha: float | None, bins: int | None, cv_args: dict,
 ):
-    """Repeat r as run_evaluation and run_stability share it: fit normalization
-    on the training rows alone, cross-validate (alpha, C) on them when alpha is
-    None and ec_fs (the one method reading the pair) is requested, rank every method
-    from one scoring pass; return the record, the rows and their statistics."""
+    """Repeat r as run_evaluation and run_stability share it: normalize the training
+    rows alone, cross-validate (alpha, C) on them when alpha is None and ec_fs (the
+    one method reading the pair) is requested, rank every method from one scoring
+    pass; return the record, the normalized rows and their statistics."""
 
     def body(r: int) -> tuple[_Repeat, Dataset, NormalizationStats]:
         trd = d.subset(splits[r][0])
-        stats = fit_normalization(trd.X)
-        trn = Dataset(stats.transform(trd.X), trd.y, d.feature_names, d.label_names)
+        trn, stats = normalize_features(trd)
         alpha_r, c_r = alpha, None
         if alpha is None and "ec_fs" in methods:
             alpha_r, c_r = cross_validate(
                 trd, seed=derive_seed(seed, r, 101), bins=bins, **cv_args
             )
         scores = score_features(trn, bins)
-        rankings = {m: _RANKERS[m](scores, alpha_r) for m in methods}
+        rankings = {m: scores.ranking(m, alpha_r) for m in methods}
         return _Repeat(alpha_r, c_r, rankings), trn, stats
 
     return body
@@ -476,9 +466,10 @@ def run_evaluation(
     """Full protocol: repeated stratified splits, classifier AUC on the held-out
     side, stability and pairwise significance across repeats.
 
-    Each repeat runs run_stability's body (training rows normalized and scored
-    once, every ranking derived from those scores), then trains a classifier
-    on each top-k set and scores the test rows under the training statistics.
+    Each repeat runs run_stability's body (normalize_features, one score_features
+    pass, every ranking from FeatureScores.ranking), then scores each top-k set
+    on the test rows under the training statistics with _heldout_auc, the step
+    cross_validate scores its folds with.
 
     alpha may be a number or "cv", in which case each repeat picks (alpha, C)
     on its own training split. Baselines always train at fixed_c. The returned
@@ -503,17 +494,11 @@ def run_evaluation(
         ted = d.subset(splits[r][1])
         te_X = stats.transform(ted.X)
         aucs = {}
-        for method in methods:
-            c_used = c_r if method == "ec_fs" else fixed_c
-            row = []
-            for k in ks:
-                sel = rep.rankings[method].top(k)
-                model = train_linear_classifier(
-                    trn, sel, c_used, epochs=epochs,
-                    seed=derive_seed(plan.seed, r, _METHOD_SEED[method], k),
-                )
-                row.append(roc_auc(model.decision(te_X[:, sel]), ted.y))
-            aucs[method] = row
+        for m in methods:
+            c_m = c_r if m == "ec_fs" else fixed_c
+            aucs[m] = [_heldout_auc(trn, rep.rankings[m].top(k), c_m, epochs,
+                                    derive_seed(plan.seed, r, _METHOD_SEED[m], k), te_X, ted.y)
+                       for k in ks]
         return rep, c_r, aucs
 
     results, cs, aucs = zip(*_map_repeats(one_repeat, plan.n_repeats, workers))

@@ -148,6 +148,25 @@ class TestValidationFailures:
         assert "--alpha" in err and "--bins" in err and "--folds" in err
         assert "; " in err
 
+    def test_malformed_env_seed_joins_the_aggregated_errors(self, tmp_path, capsys,
+                                                            monkeypatch):
+        data, _ = _synth_csv(tmp_path)
+        capsys.readouterr()  # drop the synth progress line
+        monkeypatch.setenv("ECFS_SEED", "abc")
+        rc = main(["rank", "--data", str(data), "--alpha", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0
+        assert "--alpha must be in [0, 1]" in err
+        assert "ECFS_SEED must be a non-negative integer, got 'abc'" in err
+        monkeypatch.setenv("ECFS_SEED", "-3")
+        assert main(["synth", "--samples", "10", "--features", "3", "--informative", "1",
+                     "--output", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            "error: ECFS_SEED must be a non-negative integer, got '-3'\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc = main(["rank", "--data", str(tmp_path / "absent.csv")])
         assert rc == 1

@@ -15,8 +15,10 @@ from ecfs import (
     SplitError,
     SplitPlan,
     SyntheticSpec,
+    build_adjacency,
     cross_validate,
     derive_seed,
+    feature_spreads,
     fisher_scores,
     fit_normalization,
     generate_synthetic,
@@ -454,6 +456,54 @@ class TestRunEvaluation:
         r3 = run_evaluation(d, SplitPlan(n_repeats=4, seed=3), workers=3, **kw)
         s1, s2, s3 = (json.dumps(r, sort_keys=True) for r in (r1, r2, r3))
         assert s1 == s2 == s3
+
+    def test_cv_mode_and_stability_are_worker_invariant(self):
+        d = generate_synthetic(SyntheticSpec(24, 12, 3, 2.5, 1.0, seed=4))[0]
+        plan = SplitPlan(n_repeats=3, seed=5)
+        kw = dict(alpha="cv", cardinalities=(3,), alpha_grid=(0.0, 0.5, 1.0), c_grid=(1.0,),
+                  folds=2, cv_cardinality=3, epochs=4)
+        for run in (run_evaluation, run_stability):
+            one = json.dumps(run(d, plan, workers=1, **kw), sort_keys=True)
+            three = json.dumps(run(d, plan, workers=3, **kw), sort_keys=True)
+            assert one == three
+
+    @pytest.mark.parametrize("alpha", [0.5, "cv"])
+    def test_auc_samples_match_exhaustive_replay(self, alpha):
+        # overlapping classes: the AUC samples move with the ranking, the test-row
+        # transform, C and the classifier seed (the usual fixture reads 1.0 throughout)
+        d = generate_synthetic(SyntheticSpec(36, 12, 3, 1.0, 1.0, seed=10))[0]
+        plan = SplitPlan(n_repeats=3, seed=13)
+        ks, fixed_c, epochs = (3, 6), 2.0, 6
+        # in cv mode the one C candidate differs from fixed_c, so the replay also
+        # checks that only ec_fs trains at the cross-validated C
+        rep = run_evaluation(d, plan, cardinalities=ks, alpha=alpha, fixed_c=fixed_c,
+                             epochs=epochs, alpha_grid=(0.0, 1.0), c_grid=(0.05,), folds=2,
+                             cv_cardinality=3)
+        want_c = fixed_c if alpha == 0.5 else 0.05
+        assert rep["c_per_repeat"] == [want_c] * plan.n_repeats
+
+        # independent replay with plain loops over the public primitives: every
+        # statistic from the training rows alone, the test rows transformed by
+        # them, each classifier seeded by (seed, repeat, method constant, k)
+        method_seed = {"ec_fs": 0, "fisher": 1, "mi": 2}
+        for r, (tr_idx, te_idx) in enumerate(split_indices(d.y, plan)):
+            stats = fit_normalization(d.X[tr_idx])
+            trn = Dataset(stats.transform(d.X[tr_idx]), d.y[tr_idx])
+            te_X = stats.transform(d.X[te_idx])
+            f, m = fisher_scores(trn), mutual_information_scores(trn)
+            A = build_adjacency(f, m, feature_spreads(trn), rep["alpha_per_repeat"][r])
+            rankings = {"ec_fs": rank_features(power_iteration(A).v0),
+                        "fisher": rank_features(f), "mi": rank_features(m)}
+            for method, ranking in rankings.items():
+                c = want_c if method == "ec_fs" else fixed_c
+                for k in ks:
+                    sel = ranking.top(k)
+                    model = train_linear_classifier(
+                        trn, sel, c, epochs=epochs,
+                        seed=derive_seed(plan.seed, r, method_seed[method], k),
+                    )
+                    want = roc_auc(model.decision(te_X[:, sel]), d.y[te_idx])
+                    assert rep["auc"][method]["per_cardinality"][str(k)]["samples"][r] == want
 
     def test_rankings_never_see_test_rows(self, monkeypatch):
         d = self._fixture()

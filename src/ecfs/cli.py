@@ -157,8 +157,8 @@ def _validate_common(args, errors: list[str]) -> dict:
     if args.bins is not None and args.bins < 2:
         errors.append(f"--bins must be at least 2, got {args.bins}")
     seed = _resolve_seed(args, errors)
-    if seed < 0:
-        errors.append(f"seed must be non-negative, got {seed}")
+    if not 0 <= seed < 2**63:
+        errors.append(f"seed must be a non-negative 63-bit integer, got {seed}")
     resolved["seed"] = seed
     resolved["alpha_grid"] = DEFAULT_ALPHA_GRID
     resolved["c_grid"] = DEFAULT_C_GRID

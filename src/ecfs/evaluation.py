@@ -137,41 +137,79 @@ def train_linear_classifier(
     epochs: int = 50,
     seed: int = 0,
 ) -> LinearModel:
-    """Hinge-loss linear classifier by stochastic subgradient descent.
+    """Hinge-loss linear classifier on columns `selected` of train.
 
-    Step size 1/(lambda t) with lambda = 1/(C T); samples are reshuffled each
-    epoch with a seeded generator, so training is deterministic. The bias is
-    carried as a constant input and regularized with the weights.
+    The one-job call of train_linear_classifiers, with the same checks. Inside a
+    batch the job gets these weights too, unless zero padding to the batch's
+    widest job sums a margin in another order and that margin lies within the
+    dot's rounding error of 1.
+    """
+    return train_linear_classifiers(train, [(selected, C, seed)], epochs)[0]
+
+
+def train_linear_classifiers(train: Dataset, jobs, epochs: int = 50) -> list[LinearModel]:
+    """Hinge-loss linear classifiers by stochastic subgradient descent, one per
+    job (selected columns, C, seed), all on the rows of train.
+
+    Each model steps with size 1/(lambda t), lambda = 1/(C T), over its own
+    seeded reshuffle of the samples each epoch; the bias is carried as a constant
+    input and regularized with the weights. All models advance together in one
+    epochs x T loop with stacked weights. Jobs with equal columns share one design
+    block; a narrower block is zero-padded to the widest job, so a model's weights
+    past its width stay 0. Padding can change the order in which a margin is
+    summed, so a model's weights depend on the other jobs only where one of its
+    margins lies within the dot's rounding error of 1.
     """
     if train.n_classes != 2:
         raise ValueError("classifier requires binary labels")
-    selected = np.asarray(selected, dtype=int)
-    if selected.size == 0:
-        raise ValueError("selected feature set must be non-empty")
-    if len(np.unique(selected)) != selected.size:
-        raise ValueError("selected feature indices must be unique")
-    if selected.min() < 0 or selected.max() >= train.n_features:
-        raise ValueError("selected feature index out of range")
-    if not C > 0:
-        raise ValueError("C must be positive")
     if epochs < 1:
         raise ValueError("epochs must be positive")
+    jobs = list(jobs)
+    if not jobs:
+        raise ValueError("need at least one training job")
     T = train.n_samples
-    Xa = np.hstack([train.X[:, selected], np.ones((T, 1))])
+    blocks: dict[bytes, int] = {}
+    columns, block, widths = [], [], []
+    for selected, C, _ in jobs:
+        selected = np.asarray(selected, dtype=int)
+        key = selected.tobytes()
+        if key not in blocks:
+            if selected.size == 0:
+                raise ValueError("selected feature set must be non-empty")
+            if len(np.unique(selected)) != selected.size:
+                raise ValueError("selected feature indices must be unique")
+            if selected.min() < 0 or selected.max() >= train.n_features:
+                raise ValueError("selected feature index out of range")
+            blocks[key] = len(columns)
+            columns.append(selected)
+        if not C > 0:
+            raise ValueError("C must be positive")
+        block.append(blocks[key])
+        widths.append(selected.size)
+    # each design row carries its label's sign (+-1): y * (x . w) == (y x) . w and
+    # (eta y) x == eta (y x) exactly, as negation commutes with rounding
     yy = train.y.astype(float) * 2.0 - 1.0
-    lam = 1.0 / (C * T)
-    w = np.zeros(Xa.shape[1])
-    rng = np.random.default_rng(seed)
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(T):
-            t += 1
-            eta = 1.0 / (lam * t)
-            margin = yy[i] * float(Xa[i] @ w)
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                w += eta * yy[i] * Xa[i]
-    return LinearModel(w=w[:-1], b=float(w[-1]), C=float(C))
+    yXa = np.zeros((len(columns), T, max(widths) + 1))
+    for bi, selected in enumerate(columns):
+        yXa[bi, :, : selected.size] = train.X[:, selected] * yy[:, None]
+        yXa[bi, :, selected.size] = yy
+    block = np.asarray(block)
+    lam = np.array([1.0 / (C * T) for _, C, _ in jobs])
+    W = np.zeros((len(jobs), yXa.shape[2]))
+    rngs = [np.random.default_rng(seed) for _, _, seed in jobs]
+    for epoch in range(epochs):
+        order = np.stack([rng.permutation(T) for rng in rngs], axis=1)  # step x model
+        t = np.arange(epoch * T + 1, (epoch + 1) * T + 1, dtype=float)[:, None]
+        eta = (1.0 / (lam * t))[:, :, None]
+        shrink = 1.0 - eta * lam[:, None]
+        for step, rows in enumerate(order):
+            yx = yXa[block, rows]
+            # vecdot takes the BLAS dot `x @ w` of one model at a time, row by row
+            violated = np.vecdot(yx, W)[:, None] < 1.0
+            W *= shrink[step]
+            np.add(W, eta[step] * yx, out=W, where=violated)
+    return [LinearModel(w=W[m, :k].copy(), b=float(W[m, k]), C=float(C))
+            for m, (k, (_, C, _)) in enumerate(zip(widths, jobs))]
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -208,10 +246,11 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (2 * wins + ties) / (2 * n_pos * n_neg)
 
 
-def _heldout_auc(trn: Dataset, sel, C: float, epochs: int, seed: int, X, y) -> float:
-    """Train on columns `sel` of trn; AUC on held-out rows X (under trn's statistics)."""
-    model = train_linear_classifier(trn, sel, C, epochs=epochs, seed=seed)
-    return roc_auc(model.decision(X[:, sel]), y)
+def _heldout_aucs(trn: Dataset, jobs: list, epochs: int, X, y) -> list[float]:
+    """Train every (columns, C, seed) job on trn in one stacked loop; the AUC of
+    each on the held-out rows X (under trn's statistics), in job order."""
+    models = train_linear_classifiers(trn, jobs, epochs)
+    return [roc_auc(model.decision(X[:, sel]), y) for model, (sel, _, _) in zip(models, jobs)]
 
 
 def cross_validate(
@@ -227,9 +266,11 @@ def cross_validate(
     """Pick (alpha, C) by stratified k-fold AUC on the training data only.
 
     Each fold is normalized and scored once; every alpha's ec_fs ranking derives
-    from those scores, selects the top `cardinality` features (capped at the
-    feature count), and scores the held-out fold at every C (_heldout_auc). Exact
-    mean-AUC ties break toward the smaller alpha, then the smaller C.
+    from those scores and selects the top `cardinality` features (capped at the
+    feature count). The fold's alphas x Cs classifiers train together in one
+    stacked step (_heldout_aucs), the Cs of one alpha sharing its design block,
+    and each is scored on the held-out fold. Exact mean-AUC ties break toward the
+    smaller alpha, then the smaller C.
     """
     alphas = sorted(set(float(a) for a in alpha_grid))
     Cs = sorted(set(float(c) for c in C_grid))
@@ -253,11 +294,11 @@ def cross_validate(
         trn, stats = normalize_features(train.subset(tr_idx))
         va_X, va_y = stats.transform(train.X[va_idx]), train.y[va_idx]
         scores = score_features(trn, bins)
+        jobs = []
         for ai, a in enumerate(alphas):
             sel = scores.ranking("ec_fs", a).top(cardinality)
-            for ci, c in enumerate(Cs):
-                seed_c = derive_seed(seed, j, ai, ci)
-                table[ai, ci] += _heldout_auc(trn, sel, c, epochs, seed_c, va_X, va_y)
+            jobs += [(sel, c, derive_seed(seed, j, ai, ci)) for ci, c in enumerate(Cs)]
+        table += np.reshape(_heldout_aucs(trn, jobs, epochs, va_X, va_y), table.shape)
     table /= folds
     # argmax returns the first maximum in row-major order: smallest alpha, then C
     ai, ci = np.unravel_index(int(np.argmax(table)), table.shape)
@@ -467,9 +508,10 @@ def run_evaluation(
     side, stability and pairwise significance across repeats.
 
     Each repeat runs run_stability's body (normalize_features, one score_features
-    pass, every ranking from FeatureScores.ranking), then scores each top-k set
-    on the test rows under the training statistics with _heldout_auc, the step
-    cross_validate scores its folds with.
+    pass, every ranking from FeatureScores.ranking), then trains the classifiers
+    of all methods x cardinalities in one stacked step (_heldout_aucs, the step
+    cross_validate scores its folds with) and scores each top-k set on the test
+    rows under the training statistics.
 
     alpha may be a number or "cv", in which case each repeat picks (alpha, C)
     on its own training split. Baselines always train at fixed_c. The returned
@@ -493,12 +535,10 @@ def run_evaluation(
         c_r = fixed_c if rep.C is None else rep.C
         ted = d.subset(splits[r][1])
         te_X = stats.transform(ted.X)
-        aucs = {}
-        for m in methods:
-            c_m = c_r if m == "ec_fs" else fixed_c
-            aucs[m] = [_heldout_auc(trn, rep.rankings[m].top(k), c_m, epochs,
-                                    derive_seed(plan.seed, r, _METHOD_SEED[m], k), te_X, ted.y)
-                       for k in ks]
+        jobs = [(rep.rankings[m].top(k), c_r if m == "ec_fs" else fixed_c,
+                 derive_seed(plan.seed, r, _METHOD_SEED[m], k)) for m in methods for k in ks]
+        flat = _heldout_aucs(trn, jobs, epochs, te_X, ted.y)
+        aucs = {m: flat[mi * len(ks):(mi + 1) * len(ks)] for mi, m in enumerate(methods)}
         return rep, c_r, aucs
 
     results, cs, aucs = zip(*_map_repeats(one_repeat, plan.n_repeats, workers))

@@ -167,6 +167,29 @@ class TestValidationFailures:
         )
         assert not (tmp_path / "x.csv").exists()
 
+    def test_seed_past_63_bits_joins_the_aggregated_errors(self, tmp_path, capsys,
+                                                           monkeypatch):
+        data, _ = _synth_csv(tmp_path)
+        capsys.readouterr()  # drop the synth progress line
+        big = str(2**63)
+        message = f"seed must be a non-negative 63-bit integer, got {big}"
+        assert main(["rank", "--data", str(data), "--seed", big]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # rejected with the other flag errors, before any data file is read
+        absent = str(tmp_path / "absent.csv")
+        assert main(["evaluate", "--data", absent, "--seed", big, "--alpha", "2"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0
+        assert "--alpha must be in [0, 1]" in err and message in err
+        monkeypatch.setenv("ECFS_SEED", big)
+        assert main(["stability", "--data", absent]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        monkeypatch.delenv("ECFS_SEED")
+        out = tmp_path / "rank.json"
+        assert main(["rank", "--data", str(data), "--seed", str(2**63 - 1),
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["seed"] == 2**63 - 1
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc = main(["rank", "--data", str(tmp_path / "absent.csv")])
         assert rc == 1

@@ -34,6 +34,7 @@ from ecfs import (
     stability_curve,
     stratified_fold_indices,
     train_linear_classifier,
+    train_linear_classifiers,
     two_sample_ttest,
 )
 
@@ -177,18 +178,67 @@ class TestLinearClassifier:
         assert norms[0] < norms[-1]
 
     def test_validation(self):
+        def one_job(train, selected, C, epochs=50):
+            return train_linear_classifier(train, selected, C, epochs=epochs)
+
+        def batched(train, selected, C, epochs=50):
+            # the bad job follows a valid one, so every job is checked, not only the first
+            return train_linear_classifiers(train, [(np.array([0]), 1.0, 0), (selected, C, 1)],
+                                            epochs)
+
         d = _ds([[0.0], [1.0], [2.0]], [0, 1, 2])
-        with pytest.raises(ValueError, match="binary"):
-            train_linear_classifier(d, np.array([0]), C=1.0)
         d2 = _ds([[0.0], [1.0]], [0, 1])
-        with pytest.raises(ValueError, match="non-empty"):
-            train_linear_classifier(d2, np.array([], dtype=int), C=1.0)
-        with pytest.raises(ValueError, match="C"):
-            train_linear_classifier(d2, np.array([0]), C=0.0)
-        with pytest.raises(ValueError, match="unique"):
-            train_linear_classifier(d2, np.array([0, 0]), C=1.0)
-        with pytest.raises(ValueError, match="range"):
-            train_linear_classifier(d2, np.array([3]), C=1.0)
+        for fit in (one_job, batched):
+            with pytest.raises(ValueError, match="binary"):
+                fit(d, np.array([0]), C=1.0)
+            with pytest.raises(ValueError, match="non-empty"):
+                fit(d2, np.array([], dtype=int), C=1.0)
+            with pytest.raises(ValueError, match="C"):
+                fit(d2, np.array([0]), C=0.0)
+            with pytest.raises(ValueError, match="unique"):
+                fit(d2, np.array([0, 0]), C=1.0)
+            with pytest.raises(ValueError, match="range"):
+                fit(d2, np.array([3]), C=1.0)
+            with pytest.raises(ValueError, match="epochs"):
+                fit(d2, np.array([0]), C=1.0, epochs=0)
+        with pytest.raises(ValueError, match="at least one"):
+            train_linear_classifiers(d2, [])
+
+    def test_stacked_kernel_matches_scalar_reference(self):
+        def reference(train, selected, C, epochs, seed):
+            # the one-model-at-a-time loop the stacked kernel replaced, kept verbatim
+            T = train.n_samples
+            Xa = np.hstack([train.X[:, selected], np.ones((T, 1))])
+            yy = train.y.astype(float) * 2.0 - 1.0
+            lam = 1.0 / (C * T)
+            w = np.zeros(Xa.shape[1])
+            rng = np.random.default_rng(seed)
+            t = 0
+            for _ in range(epochs):
+                for i in rng.permutation(T):
+                    t += 1
+                    eta = 1.0 / (lam * t)
+                    margin = yy[i] * float(Xa[i] @ w)
+                    w *= 1.0 - eta * lam
+                    if margin < 1.0:
+                        w += eta * yy[i] * Xa[i]
+            return w[:-1], float(w[-1])
+
+        d, _ = generate_synthetic(SyntheticSpec(30, 250, 3, 1.0, 1.0, seed=7))
+        shared = np.array([5, 0, 9])
+        # widths 1, 3 and 8; Cs 0.01 to 10; the two jobs on `shared` differ in C and seed.
+        # The width-201 job pads the others, as the widest cardinality does in evaluate:
+        # the padded width-50 dot sums in another order than the reference's, so its
+        # margins can round differently, and only the `margin < 1` test must agree.
+        jobs = [(np.array([4]), 0.01, 3), (shared, 0.1, 11), (np.arange(8)[::-1], 1.0, 5),
+                (shared, 10.0, 12), (np.array([2, 7, 11]), 3.0, 3),
+                (np.arange(0, 250, 5), 0.5, 8), (np.arange(249, 48, -1), 0.1, 9)]
+        models = train_linear_classifiers(d, jobs, epochs=7)
+        for model, (sel, C, seed) in zip(models, jobs):
+            w, b = reference(d, sel, C, 7, seed)
+            assert model.w.tobytes() == w.tobytes() and model.b == b and model.C == C
+            alone = train_linear_classifier(d, sel, C, epochs=7, seed=seed)
+            assert alone.w.tobytes() == w.tobytes() and alone.b == b
 
     def test_decision_width_check(self):
         d = _ds([[0.0, 1.0], [1.0, 0.0]], [0, 1])

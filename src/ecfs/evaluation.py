@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-from scipy.special import betainc
 
 from .centrality import METHODS, score_features
 from .data import Dataset, FeatureRanking, NormalizationStats, normalize_features
@@ -342,10 +340,18 @@ def stability_curve(
         raise ValueError("need at least one cardinality")
     if any(not 0 < k < n for k in ks):
         raise ValueError(f"cardinalities must be in 1..{n - 1}")
+    R = len(rankings)
+    pairs = np.triu_indices(R, 1)  # row-major: itertools.combinations order
     out = []
     for k in ks:
-        tops = [set(int(i) for i in r.top(k)) for r in rankings]
-        vals = [kuncheva_index(tops[i], tops[j], n) for i, j in combinations(range(len(tops)), 2)]
+        tops = np.stack([r.top(k) for r in rankings])
+        # membership over the union of the top-k sets only, at most R*k columns
+        union, cols = np.unique(tops, return_inverse=True)
+        member = np.zeros((R, len(union)))
+        member[np.arange(R)[:, None], cols.reshape(R, k)] = 1.0
+        shared = (member @ member.T)[pairs].astype(np.int64)
+        # kuncheva_index of each pair: integers exact while k * n < 2^53, rounded once
+        vals = (shared * n - k * k) / (k * (n - k))
         out.append((k, float(np.mean(vals))))
     return out
 
@@ -367,6 +373,9 @@ def two_sample_ttest(x, y) -> float:
         return 1.0 if mx == my else 0.0
     t = (mx - my) / np.sqrt(pooled * (1.0 / nx + 1.0 / ny))
     df = nx + ny - 2
+    # imported on first use: it is most of `import ecfs`, and only t-tests need it
+    from scipy.special import betainc
+
     return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 

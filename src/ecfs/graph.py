@@ -19,6 +19,9 @@ VARIANCE_FLOOR = 1e-12
 
 SCORE_KINDS = ("fisher", "mutual_information", "centrality")
 
+# columns per MI chunk keep its temporaries near this many cells, at any n
+_MI_CHUNK_CELLS = 2**18
+
 
 @dataclass(frozen=True)
 class ScoreVector:
@@ -80,35 +83,79 @@ def fisher_scores(d: Dataset) -> ScoreVector:
     return ScoreVector(out, "fisher")
 
 
+def _ascending_sums(counts: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Row sums of L[counts], each taken strictly left to right over the row's
+    counts sorted ascending. L[0] = 0, so zero cells add exact zeros ahead of
+    every other term, and a sum depends only on the row's non-zero counts."""
+    return np.cumsum(L[np.sort(counts, axis=1)], axis=1)[:, -1]
+
+
+def _occupied_bins(z: np.ndarray) -> np.ndarray:
+    """Renumber each column's distinct bin values 0, 1, ... in ascending order."""
+    order = np.argsort(z, axis=0)
+    zs = np.take_along_axis(z, order, axis=0)
+    rank = np.zeros(z.shape, dtype=np.intp)
+    np.cumsum(zs[1:] != zs[:-1], axis=0, out=rank[1:])
+    codes = np.empty_like(rank)
+    np.put_along_axis(codes, order, rank, axis=0)
+    return codes
+
+
+def _chunk_scores(block, y, C, bins, slots, L, t_hy) -> np.ndarray:
+    """MI scores of a block of columns from one bincount of its joint tables."""
+    T, m = block.shape
+    lo, hi = block.min(axis=0), block.max(axis=0)
+    live = lo < hi
+    z = block - lo
+    z /= np.where(live, hi - lo, 1.0)
+    z *= bins
+    np.floor(z, out=z)
+    # the top edge joins the last bin; NaN, from a span that overflows, bin 0
+    np.fmax(z, 0.0, out=z)
+    np.fmin(z, bins - 1, out=z)
+    codes = z.astype(np.intp) if bins <= T else _occupied_bins(z)
+    codes *= C
+    codes += y[:, None]
+    codes += np.arange(m) * (slots * C)
+    joint = np.bincount(codes.ravel(), minlength=m * slots * C).reshape(m, slots * C)
+    s_b = _ascending_sums(joint.reshape(m, slots, C).sum(axis=2), L)
+    score = (_ascending_sums(joint, L) - s_b + t_hy) / T
+    return np.where(live, np.maximum(score, 0.0), 0.0)
+
+
 def mutual_information_scores(d: Dataset, bins: int | None = None) -> ScoreVector:
     """Mutual information between each discretized feature and the labels.
 
-    Each feature is cut into equal-width bins over its own [min, max]; the
-    score is the natural-log MI of the joint bin/label histogram, with
-    zero-probability terms contributing nothing. Constant features score 0.
-    Round-off can push the sum a hair below zero; results are clamped at 0.
+    Each feature is cut into equal-width bins over its own [min, max], bin
+    floor((x - lo) / (hi - lo) * bins) with the top edge in the last bin. With
+    n_bc the joint bin/label counts, n_b and n_c their margins and
+    L[k] = k log k (L[0] = 0), the natural-log MI is
+
+        (sum L[n_bc] - sum L[n_b] + (L[T] - sum L[n_c])) / T.
+
+    Each sum runs left to right over the sorted counts, so tables that are
+    equal up to a permutation of bins or of classes give bit-equal scores,
+    and features tie exactly when their tables do. Columns are scored in
+    chunks of about 2^18 table and sample cells, and a column's table has
+    min(bins, T) bin slots (its occupied bins are renumbered when bins > T),
+    so memory does not grow with n or bins. Constant features score 0;
+    round-off can push a score a hair below zero, so scores are clamped at 0.
     """
     if bins is None:
         bins = default_bin_count(d.n_samples)
     if bins < 2:
         raise ValueError(f"bins must be at least 2, got {bins}")
     X, y = d.X, d.y
-    T = d.n_samples
+    T, n = X.shape
     C = d.n_classes
-    p_label = np.bincount(y, minlength=C) / T
-    out = np.zeros(d.n_features)
-    for i in range(d.n_features):
-        col = X[:, i]
-        lo, hi = col.min(), col.max()
-        if lo == hi:
-            continue
-        z = np.floor((col - lo) / (hi - lo) * bins).astype(int)
-        np.clip(z, 0, bins - 1, out=z)
-        joint = np.bincount(z * C + y, minlength=bins * C).reshape(bins, C) / T
-        p_bin = joint.sum(axis=1)
-        nz = joint > 0
-        ratio = joint[nz] / (np.outer(p_bin, p_label)[nz])
-        out[i] = max(float((joint[nz] * np.log(ratio)).sum()), 0.0)
+    k = np.arange(1, T + 1)
+    L = np.concatenate(([0.0], k * np.log(k)))
+    t_hy = L[T] - _ascending_sums(np.bincount(y)[None], L)[0]
+    slots = min(bins, T)
+    step = max(1, _MI_CHUNK_CELLS // max(T, slots * C))
+    out = np.zeros(n)
+    for a in range(0, n, step):
+        out[a : a + step] = _chunk_scores(X[:, a : a + step], y, C, bins, slots, L, t_hy)
     return ScoreVector(out, "mutual_information")
 
 

@@ -93,6 +93,23 @@ class TestRank:
         for key in ("fisher", "mutual_information", "centrality"):
             assert len(scores[key]["values"]) == 12
 
+    def test_huge_bin_count_scores_label_entropy(self, tmp_path):
+        # 2^40 bins once asked numpy for a 16 TiB table; every value now sits
+        # in its own bin, so each non-constant feature scores H(y)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(20, 5))
+        X[:, 2] = 1.5
+        y = [0] * 8 + [1] * 12
+        data, sc = tmp_path / "d.csv", tmp_path / "scores.json"
+        _write_csv(data, X, y)
+        rc = main(["rank", "--data", str(data), "--bins", "1099511627776",
+                   "--output", str(tmp_path / "r.json"), "--dump-scores", str(sc)])
+        assert rc == 0
+        mi = json.loads(sc.read_text())["mutual_information"]["values"]
+        h_y = -(0.4 * np.log(0.4) + 0.6 * np.log(0.6))
+        np.testing.assert_allclose(np.delete(mi, 2), h_y, rtol=0, atol=1e-12)
+        assert mi[2] == 0.0
+
     def test_cv_alpha_reports_choice(self, tmp_path):
         data, _ = _synth_csv(tmp_path, samples=24, features=6, informative=2, seed=2)
         out = tmp_path / "rank.json"

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,6 +453,27 @@ class TestStabilityCurve:
         with pytest.raises(ValueError, match="same feature count"):
             stability_curve([r, r7], [2])
 
+    @pytest.mark.parametrize("n_rankings", [2, 3, 7])
+    def test_matches_pairwise_kuncheva_mean(self, n_rankings):
+        # rankings that share most of their head, so overlaps vary across pairs
+        rng = np.random.default_rng(n_rankings)
+        n = 40
+        scores = np.linspace(1, 0, n)
+        rankings = []
+        for _ in range(n_rankings):
+            order = np.arange(n)
+            for a, b in rng.integers(0, n, size=(12, 2)):
+                order[[a, b]] = order[[b, a]]
+            rankings.append(FeatureRanking(order, scores))
+        ks = [1, 2, 5, 13, 20, n - 1]
+        want = []
+        for k in ks:
+            tops = [r.top(k) for r in rankings]
+            vals = [kuncheva_index(tops[i], tops[j], n)
+                    for i, j in combinations(range(n_rankings), 2)]
+            want.append((k, float(np.mean(vals))))
+        assert stability_curve(rankings, ks) == want
+
 
 class TestTwoSampleTTest:
     def test_frozen_hand_example(self):
@@ -478,6 +504,14 @@ class TestTwoSampleTTest:
         for _ in range(10):
             p = two_sample_ttest(rng.normal(size=8), rng.normal(size=8))
             assert 0.0 <= p <= 1.0
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        # a fresh interpreter that imports the same ecfs package as this one
+        src = str(Path(ecfs.__file__).parents[1])
+        code = "import sys, ecfs; print('scipy.special' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
 
 
 class TestRunEvaluation:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ecfs import (
     fisher_scores,
     mutual_information_scores,
     power_iteration,
+    rank_features,
 )
 
 
@@ -137,6 +139,28 @@ class TestFisherScores:
         np.testing.assert_allclose(a, close, rtol=1e-12)
 
 
+def _mi_per_feature_loop(d, bins):
+    """The per-feature histogram loop that the vectorized pass replaced."""
+    X, y = d.X, d.y
+    T = d.n_samples
+    C = d.n_classes
+    p_label = np.bincount(y, minlength=C) / T
+    out = np.zeros(d.n_features)
+    for i in range(d.n_features):
+        col = X[:, i]
+        lo, hi = col.min(), col.max()
+        if lo == hi:
+            continue
+        z = np.floor((col - lo) / (hi - lo) * bins).astype(int)
+        np.clip(z, 0, bins - 1, out=z)
+        joint = np.bincount(z * C + y, minlength=bins * C).reshape(bins, C) / T
+        p_bin = joint.sum(axis=1)
+        nz = joint > 0
+        ratio = joint[nz] / (np.outer(p_bin, p_label)[nz])
+        out[i] = max(float((joint[nz] * np.log(ratio)).sum()), 0.0)
+    return out
+
+
 class TestMutualInformation:
     def test_constant_feature_scores_zero(self):
         d = _ds([[1.0], [1.0], [1.0], [1.0]], [0, 0, 1, 1])
@@ -187,6 +211,70 @@ class TestMutualInformation:
         a = mutual_information_scores(_ds(X, y), bins=7).values
         b = mutual_information_scores(_ds(X[perm], y[perm]), bins=7).values
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("T, n, classes, bins", [
+        (41, 300, 2, None), (62, 200, 2, 2), (60, 150, 3, 6), (12, 40, 3, 50), (7, 9, 2, 7),
+    ])
+    def test_matches_per_feature_loop(self, T, n, classes, bins):
+        rng = np.random.default_rng(T + n)
+        X = rng.normal(size=(T, n))
+        X[:, 3::11] = 0.25  # constant columns
+        X[:, 5::7] = np.round(X[:, 5::7])  # few distinct values, many shared bins
+        d = _ds(X, np.arange(T) % classes)
+        got = mutual_information_scores(d, bins).values
+        want = _mi_per_feature_loop(d, bins or default_bin_count(T))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert (got[3::11] == 0.0).all()
+
+    def test_class_relabeling_gives_bit_equal_scores(self):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(45, 60))
+        y = rng.permutation(np.arange(45) % 3)
+        a = mutual_information_scores(_ds(X, y), bins=5).values
+        for relabel in ([1, 2, 0], [2, 1, 0], [0, 2, 1]):
+            b = mutual_information_scores(_ds(X, np.asarray(relabel)[y]), bins=5).values
+            np.testing.assert_array_equal(a, b)
+
+    def test_column_permutation_permutes_scores_bit_for_bit(self):
+        # 20000 columns span several chunks, so a column's score must not
+        # depend on which chunk, or which place in it, the column falls in
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(30, 20_000))
+        y = np.arange(30) % 2
+        perm = rng.permutation(20_000)
+        a = mutual_information_scores(_ds(X, y), bins=4).values
+        b = mutual_information_scores(_ds(X[:, perm], y), bins=4).values
+        np.testing.assert_array_equal(a[perm], b)
+
+    def test_bin_permuted_tables_tie_toward_smaller_index(self):
+        # integer levels 0..5, each present, are the bins at bins=6; column
+        # 2j + 1 holds column 2j's levels under a permutation, so the two
+        # joint tables are equal up to the order of their bins
+        rng = np.random.default_rng(12)
+        T, pairs, levels = 60, 40, 6
+        base = rng.integers(0, levels, size=(T, pairs)).astype(float)
+        base[:levels] = np.arange(levels)[:, None]
+        X = np.empty((T, 2 * pairs))
+        for j in range(pairs):
+            X[:, 2 * j] = base[:, j]
+            X[:, 2 * j + 1] = rng.permutation(levels)[base[:, j].astype(int)]
+        y = rng.permutation(np.arange(T) % 3)
+        mi = mutual_information_scores(_ds(X, y), bins=levels)
+        np.testing.assert_array_equal(mi.values[0::2], mi.values[1::2])
+        position = np.argsort(rank_features(mi).order)
+        assert (position[0::2] < position[1::2]).all()
+
+    def test_memory_does_not_grow_with_feature_count(self):
+        # X alone is 48 MB; the chunked pass keeps its temporaries near 2^18 cells
+        rng = np.random.default_rng(13)
+        d = _ds(rng.random((30, 200_000)), np.arange(30) % 2)
+        tracemalloc.start()
+        try:
+            mutual_information_scores(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def _rescaled(values):

@@ -8,6 +8,8 @@ data errors, 2 eigensolver non-convergence.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -156,6 +158,11 @@ def _validate_common(args, errors: list[str]) -> dict:
         errors.append(f"--alpha must be a number or 'cv', got {args.alpha!r}")
     if args.bins is not None and args.bins < 2:
         errors.append(f"--bins must be at least 2, got {args.bins}")
+    elif args.bins is not None:
+        try:
+            float(args.bins)
+        except OverflowError:
+            errors.append(f"--bins must convert to a finite float, got {args.bins}")
     seed = _resolve_seed(args, errors)
     if not 0 <= seed < 2**63:
         errors.append(f"seed must be a non-negative 63-bit integer, got {seed}")
@@ -334,9 +341,13 @@ def _cmd_rank(args) -> int:
     if args.output_format == "json":
         _write(_dump_json(report), args.output)
     else:
-        lines = ["rank,index,name,score"]
-        lines += [f"{r['rank']},{r['index']},{r['name']},{r['score']!r}" for r in report["ranking"]]
-        _write("\n".join(lines) + "\n", args.output)
+        # the csv module quotes a name that holds a comma, quote or line break
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["rank", "index", "name", "score"])
+        writer.writerows([r["rank"], r["index"], r["name"], repr(r["score"])]
+                         for r in report["ranking"])
+        _write(buf.getvalue(), args.output)
     return 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -255,24 +256,102 @@ def load_dataset(
     raise DatasetError(f"unknown format {format!r}, expected 'csv' or 'matrix'")
 
 
+def _label_index(header: list[str], label_col: str | int) -> int:
+    if isinstance(label_col, str) and label_col in header:
+        return header.index(label_col)
+    try:
+        li = int(label_col)
+    except (TypeError, ValueError):
+        raise DatasetError(
+            f"label column {label_col!r} not found; columns are {header}"
+        ) from None
+    if not 0 <= li < len(header):
+        raise DatasetError(f"label column index {li} out of range for {len(header)} columns")
+    return li
+
+
+def _loadtxt_lines(lines, **kwargs) -> np.ndarray | None:
+    """Parse an iterator of text lines with numpy's C reader, or None when it
+    holds no line or a line does not parse. The iterator may raise ValueError
+    to abandon the parse."""
+    try:
+        first = next(lines, None)
+        if first is None:
+            return None
+        return np.loadtxt(
+            itertools.chain((first,), lines), dtype=float, comments=None, ndmin=2, **kwargs
+        )
+    except ValueError:  # a cell, a line check or undecodable bytes
+        return None
+
+
 def _load_csv(path: Path, label_col: str | int) -> Dataset:
+    parsed = _read_csv_fast(path, label_col)
+    if parsed is None:
+        parsed = _read_csv_cells(path, label_col)
+    feat_names, X, raw_labels = parsed
+    y, label_names = _map_labels(raw_labels)
+    return Dataset(X, y, feat_names, label_names)
+
+
+def _read_csv_fast(path: Path, label_col: str | int):
+    """Names, feature matrix and raw labels of a plain CSV, with no string per cell.
+
+    One pass: each data line is checked and its label cell cut out here, and
+    the line goes on to np.loadtxt, which parses the other cells. Returns None
+    wherever the result could differ from _read_csv_cells: a quote (the csv
+    module unquotes cells) or a NUL (which it rejects before Python 3.11), a
+    line whose comma count differs from the header's, a blank or one-column
+    header, no data row, a label column that is not found, or a cell that
+    np.loadtxt rejects (including ones float() accepts, like 1_000). The cell
+    path then parses the file again and raises its usual errors.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            head = fh.readline()
+            if '"' in head or "\0" in head:
+                return None
+            header = [h.strip() for h in head.split(",")]
+            if len(header) < 2:
+                return None
+            li = _label_index(header, label_col)
+        except ValueError:
+            return None
+        commas = len(header) - 1
+        labels: list[str] = []
+
+        def data_lines():
+            for line in fh:
+                if line == "\n":
+                    continue
+                if line.count(",") != commas or '"' in line or "\0" in line:
+                    raise ValueError("not a plain CSV line")
+                # split from the nearer end, so only a few cells become strings
+                if li <= commas - li:
+                    cell = line.split(",", li + 1)[li]
+                else:
+                    cell = line.rsplit(",", commas + 1 - li)[1]
+                labels.append(cell.strip())
+                yield line
+
+        X = _loadtxt_lines(
+            data_lines(), delimiter=",", usecols=[c for c in range(len(header)) if c != li]
+        )
+    if X is None:
+        return None
+    return tuple(header[:li] + header[li + 1 :]), X, labels
+
+
+def _read_csv_cells(path: Path, label_col: str | int):
+    """Names, feature matrix and raw labels through the csv module, one string
+    per cell; raises the loader's errors, naming the offending row or cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         table = [row for row in reader if row]
     if len(table) < 2:
         raise DatasetError(f"{path}: need a header row and at least one data row")
     header = [h.strip() for h in table[0]]
-    if isinstance(label_col, str) and label_col in header:
-        li = header.index(label_col)
-    else:
-        try:
-            li = int(label_col)
-        except (TypeError, ValueError):
-            raise DatasetError(
-                f"label column {label_col!r} not found; columns are {header}"
-            ) from None
-        if not 0 <= li < len(header):
-            raise DatasetError(f"label column index {li} out of range for {len(header)} columns")
+    li = _label_index(header, label_col)
     rows = [[cell.strip() for cell in row] for row in table[1:]]
     for r, row in enumerate(rows):
         if len(row) != len(header):
@@ -280,17 +359,13 @@ def _load_csv(path: Path, label_col: str | int) -> Dataset:
     raw_labels = [row[li] for row in rows]
     feat_rows = [row[:li] + row[li + 1 :] for row in rows]
     feat_names = tuple(header[:li] + header[li + 1 :])
-    X = _parse_matrix(feat_rows, list(feat_names))
-    y, label_names = _map_labels(raw_labels)
-    return Dataset(X, y, feat_names, label_names)
+    return feat_names, _parse_matrix(feat_rows, list(feat_names)), raw_labels
 
 
 def _load_matrix(path: Path, labels_path: Path) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        rows = [line.split() for line in fh if line.strip()]
-    if not rows:
-        raise DatasetError(f"{path}: empty matrix file")
-    X = _parse_matrix(rows)
+    X = _read_matrix_fast(path)
+    if X is None:
+        X = _read_matrix_cells(path)
     with open(labels_path, encoding="utf-8") as fh:
         raw_labels = [line.strip() for line in fh if line.strip()]
     if len(raw_labels) != X.shape[0]:
@@ -299,6 +374,22 @@ def _load_matrix(path: Path, labels_path: Path) -> Dataset:
         )
     y, label_names = _map_labels(raw_labels)
     return Dataset(X, y, None, label_names)
+
+
+def _read_matrix_fast(path: Path) -> np.ndarray | None:
+    """The matrix through np.loadtxt, skipping blank lines as _read_matrix_cells
+    does; None on anything it rejects (ragged rows, a bad cell, bad bytes, no
+    data), which the cell path then reports."""
+    with open(path, encoding="utf-8") as fh:
+        return _loadtxt_lines(line for line in fh if not line.isspace())
+
+
+def _read_matrix_cells(path: Path) -> np.ndarray:
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.split() for line in fh if line.strip()]
+    if not rows:
+        raise DatasetError(f"{path}: empty matrix file")
+    return _parse_matrix(rows)
 
 
 @dataclass(frozen=True)

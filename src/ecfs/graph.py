@@ -140,11 +140,18 @@ def mutual_information_scores(d: Dataset, bins: int | None = None) -> ScoreVecto
     min(bins, T) bin slots (its occupied bins are renumbered when bins > T),
     so memory does not grow with n or bins. Constant features score 0;
     round-off can push a score a hair below zero, so scores are clamped at 0.
+    ValueError if bins is below 2 or does not convert to a finite float.
     """
     if bins is None:
         bins = default_bin_count(d.n_samples)
     if bins < 2:
         raise ValueError(f"bins must be at least 2, got {bins}")
+    try:
+        finite = math.isfinite(bins)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"bins must convert to a finite float, got {bins}")
     X, y = d.X, d.y
     T, n = X.shape
     C = d.n_classes

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -67,6 +69,24 @@ class TestRank:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "rank,index,name,score"
         assert len(lines) == 13
+
+    def test_csv_output_quotes_names_like_the_csv_module(self, tmp_path):
+        rng = np.random.default_rng(4)
+        names = ["a,b", 'q"x', "plain"]
+        data, out = tmp_path / "d.csv", tmp_path / "rank.csv"
+        _write_csv(data, rng.normal(size=(10, 3)), [i % 2 for i in range(10)],
+                   names=['"a,b"', '"q""x"', "plain"])
+        assert main(["rank", "--data", str(data), "--output", str(out),
+                     "--output-format", "csv"]) == 0
+        text = out.read_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["rank", "index", "name", "score"]
+        assert all(len(row) == 4 for row in rows)
+        assert {row[2] for row in rows[1:]} == set(names)
+        for row in rows[1:]:
+            assert row[2] == names[int(row[1])]
+        assert '"a,b"' in text and '"q""x"' in text
+        assert [line for line in text.splitlines() if "plain" in line][0].count('"') == 0
 
     def test_dump_scores_and_adjacency(self, tmp_path):
         data, _ = _synth_csv(tmp_path)
@@ -183,6 +203,21 @@ class TestValidationFailures:
             "error: ECFS_SEED must be a non-negative integer, got '-3'\n"
         )
         assert not (tmp_path / "x.csv").exists()
+
+    def test_bins_past_float_range_joins_the_aggregated_errors(self, tmp_path, capsys):
+        # such a bin count once reached the MI kernel and died with an OverflowError
+        data, _ = _synth_csv(tmp_path, samples=4, features=2, informative=1)
+        capsys.readouterr()  # drop the synth progress line
+        big = "1" + "0" * 400
+        assert main(["rank", "--data", str(data), "--bins", big, "--alpha", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "--alpha must be in [0, 1]" in err
+        assert f"--bins must convert to a finite float, got {big}" in err
+        assert main(["stability", "--data", str(data), "--bins", big]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --bins must convert to a finite float, got {big}\n"
+        )
 
     def test_seed_past_63_bits_joins_the_aggregated_errors(self, tmp_path, capsys,
                                                            monkeypatch):

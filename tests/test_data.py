@@ -1,3 +1,7 @@
+import csv
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from ecfs import (
     load_dataset,
     normalize_features,
 )
+from ecfs.data import _map_labels, _read_csv_fast, _read_matrix_fast
 
 
 def write_csv(path, text):
@@ -103,6 +108,220 @@ class TestLoadMatrix:
         m = write_csv(tmp_path / "m.txt", "1 2\n3 4\n")
         with pytest.raises(DatasetError, match="unknown format"):
             load_dataset(m, format="parquet")
+
+
+def _parse_matrix_reference(rows, col_labels=None):
+    width = len(rows[0])
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise DatasetError(f"row {r} has {len(row)} cells, expected {width}")
+    try:
+        X = np.array(rows, dtype=float)
+    except ValueError:
+        for r, row in enumerate(rows):
+            for c, tok in enumerate(row):
+                try:
+                    float(tok)
+                except ValueError:
+                    col = col_labels[c] if col_labels else str(c)
+                    raise NonNumericValueError(
+                        f"non-numeric value {tok!r} at (row {r}, column {col})"
+                    ) from None
+        raise
+    return X
+
+
+def _load_csv_reference(path, label_col):
+    """The csv-module loader that the np.loadtxt path replaced, one string per cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        table = [row for row in reader if row]
+    if len(table) < 2:
+        raise DatasetError(f"{path}: need a header row and at least one data row")
+    header = [h.strip() for h in table[0]]
+    if isinstance(label_col, str) and label_col in header:
+        li = header.index(label_col)
+    else:
+        try:
+            li = int(label_col)
+        except (TypeError, ValueError):
+            raise DatasetError(
+                f"label column {label_col!r} not found; columns are {header}"
+            ) from None
+        if not 0 <= li < len(header):
+            raise DatasetError(f"label column index {li} out of range for {len(header)} columns")
+    rows = [[cell.strip() for cell in row] for row in table[1:]]
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DatasetError(f"row {r} has {len(row)} cells, expected {len(header)}")
+    raw_labels = [row[li] for row in rows]
+    feat_rows = [row[:li] + row[li + 1 :] for row in rows]
+    feat_names = tuple(header[:li] + header[li + 1 :])
+    X = _parse_matrix_reference(feat_rows, list(feat_names))
+    y, label_names = _map_labels(raw_labels)
+    return Dataset(X, y, feat_names, label_names)
+
+
+def _load_matrix_reference(path, labels_path):
+    """The str.split matrix loader that the np.loadtxt path replaced."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.split() for line in fh if line.strip()]
+    if not rows:
+        raise DatasetError(f"{path}: empty matrix file")
+    X = _parse_matrix_reference(rows)
+    with open(labels_path, encoding="utf-8") as fh:
+        raw_labels = [line.strip() for line in fh if line.strip()]
+    if len(raw_labels) != X.shape[0]:
+        raise DatasetError(
+            f"{labels_path}: {len(raw_labels)} labels for {X.shape[0]} matrix rows"
+        )
+    y, label_names = _map_labels(raw_labels)
+    return Dataset(X, y, None, label_names)
+
+
+def _outcome(load):
+    """What a loader returns, as bytes and tuples, or its exception type and message."""
+    try:
+        d = load()
+    except Exception as e:
+        return type(e), str(e)
+    return d.X.shape, d.X.tobytes(), d.y.tolist(), d.label_names, d.feature_names
+
+
+# (text, label_col, whether np.loadtxt parses it); the rest go to the cell path
+CSV_CASES = {
+    "label first": ("label,a,b\nx,1,2\ny,3,4\nx,5,6\n", "label", True),
+    "label in the middle": ("a,label,b\n1,x,2\n3,y,4\n5,x,6\n", "label", True),
+    "label last": ("a,b,label\n1,2,x\n3,4,y\n5,6,x\n", "label", True),
+    "label by position": ("a,b,c\n1,2,x\n3,4,y\n", 2, True),
+    "CRLF": ("a,b,label\r\n1,2,x\r\n3,4,y\r\n", "label", True),
+    "CR": ("a,b,label\r1,2,x\r3,4,y\r", "label", True),
+    "BOM joins the first name": ("﻿a,b,label\n1,2,x\n3,4,y\n", "label", True),
+    "BOM hides a first label column": ("﻿label,a\nx,1\ny,2\n", "label", False),
+    "blank lines": ("a,b,label\n\n1,2,x\n\r\n3,4,y\n\n", "label", True),
+    "blank line before the header": ("\na,b,label\n1,2,x\n3,4,y\n", "label", False),
+    "whitespace-only line": ("a,b,label\n1,2,x\n  \n3,4,y\n", "label", False),
+    "no newline at the end": ("a,b,label\n1,2,x\n3,4,y", "label", True),
+    "trailing comma": ("a,b,label\n1,2,x,\n3,4,y\n", "label", False),
+    "trailing comma, label last": ("a,label\n1,x,\n2,y\n", "label", False),
+    "quoted cells": ('a,b,label\n"1",2,x\n3," 4",y\n', "label", False),
+    "quoted label": ('a,b,label\n1,2,"x,1"\n3,4,"y"\n', "label", False),
+    "quoted header": ('"a,b",c,label\n1,2,x\n3,4,y\n', "label", False),
+    "quoted header name": ('"a",b,label\n1,2,x\n3,4,y\n', "label", False),
+    "hash cell": ("a,b,label\n1,#2,x\n3,4,y\n", "label", False),
+    "hash line": ("a,b,label\n#1,2,x\n3,4,y\n", "label", False),
+    "underscore digits": ("a,b,label\n1_000,2,x\n3,4,y\n", "label", False),
+    "arabic-indic digit": ("a,b,label\n١,2,x\n3,4,y\n", "label", False),
+    "padded cell": ("a,b,label\n 2.5 ,\t2,x\n3,4 , y \n", "label", True),
+    "nan": ("a,b,label\n1,nan,x\n3,4,y\n", "label", True),
+    "1e400": ("a,b,label\n1,2,x\n3,1e400,y\n", "label", True),
+    "negative zero and subnormal": ("a,b,label\n-0,1e-320,x\n+0,-1e-320,y\n", "label", True),
+    "empty cell": ("a,b,label\n1,,x\n3,4,y\n", "label", False),
+    "NUL in a label": ("a,label\n1,x\x00\n2,y\n", "label", False),
+    "ragged row": ("a,b,label\n1,2,x\n3,y\n", "label", False),
+    "single class": ("a,label\n1,x\n2,x\n", "label", True),
+    "empty file": ("", "label", False),
+    "header only": ("a,b,label\n", "label", False),
+    "unknown label column": ("a,b,label\n1,2,x\n3,4,y\n", "target", False),
+    "label index out of range": ("a,b,label\n1,2,x\n3,4,y\n", 3, False),
+    "label column only": ("label\nx\ny\n", "label", False),
+}
+
+MATRIX_CASES = {
+    "plain": ("1 2 3\n4 5 6\n7 8 9\n", True),
+    "tabs and padding": ("\t1  2 3 \n 4\t5\t6\n7 8 9\n", True),
+    "blank and whitespace-only lines": ("\n1 2 3\n  \n4 5 6\n\t\n7 8 9\n\n", True),
+    "CRLF": ("1 2 3\r\n4 5 6\r\n7 8 9\r\n", True),
+    "ragged rows": ("1 2 3\n4 5\n7 8 9\n", False),
+    "hash cell": ("1 2 3\n4 # 6\n7 8 9\n", False),
+    "hash comment": ("1 2 3\n4 5 6 # note\n7 8 9\n", False),
+    "form feed separates": ("1 2 3\n4\x0c5 6\n7 8 9\n", True),
+    "BOM": ("﻿1 2 3\n4 5 6\n7 8 9\n", False),
+    "underscore digits": ("1_000 2 3\n4 5 6\n7 8 9\n", False),
+    "quoted cell": ('"1" 2 3\n4 5 6\n7 8 9\n', False),
+    "nan": ("1 2 3\n4 nan 6\n7 8 9\n", True),
+    "negative zero": ("-0 2 3\n4 5 6\n7 8 -0.0\n", True),
+    "empty file": ("", False),
+    "whitespace only": (" \n\n", False),
+}
+
+
+class TestLoaderMatchesCellReference:
+    @pytest.mark.parametrize("case", sorted(CSV_CASES))
+    def test_csv(self, tmp_path, case):
+        text, label_col, fast = CSV_CASES[case]
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        want = _outcome(lambda: _load_csv_reference(p, label_col))
+        assert _outcome(lambda: load_dataset(p, label_col=label_col)) == want
+        assert (_read_csv_fast(p, label_col) is not None) == fast
+
+    @pytest.mark.parametrize("case", sorted(MATRIX_CASES))
+    def test_matrix(self, tmp_path, case):
+        text, fast = MATRIX_CASES[case]
+        m, l = tmp_path / "m.txt", tmp_path / "l.txt"
+        m.write_bytes(text.encode("utf-8"))
+        l.write_text("a\nb\na\n", encoding="utf-8")
+        want = _outcome(lambda: _load_matrix_reference(m, l))
+        assert _outcome(lambda: load_dataset(m, format="matrix", labels_path=l)) == want
+        assert (_read_matrix_fast(m) is not None) == fast
+
+    def test_undecodable_bytes(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,label\n1,x\n2,\xff\n")
+        want = _outcome(lambda: _load_csv_reference(p, "label"))
+        assert want[0] is UnicodeDecodeError
+        assert _outcome(lambda: load_dataset(p)) == want
+
+    def test_random_files(self, tmp_path):
+        # cells and line shapes drawn from the cases above, mixed at random
+        rng = random.Random(7)
+        cells = ["1", "2.5", "-0", " 3 ", "nan", "1e400", "1_000", "#", '"4"', "", "x",
+                 " 5", "\x0c6", "١"]
+        p, m, l = tmp_path / "d.csv", tmp_path / "m.txt", tmp_path / "l.txt"
+        l.write_text("a\nb\na\nb\n", encoding="utf-8")
+        for _ in range(300):
+            width = rng.randint(1, 3)
+            lines = []
+            for _ in range(rng.randint(0, 4)):
+                n = width + rng.choice([0] * 12 + [-1, 1])
+                lines.append([rng.choice(cells[:3] * 8 + cells) for _ in range(n)])
+                if rng.random() < 0.1:
+                    lines.append([rng.choice(["", " "])])
+            end = rng.choice(["\n", "\r\n", "\r"])
+            li = rng.randrange(width)
+            header = ["label" if c == li else f"g{c}" for c in range(width)]
+            for row in lines:
+                if len(row) > li:
+                    row[li] = rng.choice(["a", "b", " a ", '"b"', ""])
+            p.write_bytes(end.join(",".join(r) for r in [header] + lines).encode("utf-8") + b"\n")
+            want = _outcome(lambda: _load_csv_reference(p, "label"))
+            assert _outcome(lambda: load_dataset(p)) == want, p.read_bytes()
+            m.write_bytes(end.join(rng.choice([" ", "\t"]).join(r) for r in lines).encode("utf-8"))
+            want = _outcome(lambda: _load_matrix_reference(m, l))
+            assert _outcome(lambda: load_dataset(m, format="matrix", labels_path=l)) == want, (
+                m.read_bytes()
+            )
+
+    def test_memory_per_cell(self, tmp_path):
+        # one Python string per cell cost about 110 B per cell; X and its
+        # Dataset copy are 16
+        T, n = 20, 20000
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(T, n))
+        lines = [",".join([f"f{j}" for j in range(n)] + ["label"])]
+        lines += [",".join(map(repr, row.tolist())) + f",{i % 2}" for i, row in enumerate(X)]
+        p = tmp_path / "wide.csv"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        del lines
+        tracemalloc.start()
+        try:
+            d = load_dataset(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.X.tobytes() == X.tobytes()
+        assert peak < 32 * T * n
 
 
 def _ds(X, y):

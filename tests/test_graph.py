@@ -198,6 +198,14 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="bins"):
             mutual_information_scores(d, bins=1)
 
+    def test_bins_that_overflow_a_float_rejected(self):
+        d = _ds([[0.0], [1.0], [3.0], [2.0]], [0, 1, 0, 1])
+        for bins in (10**400, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite float"):
+                mutual_information_scores(d, bins=bins)
+        # the largest power of ten that is still a finite float scores as usual
+        assert mutual_information_scores(d, bins=10**308).values[0] == np.log(2)
+
     def test_nonnegative_on_random_data(self):
         rng = np.random.default_rng(5)
         d = _ds(rng.normal(size=(40, 8)), np.arange(40) % 2)

@@ -347,7 +347,10 @@ def _read_csv_cells(path: Path, label_col: str | int):
     per cell; raises the loader's errors, naming the offending row or cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        table = [row for row in reader if row]
+        try:
+            table = [row for row in reader if row]
+        except csv.Error as e:  # such as a cell past the csv module's field size limit
+            raise DatasetError(f"{path}: line {reader.line_num}: {e}") from None
     if len(table) < 2:
         raise DatasetError(f"{path}: need a header row and at least one data row")
     header = [h.strip() for h in table[0]]

@@ -7,6 +7,8 @@ identical across runs and across worker counts.
 
 from __future__ import annotations
 
+import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -137,10 +139,8 @@ def train_linear_classifier(
 ) -> LinearModel:
     """Hinge-loss linear classifier on columns `selected` of train.
 
-    The one-job call of train_linear_classifiers, with the same checks. Inside a
-    batch the job gets these weights too, unless zero padding to the batch's
-    widest job sums a margin in another order and that margin lies within the
-    dot's rounding error of 1.
+    The one-job call of train_linear_classifiers, with the same checks. Inside
+    any batch the job gets these weights bit for bit.
     """
     return train_linear_classifiers(train, [(selected, C, seed)], epochs)[0]
 
@@ -149,65 +149,127 @@ def train_linear_classifiers(train: Dataset, jobs, epochs: int = 50) -> list[Lin
     """Hinge-loss linear classifiers by stochastic subgradient descent, one per
     job (selected columns, C, seed), all on the rows of train.
 
-    Each model steps with size 1/(lambda t), lambda = 1/(C T), over its own
+    Each model is Pegasos: step size 1/(lambda t), lambda = 1/(C T), over its own
     seeded reshuffle of the samples each epoch; the bias is carried as a constant
-    input and regularized with the weights. All models advance together in one
-    epochs x T loop with stacked weights. Jobs with equal columns share one design
-    block; a narrower block is zero-padded to the widest job, so a model's weights
-    past its width stay 0. Padding can change the order in which a margin is
-    summed, so a model's weights depend on the other jobs only where one of its
-    margins lies within the dot's rounding error of 1.
+    input and regularized with the weights. All models step together in the
+    dual form (_violation_counts), and jobs with equal columns share one T x T
+    Gram matrix. A model's weights depend on its own job alone, never on the
+    others. Per step the work is models x T whatever the column counts, and the
+    Grams take (distinct column sets) x T^2 x 8 bytes; with more samples than the
+    widest column set has columns, stepping in the primal (models x (k+1) per
+    step) would be the cheaper form.
     """
-    if train.n_classes != 2:
-        raise ValueError("classifier requires binary labels")
+    return _train_groups([(train, jobs)], epochs)[0]
+
+
+def _train_groups(groups, epochs: int) -> list[list[LinearModel]]:
+    """Train the jobs of every (train, jobs) group in one step loop; each group's
+    models in job order. A group is one set of training rows, such as a fold."""
     if epochs < 1:
         raise ValueError("epochs must be positive")
-    jobs = list(jobs)
-    if not jobs:
-        raise ValueError("need at least one training job")
-    T = train.n_samples
-    blocks: dict[bytes, int] = {}
-    columns, block, widths = [], [], []
-    for selected, C, _ in jobs:
-        selected = np.asarray(selected, dtype=int)
-        key = selected.tobytes()
-        if key not in blocks:
-            if selected.size == 0:
-                raise ValueError("selected feature set must be non-empty")
-            if len(np.unique(selected)) != selected.size:
-                raise ValueError("selected feature indices must be unique")
-            if selected.min() < 0 or selected.max() >= train.n_features:
-                raise ValueError("selected feature index out of range")
-            blocks[key] = len(columns)
-            columns.append(selected)
-        if not C > 0:
-            raise ValueError("C must be positive")
-        block.append(blocks[key])
-        widths.append(selected.size)
-    # each design row carries its label's sign (+-1): y * (x . w) == (y x) . w and
-    # (eta y) x == eta (y x) exactly, as negation commutes with rounding
-    yy = train.y.astype(float) * 2.0 - 1.0
-    yXa = np.zeros((len(columns), T, max(widths) + 1))
-    for bi, selected in enumerate(columns):
-        yXa[bi, :, : selected.size] = train.X[:, selected] * yy[:, None]
-        yXa[bi, :, selected.size] = yy
-    block = np.asarray(block)
-    lam = np.array([1.0 / (C * T) for _, C, _ in jobs])
-    W = np.zeros((len(jobs), yXa.shape[2]))
-    rngs = [np.random.default_rng(seed) for _, _, seed in jobs]
+    designs: list[np.ndarray] = []
+    runs, Cs, sizes = [], [], []
+    for train, jobs in groups:
+        if train.n_classes != 2:
+            raise ValueError("classifier requires binary labels")
+        jobs = list(jobs)
+        if not jobs:
+            raise ValueError("need at least one training job")
+        T = train.n_samples
+        # each design row carries its label's sign (+-1): y * (x . w) == (y x) . w
+        yy = train.y.astype(float) * 2.0 - 1.0
+        blocks: dict[bytes, int] = {}
+        for selected, C, seed in jobs:
+            selected = np.asarray(selected, dtype=int)
+            key = selected.tobytes()
+            if key not in blocks:
+                if selected.size == 0:
+                    raise ValueError("selected feature set must be non-empty")
+                if len(np.unique(selected)) != selected.size:
+                    raise ValueError("selected feature indices must be unique")
+                if selected.min() < 0 or selected.max() >= train.n_features:
+                    raise ValueError("selected feature index out of range")
+                blocks[key] = len(designs)
+                design = np.empty((T, selected.size + 1))
+                np.multiply(train.X[:, selected], yy[:, None], out=design[:, :-1])
+                design[:, -1] = yy
+                designs.append(design)
+            if not C > 0:
+                raise ValueError("C must be positive")
+            runs.append((blocks[key], 1.0 / (C * T), seed))
+            Cs.append(float(C))
+        sizes.append(len(jobs))
+    counts = _violation_counts(designs, runs, epochs)
+    models = []
+    for (b, lam, _), a, C in zip(runs, counts, Cs):
+        design = designs[b]
+        T = len(design)
+        # w after the last step t_end = epochs T: the violated rows' sum over lambda t_end
+        w = (a[:T] @ design) / (lam * (epochs * T))
+        models.append(LinearModel(w=w[:-1], b=float(w[-1]), C=C))
+    it = iter(models)
+    return [list(itertools.islice(it, n)) for n in sizes]
+
+
+def _violation_counts(designs: list[np.ndarray], runs: list, epochs: int) -> np.ndarray:
+    """How often each training row failed its margin test, per model, by Pegasos
+    in its dual form with a linear kernel (Shalev-Shwartz et al., ICML 2007, s. 4).
+
+    A design is a block yX with the bias column; a run is (design index, lambda,
+    seed). With step size 1/(lambda t), the weights before step t are
+    (yX)^T a / (lambda (t-1)), where a counts each row's violations so far. So
+    the step's test y x . w < 1 reads (G a)[row] < lambda (t-1), G = (yX)(yX)^T,
+    and step 1 always counts as violated. The loop keeps each model's margins
+    G a and adds G's row at each violation, in step order. It has no weights
+    and no shrink step, and a model's margins, hence its counts, come out the
+    same in any batch.
+
+    All models step together through the batch's widest epoch. Model m takes
+    T_m steps of each epoch, over its own rng's reshuffle of its T_m rows, and
+    idles through the rest of the epoch with threshold -inf. Returns counts of
+    shape models x the widest T, zero past each model's T_m.
+    """
+    width = max(len(d) for d in designs)
+    n_models = len(runs)
+    # row 0 of G stays zero: a model whose test passes adds it
+    G = np.zeros((1 + len(designs) * width, width))
+    for b, d in enumerate(designs):
+        start = 1 + b * width
+        G[start:start + len(d), :len(d)] = d @ d.T
+    T = np.array([len(designs[b]) for b, _, _ in runs])
+    lam = np.array([lam for _, lam, _ in runs])
+    rows = np.zeros((epochs, width, n_models), dtype=np.min_scalar_type(width))
+    for m, (_, _, seed) in enumerate(runs):
+        # permuted over the rows of a tile draws what `epochs` permutation(T) calls draw
+        rows[:, :T[m], m] = np.random.default_rng(seed).permuted(
+            np.tile(np.arange(T[m]), (epochs, 1)), axis=1
+        )
+    g_base = 1 + np.array([b for b, _, _ in runs]) * width
+    m_base = np.arange(n_models) * width
+    step = np.arange(width)[:, None]
+    idle = step >= T
+    margins = np.zeros((n_models, width))
+    flat = margins.reshape(-1)
+    counts = np.zeros(n_models * width, dtype=np.int64)
+    violated = np.empty((width, n_models), dtype=bool)
+    at_row = np.empty(n_models)
+    g_row = np.empty(n_models, dtype=np.intp)
+    added = np.empty((n_models, width))
     for epoch in range(epochs):
-        order = np.stack([rng.permutation(T) for rng in rngs], axis=1)  # step x model
-        t = np.arange(epoch * T + 1, (epoch + 1) * T + 1, dtype=float)[:, None]
-        eta = (1.0 / (lam * t))[:, :, None]
-        shrink = 1.0 - eta * lam[:, None]
-        for step, rows in enumerate(order):
-            yx = yXa[block, rows]
-            # vecdot takes the BLAS dot `x @ w` of one model at a time, row by row
-            violated = np.vecdot(yx, W)[:, None] < 1.0
-            W *= shrink[step]
-            np.add(W, eta[step] * yx, out=W, where=violated)
-    return [LinearModel(w=W[m, :k].copy(), b=float(W[m, k]), C=float(C))
-            for m, (k, (_, C, _)) in enumerate(zip(widths, jobs))]
+        threshold = lam * (epoch * T + step)
+        threshold[idle] = -np.inf
+        if epoch == 0:
+            threshold[0] = np.inf
+        cells = rows[epoch] + m_base
+        g_rows = rows[epoch] + g_base
+        for i in range(width):
+            np.take(flat, cells[i], out=at_row)
+            np.less(at_row, threshold[i], out=violated[i])
+            np.multiply(g_rows[i], violated[i], out=g_row)
+            np.take(G, g_row, axis=0, out=added)
+            margins += added
+        counts += np.bincount(cells[violated], minlength=n_models * width)
+    return counts.reshape(n_models, width)
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -244,11 +306,13 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (2 * wins + ties) / (2 * n_pos * n_neg)
 
 
-def _heldout_aucs(trn: Dataset, jobs: list, epochs: int, X, y) -> list[float]:
-    """Train every (columns, C, seed) job on trn in one stacked loop; the AUC of
-    each on the held-out rows X (under trn's statistics), in job order."""
-    models = train_linear_classifiers(trn, jobs, epochs)
-    return [roc_auc(model.decision(X[:, sel]), y) for model, (sel, _, _) in zip(models, jobs)]
+def _heldout_aucs(groups: list, epochs: int) -> list[list[float]]:
+    """Train the (columns, C, seed) jobs of every (trn, jobs, X, y) group in one
+    step loop; per group, each job's AUC on the held-out rows X (under trn's
+    statistics) with labels y, in job order."""
+    fits = _train_groups([(trn, jobs) for trn, jobs, _, _ in groups], epochs)
+    return [[roc_auc(model.decision(X[:, sel]), y) for model, (sel, _, _) in zip(models, jobs)]
+            for models, (_, jobs, X, y) in zip(fits, groups)]
 
 
 def cross_validate(
@@ -265,10 +329,10 @@ def cross_validate(
 
     Each fold is normalized and scored once; every alpha's ec_fs ranking derives
     from those scores and selects the top `cardinality` features (capped at the
-    feature count). The fold's alphas x Cs classifiers train together in one
-    stacked step (_heldout_aucs), the Cs of one alpha sharing its design block,
-    and each is scored on the held-out fold. Exact mean-AUC ties break toward the
-    smaller alpha, then the smaller C.
+    feature count). The folds x alphas x Cs classifiers train together in one
+    call (_heldout_aucs), the Cs of one fold and alpha sharing a Gram matrix,
+    and each is scored on its held-out fold. Exact mean-AUC ties break toward
+    the smaller alpha, then the smaller C.
     """
     alphas = sorted(set(float(a) for a in alpha_grid))
     Cs = sorted(set(float(c) for c in C_grid))
@@ -283,20 +347,24 @@ def cross_validate(
     cardinality = min(cardinality, train.n_features)
     fold_parts = stratified_fold_indices(train.y, folds, seed)
     n_classes = train.n_classes
-    table = np.zeros((len(alphas), len(Cs)))
+    groups = []
     for j, va_idx in enumerate(fold_parts):
         tr_idx = np.sort(np.concatenate([fold_parts[i] for i in range(folds) if i != j]))
         for part, name in ((tr_idx, "training side"), (va_idx, "validation side")):
             if len(np.unique(train.y[part])) != n_classes:
                 raise SplitError(f"fold {j} leaves a single class on its {name}")
         trn, stats = normalize_features(train.subset(tr_idx))
-        va_X, va_y = stats.transform(train.X[va_idx]), train.y[va_idx]
         scores = score_features(trn, bins)
-        jobs = []
-        for ai, a in enumerate(alphas):
-            sel = scores.ranking("ec_fs", a).top(cardinality)
-            jobs += [(sel, c, derive_seed(seed, j, ai, ci)) for ci, c in enumerate(Cs)]
-        table += np.reshape(_heldout_aucs(trn, jobs, epochs, va_X, va_y), table.shape)
+        sels = [scores.ranking("ec_fs", a).top(cardinality) for a in alphas]
+        # every fold is held until the one training call: keep only selected columns
+        cols = np.unique(np.concatenate(sels))
+        jobs = [(np.searchsorted(cols, sel), c, derive_seed(seed, j, ai, ci))
+                for ai, sel in enumerate(sels) for ci, c in enumerate(Cs)]
+        va_X = stats.transform(train.X[va_idx])[:, cols]
+        groups.append((Dataset(trn.X[:, cols], trn.y), jobs, va_X, train.y[va_idx]))
+    table = np.zeros((len(alphas), len(Cs)))
+    for aucs in _heldout_aucs(groups, epochs):
+        table += np.reshape(aucs, table.shape)
     table /= folds
     # argmax returns the first maximum in row-major order: smallest alpha, then C
     ai, ci = np.unravel_index(int(np.argmax(table)), table.shape)
@@ -373,10 +441,64 @@ def two_sample_ttest(x, y) -> float:
         return 1.0 if mx == my else 0.0
     t = (mx - my) / np.sqrt(pooled * (1.0 / nx + 1.0 / ny))
     df = nx + ny - 2
-    # imported on first use: it is most of `import ecfs`, and only t-tests need it
-    from scipy.special import betainc
+    return _betainc(df / 2.0, 0.5, float(df / (df + t * t)))
 
-    return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """The regularized incomplete beta function I_x(a, b).
+
+    The continued fraction of Numerical Recipes (s. 6.4), evaluated by Lentz's
+    method, converges fast for x < (a + 1) / (a + b + 2); above that point the
+    symmetry I_x(a, b) = 1 - I_{1-x}(b, a) applies.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    # x^a (1-x)^b / B(a, b), the prefactor of both forms
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, 1.0 - x) / b
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b). Once the larger argument reaches 100, lgamma(big + small) -
+    lgamma(big) would lose digits to cancellation, so Stirling's series gives
+    that difference instead."""
+    small, big = min(a, b), max(a, b)
+    if big < 100.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    def series(z: float) -> float:  # lgamma(z) - (z - 1/2) log z + z - log(2 pi) / 2
+        z2 = z * z
+        return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * z2)) / z2) / z2) / z
+
+    rise = (small * (math.log(big) - 1.0) + (big + small - 0.5) * math.log1p(small / big)
+            + series(big + small) - series(big))
+    return math.lgamma(small) - rise
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), with Lentz's guard against zero
+    denominators; it needs O(sqrt(max(a, b))) terms where x < (a+1)/(a+b+2)."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000 + int(10.0 * math.sqrt(max(a, b)))):
+        m2 = 2 * m
+        for num in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+                    -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
 
 
 def _as_cardinalities(cardinalities, n_features: int) -> list[int]:
@@ -518,9 +640,10 @@ def run_evaluation(
 
     Each repeat runs run_stability's body (normalize_features, one score_features
     pass, every ranking from FeatureScores.ranking), then trains the classifiers
-    of all methods x cardinalities in one stacked step (_heldout_aucs, the step
+    of all methods x cardinalities in one call (_heldout_aucs, the step
     cross_validate scores its folds with) and scores each top-k set on the test
-    rows under the training statistics.
+    rows under the training statistics. A (method, k) AUC does not depend on
+    which other methods or cardinalities are requested.
 
     alpha may be a number or "cv", in which case each repeat picks (alpha, C)
     on its own training split. Baselines always train at fixed_c. The returned
@@ -546,7 +669,7 @@ def run_evaluation(
         te_X = stats.transform(ted.X)
         jobs = [(rep.rankings[m].top(k), c_r if m == "ec_fs" else fixed_c,
                  derive_seed(plan.seed, r, _METHOD_SEED[m], k)) for m in methods for k in ks]
-        flat = _heldout_aucs(trn, jobs, epochs, te_X, ted.y)
+        flat = _heldout_aucs([(trn, jobs, te_X, ted.y)], epochs)[0]
         aucs = {m: flat[mi * len(ks):(mi + 1) * len(ks)] for mi, m in enumerate(methods)}
         return rep, c_r, aucs
 

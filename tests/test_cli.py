@@ -242,6 +242,16 @@ class TestValidationFailures:
                      "--output", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["seed"] == 2**63 - 1
 
+    def test_cell_past_the_csv_field_limit_exits_one(self, tmp_path, capsys):
+        # a quoted cell sends the file to the csv module, which refuses cells over
+        # 131072 characters; that once ended in a _csv.Error traceback
+        data = tmp_path / "big.csv"
+        data.write_text('a,b,label\n1,2,0\n"' + "1" * 131073 + '",3,1\n4,5,0\n')
+        assert main(["rank", "--data", str(data)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: line 3: field larger than field limit (131072)\n"
+        )
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc = main(["rank", "--data", str(tmp_path / "absent.csv")])
         assert rc == 1

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 import ecfs
@@ -209,41 +210,92 @@ class TestLinearClassifier:
         with pytest.raises(ValueError, match="at least one"):
             train_linear_classifiers(d2, [])
 
-    def test_stacked_kernel_matches_scalar_reference(self):
-        def reference(train, selected, C, epochs, seed):
-            # the one-model-at-a-time loop the stacked kernel replaced, kept verbatim
-            T = train.n_samples
-            Xa = np.hstack([train.X[:, selected], np.ones((T, 1))])
-            yy = train.y.astype(float) * 2.0 - 1.0
-            lam = 1.0 / (C * T)
-            w = np.zeros(Xa.shape[1])
-            rng = np.random.default_rng(seed)
-            t = 0
-            for _ in range(epochs):
-                for i in rng.permutation(T):
-                    t += 1
-                    eta = 1.0 / (lam * t)
-                    margin = yy[i] * float(Xa[i] @ w)
-                    w *= 1.0 - eta * lam
-                    if margin < 1.0:
-                        w += eta * yy[i] * Xa[i]
-            return w[:-1], float(w[-1])
+    @staticmethod
+    def _reference(train, selected, C, epochs, seed):
+        # the one-model-at-a-time primal loop of the original kernel, kept verbatim;
+        # it also records how often each row failed the margin test
+        T = train.n_samples
+        Xa = np.hstack([train.X[:, selected], np.ones((T, 1))])
+        yy = train.y.astype(float) * 2.0 - 1.0
+        lam = 1.0 / (C * T)
+        w = np.zeros(Xa.shape[1])
+        counts = np.zeros(T, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        t = 0
+        for _ in range(epochs):
+            for i in rng.permutation(T):
+                t += 1
+                eta = 1.0 / (lam * t)
+                margin = yy[i] * float(Xa[i] @ w)
+                w *= 1.0 - eta * lam
+                if margin < 1.0:
+                    w += eta * yy[i] * Xa[i]
+                    counts[i] += 1
+        return w[:-1], float(w[-1]), counts
 
+    @staticmethod
+    def _spy_counts(monkeypatch) -> list:
+        """Record the violation counts of every call of the dual-form step loop."""
+        seen = []
+        real = ev._violation_counts
+
+        def spy(designs, runs, epochs):
+            counts = real(designs, runs, epochs)
+            seen.append(counts)
+            return counts
+
+        monkeypatch.setattr(ev, "_violation_counts", spy)
+        return seen
+
+    def _assert_matches_reference(self, train, model, counts, sel, C, epochs, seed):
+        w, b, want = self._reference(train, sel, C, epochs, seed)
+        np.testing.assert_array_equal(counts[:train.n_samples], want)
+        assert not counts[train.n_samples:].any()
+        # the dual form sums the same steps in another order: equal up to rounding
+        scale = np.linalg.norm(np.append(w, b))
+        assert np.linalg.norm(np.append(model.w - w, model.b - b)) <= 1e-12 * scale
+        assert model.C == C
+
+    def test_stacked_kernel_matches_scalar_reference(self, monkeypatch):
         d, _ = generate_synthetic(SyntheticSpec(30, 250, 3, 1.0, 1.0, seed=7))
         shared = np.array([5, 0, 9])
-        # widths 1, 3 and 8; Cs 0.01 to 10; the two jobs on `shared` differ in C and seed.
-        # The width-201 job pads the others, as the widest cardinality does in evaluate:
-        # the padded width-50 dot sums in another order than the reference's, so its
-        # margins can round differently, and only the `margin < 1` test must agree.
+        # widths 1, 3, 8, 50 and 201; Cs 0.01 to 10; the two jobs on `shared` differ
+        # in C and seed and share one Gram matrix
         jobs = [(np.array([4]), 0.01, 3), (shared, 0.1, 11), (np.arange(8)[::-1], 1.0, 5),
                 (shared, 10.0, 12), (np.array([2, 7, 11]), 3.0, 3),
                 (np.arange(0, 250, 5), 0.5, 8), (np.arange(249, 48, -1), 0.1, 9)]
+        seen = self._spy_counts(monkeypatch)
         models = train_linear_classifiers(d, jobs, epochs=7)
-        for model, (sel, C, seed) in zip(models, jobs):
-            w, b = reference(d, sel, C, 7, seed)
-            assert model.w.tobytes() == w.tobytes() and model.b == b and model.C == C
+        (counts,) = seen
+        for model, a, (sel, C, seed) in zip(models, counts, jobs):
+            self._assert_matches_reference(d, model, a, sel, C, 7, seed)
             alone = train_linear_classifier(d, sel, C, epochs=7, seed=seed)
-            assert alone.w.tobytes() == w.tobytes() and alone.b == b
+            assert alone.w.tobytes() == model.w.tobytes() and alone.b == model.b
+            np.testing.assert_array_equal(seen[-1][0], a)  # the one-job call's counts
+
+    def test_folds_of_unequal_size_train_as_they_would_alone(self, monkeypatch):
+        # 5 stratified folds of 23 samples: training sides of 17, 18 and 19 rows,
+        # each normalized on its own rows, as cross_validate batches them
+        d, _ = generate_synthetic(SyntheticSpec(23, 40, 4, 1.0, 1.0, seed=3))
+        parts = stratified_fold_indices(d.y, 5, seed=4)
+        groups = []
+        for j in range(5):
+            tr_idx = np.sort(np.concatenate([parts[i] for i in range(5) if i != j]))
+            trn, _ = ev.normalize_features(d.subset(tr_idx))
+            jobs = [(np.arange(j, 40, 3), 0.05, derive_seed(j, 0)),
+                    (np.arange(j, 40, 3), 5.0, derive_seed(j, 1)),
+                    (np.array([39 - j, j]), 0.5, derive_seed(j, 2))]
+            groups.append((trn, jobs))
+        assert sorted({trn.n_samples for trn, _ in groups}) == [17, 18, 19]
+        seen = self._spy_counts(monkeypatch)
+        batched = ev._train_groups(groups, 6)
+        (counts,) = seen
+        assert counts.shape == (15, 19)
+        for g, ((trn, jobs), models) in enumerate(zip(groups, batched)):
+            alone = train_linear_classifiers(trn, jobs, epochs=6)
+            for m, (model, solo, (sel, C, seed)) in enumerate(zip(models, alone, jobs)):
+                assert model.w.tobytes() == solo.w.tobytes() and model.b == solo.b
+                self._assert_matches_reference(trn, model, counts[3 * g + m], sel, C, 6, seed)
 
     def test_decision_width_check(self):
         d = _ds([[0.0, 1.0], [1.0, 0.0]], [0, 1])
@@ -489,6 +541,24 @@ class TestTwoSampleTTest:
         want = scipy.stats.ttest_ind(x, y, equal_var=True).pvalue
         assert two_sample_ttest(x, y) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("n, shift", [(1000, 0.1), (5000, 0.02), (30, 4.0), (300, 2.0),
+                                          (4, 40.0)])
+    def test_matches_scipy_at_large_df_and_t(self, n, shift):
+        # df from 7 to 9999, |t| from 0.7 to 63, p from 0.47 down to 1e-104
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=n), rng.normal(loc=shift, size=n + 1)
+        want = scipy.stats.ttest_ind(x, y, equal_var=True).pvalue
+        assert two_sample_ttest(x, y) == pytest.approx(want, rel=1e-10)
+
+    def test_incomplete_beta_matches_scipy_on_a_grid(self):
+        dfs = [*range(1, 60), *range(60, 2001, 47), 19998, 199998]
+        ts = [0.0, 1e-8, 1e-3, *np.linspace(0.05, 25.0, 60), 40.0, 1e3]
+        for df in dfs:
+            for t in ts:
+                x = df / (df + t * t)
+                want = scipy.special.betainc(df / 2.0, 0.5, x)
+                assert ev._betainc(df / 2.0, 0.5, x) == pytest.approx(want, rel=1e-10, abs=0)
+
     def test_identical_constant_samples(self):
         assert two_sample_ttest([2.0, 2.0, 2.0], [2.0, 2.0]) == 1.0
 
@@ -506,12 +576,23 @@ class TestTwoSampleTTest:
             assert 0.0 <= p <= 1.0
 
     def test_import_leaves_scipy_special_unloaded(self):
-        # a fresh interpreter that imports the same ecfs package as this one
+        # a fresh interpreter that imports the same ecfs package as this one, then
+        # runs an evaluation whose t-tests see non-constant AUCs
         src = str(Path(ecfs.__file__).parents[1])
-        code = "import sys, ecfs; print('scipy.special' in sys.modules)"
+        code = (
+            "import sys, ecfs\n"
+            "print('scipy.special' in sys.modules)\n"
+            "d, _ = ecfs.generate_synthetic(ecfs.SyntheticSpec(30, 12, 3, 0.5, 1.0, seed=1))\n"
+            "rep = ecfs.run_evaluation(d, ecfs.SplitPlan(n_repeats=3, seed=0),\n"
+            "                          cardinalities=(3,), epochs=4)\n"
+            "print(sorted(p for s in rep['significance'].values() for p in s.values()))\n"
+            "print('scipy.special' in sys.modules)\n"
+        )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=src))
-        assert out.stdout.strip() == "False"
+        before, pvalues, after = out.stdout.strip().splitlines()
+        assert all(0.0 < p < 1.0 for p in json.loads(pvalues))
+        assert before == after == "False"
 
 
 class TestRunEvaluation:
@@ -588,6 +669,22 @@ class TestRunEvaluation:
                     )
                     want = roc_auc(model.decision(te_X[:, sel]), d.y[te_idx])
                     assert rep["auc"][method]["per_cardinality"][str(k)]["samples"][r] == want
+
+    def test_auc_does_not_depend_on_other_cardinalities(self):
+        # overlapping classes, so the AUC samples vary; the widest cardinality once
+        # zero-padded the narrower ones, and a margin could then round differently
+        d = generate_synthetic(SyntheticSpec(40, 30, 4, 0.8, 1.0, seed=2))[0]
+        plan = SplitPlan(n_repeats=4, seed=9)
+        kw = dict(epochs=12, fixed_c=0.5)
+        full = run_evaluation(d, plan, cardinalities=(2, 5, 29), **kw)["auc"]
+        for k in (2, 5, 29):
+            alone = run_evaluation(d, plan, cardinalities=(k,), **kw)["auc"]
+            for method in ("ec_fs", "fisher", "mi"):
+                cell = alone[method]["per_cardinality"][str(k)]
+                assert cell == full[method]["per_cardinality"][str(k)]
+        samples = [v for block in full.values() for cell in block["per_cardinality"].values()
+                   for v in cell["samples"]]
+        assert len(set(samples)) > 3
 
     def test_rankings_never_see_test_rows(self, monkeypatch):
         d = self._fixture()

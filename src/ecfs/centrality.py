@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,11 @@ class PowerIterationError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+    def __reduce__(self):
+        # the default rebuilds from self.args alone, which lacks the diagnostics;
+        # a worker process's error must reach the parent whole
+        return type(self), (self.args[0], self.residual, self.iterations)
 
 
 @dataclass(frozen=True)
@@ -178,25 +184,18 @@ class FeatureScores:
 
     data: Dataset
     bins: int
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
+    @cached_property
     def fisher(self) -> ScoreVector:
-        if "fisher" not in self._memo:
-            self._memo["fisher"] = fisher_scores(self.data)
-        return self._memo["fisher"]
+        return fisher_scores(self.data)
 
-    @property
+    @cached_property
     def mutual_information(self) -> ScoreVector:
-        if "mi" not in self._memo:
-            self._memo["mi"] = mutual_information_scores(self.data, self.bins)
-        return self._memo["mi"]
+        return mutual_information_scores(self.data, self.bins)
 
-    @property
+    @cached_property
     def spreads(self) -> np.ndarray:
-        if "spreads" not in self._memo:
-            self._memo["spreads"] = feature_spreads(self.data)
-        return self._memo["spreads"]
+        return feature_spreads(self.data)
 
     def ranking(self, method: str, alpha: float | None = None) -> FeatureRanking:
         """The ranking a method in METHODS gives; only ec_fs reads alpha."""

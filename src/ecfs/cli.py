@@ -14,6 +14,8 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .centrality import PowerIterationError, ecfs_run
@@ -75,7 +77,8 @@ def _add_resample_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--methods", default="ec_fs,fisher,mi")
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--workers", type=int, default=1,
-                   help="thread count over repeats; output does not depend on it")
+                   help="processes over chunks of repeats (serial where the fork start "
+                        "method is unavailable); output does not depend on it")
     _add_cv_flags(p)
     p.add_argument("--seed", type=int, default=None)
     _add_output_flags(p)
@@ -273,12 +276,27 @@ def _write(text: str, path: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _ranking_rows(d: Dataset, run) -> list[dict]:
-    rows = []
-    for pos, (j, s) in enumerate(zip(run.ranking.order, run.ranking.scores)):
-        rows.append({"rank": pos, "index": int(j), "name": d.feature_name(int(j)),
-                     "score": float(s)})
-    return rows
+def _ranking_rows(d: Dataset, run) -> list[tuple[int, int, str, float]]:
+    """(rank, index, name, score) of every feature, best first."""
+    return [(pos, int(j), d.feature_name(int(j)), float(s))
+            for pos, (j, s) in enumerate(zip(run.ranking.order, run.ranking.scores))]
+
+
+def _rank_json(report: dict, rows: list[tuple[int, int, str, float]]) -> str:
+    """_dump_json of the report with its ranking rows as dicts, byte for byte.
+
+    Under indent, json encodes in pure Python, so the rows (one per feature) are
+    formatted here as json would: names by its ASCII string encoder, scores by
+    float.__repr__. Everything else goes through _dump_json.
+    """
+    head = _dump_json({**report, "ranking": []})
+    body = ",\n".join(
+        f'    {{\n      "index": {j},\n      "name": {encode_basestring_ascii(name)},\n'
+        f'      "rank": {pos},\n      "score": {float.__repr__(score)}\n    }}'
+        for pos, j, name, score in rows
+    )
+    # a newline never occurs inside an encoded string, so this is the top-level key
+    return head.replace('\n  "ranking": []', f'\n  "ranking": [\n{body}\n  ]', 1)
 
 
 def _cmd_rank(args) -> int:
@@ -336,17 +354,16 @@ def _cmd_rank(args) -> int:
             "degenerate_fisher": run.adjacency.degenerate_fisher,
             "degenerate_mi": run.adjacency.degenerate_mi,
         },
-        "ranking": _ranking_rows(d, run),
     }
+    rows = _ranking_rows(d, run)
     if args.output_format == "json":
-        _write(_dump_json(report), args.output)
+        _write(_rank_json(report, rows), args.output)
     else:
         # the csv module quotes a name that holds a comma, quote or line break
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["rank", "index", "name", "score"])
-        writer.writerows([r["rank"], r["index"], r["name"], repr(r["score"])]
-                         for r in report["ranking"])
+        writer.writerows([pos, j, name, repr(score)] for pos, j, name, score in rows)
         _write(buf.getvalue(), args.output)
     return 0
 
@@ -473,6 +490,10 @@ def main(argv=None) -> int:
     except PowerIterationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenExecutor as e:
+        # a --workers process died, for example killed when memory ran out
+        print(f"error: worker process failed: {e}", file=sys.stderr)
+        return 1
     except (DatasetError, SplitError, FileNotFoundError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

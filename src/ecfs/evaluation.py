@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,10 +163,15 @@ def train_linear_classifiers(train: Dataset, jobs, epochs: int = 50) -> list[Lin
 
 def _train_groups(groups, epochs: int) -> list[list[LinearModel]]:
     """Train the jobs of every (train, jobs) group in one step loop; each group's
-    models in job order. A group is one set of training rows, such as a fold."""
+    models in job order. A group is one set of training rows, such as a fold.
+
+    Only the Grams are held through the step loop; each design is built again when
+    its models' weights are formed, the same bits as the first time.
+    """
     if epochs < 1:
         raise ValueError("epochs must be positive")
-    designs: list[np.ndarray] = []
+    grams: list[np.ndarray] = []
+    sources = []  # per Gram: the (train, selected) its design is built from
     runs, Cs, sizes = [], [], []
     for train, jobs in groups:
         if train.n_classes != 2:
@@ -176,8 +180,6 @@ def _train_groups(groups, epochs: int) -> list[list[LinearModel]]:
         if not jobs:
             raise ValueError("need at least one training job")
         T = train.n_samples
-        # each design row carries its label's sign (+-1): y * (x . w) == (y x) . w
-        yy = train.y.astype(float) * 2.0 - 1.0
         blocks: dict[bytes, int] = {}
         for selected, C, seed in jobs:
             selected = np.asarray(selected, dtype=int)
@@ -189,20 +191,19 @@ def _train_groups(groups, epochs: int) -> list[list[LinearModel]]:
                     raise ValueError("selected feature indices must be unique")
                 if selected.min() < 0 or selected.max() >= train.n_features:
                     raise ValueError("selected feature index out of range")
-                blocks[key] = len(designs)
-                design = np.empty((T, selected.size + 1))
-                np.multiply(train.X[:, selected], yy[:, None], out=design[:, :-1])
-                design[:, -1] = yy
-                designs.append(design)
+                blocks[key] = len(grams)
+                design = _signed_design(train, selected)
+                grams.append(design @ design.T)
+                sources.append((train, selected))
             if not C > 0:
                 raise ValueError("C must be positive")
             runs.append((blocks[key], 1.0 / (C * T), seed))
             Cs.append(float(C))
         sizes.append(len(jobs))
-    counts = _violation_counts(designs, runs, epochs)
+    counts = _violation_counts(grams, runs, epochs)
     models = []
     for (b, lam, _), a, C in zip(runs, counts, Cs):
-        design = designs[b]
+        design = _signed_design(*sources[b])
         T = len(design)
         # w after the last step t_end = epochs T: the violated rows' sum over lambda t_end
         w = (a[:T] @ design) / (lam * (epochs * T))
@@ -211,32 +212,42 @@ def _train_groups(groups, epochs: int) -> list[list[LinearModel]]:
     return [list(itertools.islice(it, n)) for n in sizes]
 
 
-def _violation_counts(designs: list[np.ndarray], runs: list, epochs: int) -> np.ndarray:
+def _signed_design(train: Dataset, selected: np.ndarray) -> np.ndarray:
+    """The design yX of a job: train's selected columns plus a bias column of ones,
+    each row times its label's sign (+-1), as y * (x . w) == (y x) . w."""
+    yy = train.y.astype(float) * 2.0 - 1.0
+    design = np.empty((train.n_samples, selected.size + 1))
+    np.multiply(train.X[:, selected], yy[:, None], out=design[:, :-1])
+    design[:, -1] = yy
+    return design
+
+
+def _violation_counts(grams: list[np.ndarray], runs: list, epochs: int) -> np.ndarray:
     """How often each training row failed its margin test, per model, by Pegasos
     in its dual form with a linear kernel (Shalev-Shwartz et al., ICML 2007, s. 4).
 
-    A design is a block yX with the bias column; a run is (design index, lambda,
-    seed). With step size 1/(lambda t), the weights before step t are
-    (yX)^T a / (lambda (t-1)), where a counts each row's violations so far. So
-    the step's test y x . w < 1 reads (G a)[row] < lambda (t-1), G = (yX)(yX)^T,
-    and step 1 always counts as violated. The loop keeps each model's margins
-    G a and adds G's row at each violation, in step order. It has no weights
-    and no shrink step, and a model's margins, hence its counts, come out the
-    same in any batch.
+    grams[b] is G = (yX)(yX)^T of design b, a block yX with the bias column; a
+    run is (design index, lambda, seed). With step size 1/(lambda t), the
+    weights before step t are (yX)^T a / (lambda (t-1)), where a counts each
+    row's violations so far. So the step's test y x . w < 1 reads
+    (G a)[row] < lambda (t-1), and step 1 always counts as violated. The loop
+    keeps each model's margins G a and adds G's row at each violation, in step
+    order. It has no weights and no shrink step, and a model's margins, hence
+    its counts, come out the same in any batch.
 
     All models step together through the batch's widest epoch. Model m takes
     T_m steps of each epoch, over its own rng's reshuffle of its T_m rows, and
     idles through the rest of the epoch with threshold -inf. Returns counts of
     shape models x the widest T, zero past each model's T_m.
     """
-    width = max(len(d) for d in designs)
+    width = max(len(g) for g in grams)
     n_models = len(runs)
     # row 0 of G stays zero: a model whose test passes adds it
-    G = np.zeros((1 + len(designs) * width, width))
-    for b, d in enumerate(designs):
+    G = np.zeros((1 + len(grams) * width, width))
+    for b, g in enumerate(grams):
         start = 1 + b * width
-        G[start:start + len(d), :len(d)] = d @ d.T
-    T = np.array([len(designs[b]) for b, _, _ in runs])
+        G[start:start + len(g), :len(g)] = g
+    T = np.array([len(grams[b]) for b, _, _ in runs])
     lam = np.array([lam for _, lam, _ in runs])
     rows = np.zeros((epochs, width, n_models), dtype=np.min_scalar_type(width))
     for m, (_, _, seed) in enumerate(runs):
@@ -306,6 +317,16 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (2 * wins + ties) / (2 * n_pos * n_neg)
 
 
+def _held_group(trn: Dataset, stats: NormalizationStats, jobs: list, X: np.ndarray,
+                y: np.ndarray) -> tuple:
+    """The (trn, jobs, X, y) group of _heldout_aucs for held-out rows X, y (raw) with
+    trn and every job cut to the columns some job selects: groups are held until
+    one training call, and a remapped job trains and scores bit for bit as before."""
+    cols = np.unique(np.concatenate([sel for sel, _, _ in jobs]))
+    jobs = [(np.searchsorted(cols, sel), c, seed) for sel, c, seed in jobs]
+    return Dataset(trn.X[:, cols], trn.y), jobs, stats.transform(X)[:, cols], y
+
+
 def _heldout_aucs(groups: list, epochs: int) -> list[list[float]]:
     """Train the (columns, C, seed) jobs of every (trn, jobs, X, y) group in one
     step loop; per group, each job's AUC on the held-out rows X (under trn's
@@ -356,12 +377,9 @@ def cross_validate(
         trn, stats = normalize_features(train.subset(tr_idx))
         scores = score_features(trn, bins)
         sels = [scores.ranking("ec_fs", a).top(cardinality) for a in alphas]
-        # every fold is held until the one training call: keep only selected columns
-        cols = np.unique(np.concatenate(sels))
-        jobs = [(np.searchsorted(cols, sel), c, derive_seed(seed, j, ai, ci))
+        jobs = [(sel, c, derive_seed(seed, j, ai, ci))
                 for ai, sel in enumerate(sels) for ci, c in enumerate(Cs)]
-        va_X = stats.transform(train.X[va_idx])[:, cols]
-        groups.append((Dataset(trn.X[:, cols], trn.y), jobs, va_X, train.y[va_idx]))
+        groups.append(_held_group(trn, stats, jobs, train.X[va_idx], train.y[va_idx]))
     table = np.zeros((len(alphas), len(Cs)))
     for aucs in _heldout_aucs(groups, epochs):
         table += np.reshape(aucs, table.shape)
@@ -408,13 +426,17 @@ def stability_curve(
         raise ValueError("need at least one cardinality")
     if any(not 0 < k < n for k in ks):
         raise ValueError(f"cardinalities must be in 1..{n - 1}")
-    R = len(rankings)
+    return _kuncheva_curve(np.stack([r.top(max(ks)) for r in rankings]), n, ks)
+
+
+def _kuncheva_curve(tops: np.ndarray, n: int, ks: list[int]) -> list[tuple[int, float]]:
+    """stability_curve from each ranking's top max(ks) indices, one row per ranking."""
+    R = len(tops)
     pairs = np.triu_indices(R, 1)  # row-major: itertools.combinations order
     out = []
     for k in ks:
-        tops = np.stack([r.top(k) for r in rankings])
         # membership over the union of the top-k sets only, at most R*k columns
-        union, cols = np.unique(tops, return_inverse=True)
+        union, cols = np.unique(tops[:, :k], return_inverse=True)
         member = np.zeros((R, len(union)))
         member[np.arange(R)[:, None], cols.reshape(R, k)] = 1.0
         shared = (member @ member.T)[pairs].astype(np.int64)
@@ -542,27 +564,84 @@ def _sd(values: list[float]) -> float:
     return float(np.std(np.asarray(values), ddof=1))
 
 
-def _map_repeats(fn, n_repeats: int, workers: int) -> list:
+# Repeats per chunk. A chunk is the unit of work: its classifiers train in one
+# _heldout_aucs call, whose cost is mostly per call (T = 41, 50 epochs: 12 models
+# take 30 ms, 96 take 57 ms), and its held-out groups and Grams are kept until
+# that call, so the cap keeps memory flat in n_repeats. At 62x2000, 8 repeats
+# per chunk cost about 1 MB of peak RSS over one; 16 cost 3 MB more.
+_CHUNK_REPEATS = 8
+
+# the running _map_chunks' chunk function. Only the pool's initializer sets it,
+# in each forked worker (fork hands initargs over unpickled), so this process's
+# value never changes and concurrent maps cannot see each other's function.
+_chunk_fn = None
+
+
+def _set_chunk_fn(fn) -> None:
+    global _chunk_fn
+    _chunk_fn = fn
+
+
+def _run_chunk(chunk: range) -> list:
+    return _chunk_fn(chunk)
+
+
+def _chunks(n_repeats: int, workers: int) -> list[range]:
+    """Contiguous runs of the repeats, at most _CHUNK_REPEATS long and differing in
+    length by at most one; a multiple of workers in number while repeats last."""
+    n = min(n_repeats, workers * -(-n_repeats // (workers * _CHUNK_REPEATS)))
+    bounds = [i * n_repeats // n for i in range(n + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _map_chunks(fn, n_repeats: int, workers: int) -> list:
+    """fn(chunk) over the chunks of range(n_repeats), each returning one item per
+    repeat; all items in repeat order.
+
+    With more than one worker, this process is one of them: it runs its share,
+    the leading chunks, while a pool of forked processes runs the rest. The
+    workers inherit fn, so only fn's results need to pickle. Without fork, or at
+    one worker, every chunk runs serially in this process, to the same items.
+    Either way the first failing chunk in repeat order raises.
+    """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if workers == 1:
-        return [fn(r) for r in range(n_repeats)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(n_repeats)))
+    chunks = _chunks(n_repeats, workers)
+    processes = min(workers, len(chunks))
+    if processes > 1:
+        import multiprocessing  # here, so that serial runs never pay for the import
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            own = len(chunks) // processes
+            with ProcessPoolExecutor(max_workers=processes - 1,
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_set_chunk_fn, initargs=(fn,)) as pool:
+                theirs = pool.map(_run_chunk, chunks[own:])  # submitted, and forked, now
+                try:
+                    mine = [fn(chunk) for chunk in chunks[:own]]
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)  # no use running the rest
+                    raise
+                parts = mine + list(theirs)
+            return list(itertools.chain.from_iterable(parts))
+    return list(itertools.chain.from_iterable(map(fn, chunks)))
 
 
 @dataclass(frozen=True)
 class _Repeat:
-    """What one repeat keeps for the report: no rows, so memory stays flat in n_repeats."""
+    """What one repeat keeps for the report: no rows and no full rankings, so memory
+    stays flat in n_repeats."""
 
     alpha: float | None  # the alpha ec_fs ranked at; None when ec_fs is not requested
     C: float | None  # the cross-validated C; None at a fixed alpha or without ec_fs
-    rankings: dict[str, FeatureRanking]
+    tops: dict[str, np.ndarray]  # per method, the top k_max features, best first
 
 
 def _repeat_body(
     d: Dataset, splits: list[tuple[np.ndarray, np.ndarray]], seed: int, methods: list[str],
-    alpha: float | None, bins: int | None, cv_args: dict,
+    alpha: float | None, bins: int | None, cv_args: dict, k_max: int,
 ):
     """Repeat r as run_evaluation and run_stability share it: normalize the training
     rows alone, cross-validate (alpha, C) on them when alpha is None and ec_fs (the
@@ -578,16 +657,17 @@ def _repeat_body(
                 trd, seed=derive_seed(seed, r, 101), bins=bins, **cv_args
             )
         scores = score_features(trn, bins)
-        rankings = {m: scores.ranking(m, alpha_r) for m in methods}
-        return _Repeat(alpha_r, c_r, rankings), trn, stats
+        # a copy, so the record does not pin the full ranking
+        tops = {m: scores.ranking(m, alpha_r).top(k_max).copy() for m in methods}
+        return _Repeat(alpha_r, c_r, tops), trn, stats
 
     return body
 
 
-def _stability_block(results: list[_Repeat], methods: list[str], ks: list[int]) -> dict:
+def _stability_block(results: list[_Repeat], methods: list[str], ks: list[int], n: int) -> dict:
     block = {}
     for method in methods:
-        curve = stability_curve([res.rankings[method] for res in results], ks)
+        curve = _kuncheva_curve(np.stack([res.tops[method] for res in results]), n, ks)
         block[method] = [{"cardinality": k, "kuncheva": v} for k, v in curve]
     return block
 
@@ -660,20 +740,24 @@ def run_evaluation(
     cv_args = dict(alpha_grid=alpha_grid, C_grid=c_grid, folds=folds,
                    cardinality=cv_cardinality, epochs=epochs)
     splits = split_indices(d.y, plan)
-    body = _repeat_body(d, splits, plan.seed, methods, fixed_alpha, bins, cv_args)
+    body = _repeat_body(d, splits, plan.seed, methods, fixed_alpha, bins, cv_args, ks[-1])
 
-    def one_repeat(r: int) -> tuple[_Repeat, float, dict[str, list[float]]]:
-        rep, trn, stats = body(r)
-        c_r = fixed_c if rep.C is None else rep.C
-        ted = d.subset(splits[r][1])
-        te_X = stats.transform(ted.X)
-        jobs = [(rep.rankings[m].top(k), c_r if m == "ec_fs" else fixed_c,
-                 derive_seed(plan.seed, r, _METHOD_SEED[m], k)) for m in methods for k in ks]
-        flat = _heldout_aucs([(trn, jobs, te_X, ted.y)], epochs)[0]
-        aucs = {m: flat[mi * len(ks):(mi + 1) * len(ks)] for mi, m in enumerate(methods)}
-        return rep, c_r, aucs
+    def one_chunk(chunk: range) -> list[tuple[_Repeat, float, dict[str, list[float]]]]:
+        reps, cs, groups = [], [], []
+        for r in chunk:
+            rep, trn, stats = body(r)
+            c_r = fixed_c if rep.C is None else rep.C
+            jobs = [(rep.tops[m][:k], c_r if m == "ec_fs" else fixed_c,
+                     derive_seed(plan.seed, r, _METHOD_SEED[m], k)) for m in methods for k in ks]
+            test = splits[r][1]
+            groups.append(_held_group(trn, stats, jobs, d.X[test], d.y[test]))
+            reps.append(rep)
+            cs.append(c_r)
+        aucs = [{m: flat[mi * len(ks):(mi + 1) * len(ks)] for mi, m in enumerate(methods)}
+                for flat in _heldout_aucs(groups, epochs)]
+        return list(zip(reps, cs, aucs))
 
-    results, cs, aucs = zip(*_map_repeats(one_repeat, plan.n_repeats, workers))
+    results, cs, aucs = zip(*_map_chunks(one_chunk, plan.n_repeats, workers))
 
     auc_block: dict = {}
     for method in methods:
@@ -694,7 +778,9 @@ def run_evaluation(
                 for ki, k in enumerate(ks)
             }
 
-    stability = _stability_block(results, methods, ks) if plan.n_repeats >= 2 else {}
+    stability = {}
+    if plan.n_repeats >= 2:
+        stability = _stability_block(results, methods, ks, d.n_features)
     report = _report("evaluate", d, plan, methods, ks, fixed_alpha, bins, results, stability)
     report["config"].update({
         "fixed_c": fixed_c,
@@ -741,7 +827,7 @@ def run_stability(
     cv_args = dict(alpha_grid=alpha_grid, C_grid=c_grid, folds=folds,
                    cardinality=cv_cardinality, epochs=epochs)
     splits = split_indices(d.y, plan)
-    body = _repeat_body(d, splits, plan.seed, methods, fixed_alpha, bins, cv_args)
-    results = _map_repeats(lambda r: body(r)[0], plan.n_repeats, workers)
-    stability = _stability_block(results, methods, ks)
+    body = _repeat_body(d, splits, plan.seed, methods, fixed_alpha, bins, cv_args, ks[-1])
+    results = _map_chunks(lambda chunk: [body(r)[0] for r in chunk], plan.n_repeats, workers)
+    stability = _stability_block(results, methods, ks, d.n_features)
     return _report("stability", d, plan, methods, ks, fixed_alpha, bins, results, stability)

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -87,6 +88,13 @@ class TestPowerIteration:
             power_iteration(A, max_iter=50)
         assert exc.value.residual > 0
         assert exc.value.iterations == 50
+
+    def test_error_survives_a_pickle_round_trip(self):
+        # a worker process hands its errors to the parent pickled
+        err = pickle.loads(pickle.dumps(PowerIterationError("stalled", residual=0.25,
+                                                            iterations=7)))
+        assert type(err) is PowerIterationError
+        assert (str(err), err.residual, err.iterations) == ("stalled", 0.25, 7)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="square"):

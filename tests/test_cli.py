@@ -1,11 +1,27 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
 
 import numpy as np
+import pytest
 
-from ecfs import fisher_scores, load_dataset, mutual_information_scores, normalize_features
+import ecfs.evaluation as ev
+from ecfs import (
+    PowerIterationError,
+    SplitError,
+    SplitPlan,
+    fisher_scores,
+    load_dataset,
+    mutual_information_scores,
+    normalize_features,
+    split_indices,
+)
 from ecfs.cli import main
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="--workers runs serially without fork")
 
 
 def _write_csv(path, X, y, names=None):
@@ -87,6 +103,27 @@ class TestRank:
             assert row[2] == names[int(row[1])]
         assert '"a,b"' in text and '"q""x"' in text
         assert [line for line in text.splitlines() if "plain" in line][0].count('"') == 0
+
+    def test_json_report_is_what_the_json_module_writes(self, tmp_path):
+        # the ranking rows are formatted without json's encoder; quotes, backslashes,
+        # non-ASCII and control characters in names must come out as json writes them
+        names = ['q"x', "back\\slash", "caf\u00e9 \u2603", "tab\there", "bell\x07",
+                 "line\nbreak", "\U0001f600", "plain"]
+        rng = np.random.default_rng(6)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(names + ["label"])
+        for i in range(12):
+            writer.writerow([repr(float(v)) for v in rng.normal(size=len(names))] + [i % 2])
+        data, out = tmp_path / "d.csv", tmp_path / "rank.json"
+        data.write_text(buf.getvalue(), encoding="utf-8")
+        assert main(["rank", "--data", str(data), "--output", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert [row["name"] for row in report["ranking"]] == [
+            names[row["index"]] for row in report["ranking"]]
+        assert sorted(row["index"] for row in report["ranking"]) == list(range(len(names)))
 
     def test_dump_scores_and_adjacency(self, tmp_path):
         data, _ = _synth_csv(tmp_path)
@@ -280,6 +317,55 @@ class TestValidationFailures:
         rc = main(["rank", "--data", str(data), "--max-iter", "1", "--tol", "1e-30"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+def _fail_in_worker(monkeypatch, data, plan, r, fail):
+    """Call fail() where score_features meets repeat r's training rows inside a
+    worker process; forked workers inherit the patch, this process never fails."""
+    d = load_dataset(data)
+    target = normalize_features(d.subset(split_indices(d.y, plan)[r][0]))[0].X
+    parent, real = os.getpid(), ev.score_features
+
+    def failing(dn, bins=None):
+        if os.getpid() != parent and np.array_equal(dn.X, target):
+            fail()
+        return real(dn, bins)
+
+    monkeypatch.setattr(ev, "score_features", failing)
+
+
+@needs_fork
+class TestWorkerFailures:
+    ARGS = ["stability", "--repeats", "4", "--cardinalities", "3", "--seed", "2",
+            "--workers", "2"]
+
+    def _run(self, tmp_path, monkeypatch, capsys, fail) -> tuple[int, str]:
+        data, _ = _synth_csv(tmp_path)
+        _fail_in_worker(monkeypatch, data, SplitPlan(n_repeats=4, seed=2), 3, fail)
+        capsys.readouterr()
+        rc = main(self.ARGS + ["--data", str(data), "--output", str(tmp_path / "s.json")])
+        return rc, capsys.readouterr().err
+
+    def test_nonconvergence_in_a_worker_exits_two(self, tmp_path, monkeypatch, capsys):
+        def fail():
+            raise PowerIterationError("no convergence after 9 iterations", 1e-3, 9)
+
+        rc, err = self._run(tmp_path, monkeypatch, capsys, fail)
+        assert (rc, err) == (2, "error: no convergence after 9 iterations\n")
+
+    def test_split_error_in_a_worker_exits_one(self, tmp_path, monkeypatch, capsys):
+        def fail():
+            raise SplitError("fold 0 leaves a single class on its training side")
+
+        rc, err = self._run(tmp_path, monkeypatch, capsys, fail)
+        assert (rc, err) == (1, "error: fold 0 leaves a single class on its training side\n")
+
+    def test_dead_worker_exits_one(self, tmp_path, monkeypatch, capsys):
+        # as when the kernel kills a worker that ran out of memory
+        rc, err = self._run(tmp_path, monkeypatch, capsys, lambda: os._exit(9))
+        assert rc == 1
+        assert err.startswith("error: worker process failed:") and err.count("\n") == 1
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestEvaluate:

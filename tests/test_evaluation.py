@@ -1,7 +1,10 @@
 import json
+import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -18,6 +21,7 @@ import ecfs.graph
 from ecfs import (
     Dataset,
     FeatureRanking,
+    PowerIterationError,
     SplitError,
     SplitPlan,
     SyntheticSpec,
@@ -806,6 +810,74 @@ class TestRunStability:
         run_stability(d, plan, methods=("fisher", "ec_fs"), cardinalities=(2, 4))
         _assert_scored_training_rows_only(d, plan, seen)
         assert len(mi_calls) == 3  # only ec_fs needs MI, once per repeat
+
+
+class TestChunks:
+    """Repeats run in contiguous chunks, one classifier training call per chunk."""
+
+    def test_chunks_cover_the_repeats_in_order(self):
+        for workers in range(1, 5):
+            for n in range(1, 4 * ev._CHUNK_REPEATS + 3):
+                chunks = ev._chunks(n, workers)
+                assert [r for c in chunks for r in c] == list(range(n))
+                sizes = {len(c) for c in chunks}
+                assert max(sizes) <= ev._CHUNK_REPEATS and max(sizes) - min(sizes) <= 1
+                assert len(chunks) == n or len(chunks) % workers == 0
+
+    def test_one_training_call_per_chunk(self, monkeypatch):
+        calls = []
+        real = ev._train_groups
+
+        def spy(groups, epochs):
+            calls.append(len(groups))
+            return real(groups, epochs)
+
+        monkeypatch.setattr(ev, "_train_groups", spy)
+        d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
+        kw = dict(cardinalities=(3, 6), epochs=2)
+        run_evaluation(d, SplitPlan(n_repeats=8, seed=0), **kw)
+        assert calls == [8]
+        calls.clear()
+        n = 2 * ev._CHUNK_REPEATS + 1
+        run_evaluation(d, SplitPlan(n_repeats=n, seed=0), **kw)
+        assert len(calls) == math.ceil(n / ev._CHUNK_REPEATS) and sum(calls) == n
+
+    def test_memory_does_not_grow_with_repeats_past_one_chunk(self):
+        # a chunk holds its repeats' held-out groups and Grams until its training
+        # call; with every repeat in one call, 4 chunks' worth peaked 3.8x higher
+        d = generate_synthetic(SyntheticSpec(40, 400, 5, 1.0, 1.0, seed=0))[0]
+
+        def peak(n_repeats: int) -> int:
+            tracemalloc.start()
+            try:
+                run_evaluation(d, SplitPlan(n_repeats=n_repeats, seed=0),
+                               cardinalities=(100, 200, 300), epochs=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(ev._CHUNK_REPEATS)
+        assert peak(4 * ev._CHUNK_REPEATS) < 1.3 * one
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="workers run serially without fork")
+    def test_worker_error_reaches_the_caller_whole(self, monkeypatch):
+        # forked workers inherit the patch; only a worker, never this process, fails
+        d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
+        plan = SplitPlan(n_repeats=4, seed=3)
+        target = ev.normalize_features(d.subset(split_indices(d.y, plan)[3][0]))[0].X
+        parent, real = os.getpid(), ev.score_features
+
+        def failing(dn, bins=None):
+            if os.getpid() != parent and np.array_equal(dn.X, target):
+                raise PowerIterationError("no convergence after 9 iterations", 1e-3, 9)
+            return real(dn, bins)
+
+        monkeypatch.setattr(ev, "score_features", failing)
+        with pytest.raises(PowerIterationError) as exc:
+            run_stability(d, plan, cardinalities=(3,), workers=2)
+        assert str(exc.value) == "no convergence after 9 iterations"
+        assert (exc.value.residual, exc.value.iterations) == (1e-3, 9)
 
 
 class TestSeedDerivation:

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 from .centrality import score_features
-from .data import Dataset, FeatureRanking, normalize_features
+from .data import Dataset, FeatureRanking
 
 
 def rank_by_fisher(d: Dataset) -> FeatureRanking:
     """Rank features by Fisher separation alone, on the normalized data."""
-    dn, _ = normalize_features(d)
-    return score_features(dn).ranking("fisher")
+    return score_features(d).ranking("fisher")
 
 
 def rank_by_mi(d: Dataset, bins: int | None = None) -> FeatureRanking:
     """Rank features by histogram mutual information alone, on the normalized data."""
-    dn, _ = normalize_features(d)
-    return score_features(dn, bins).ranking("mi")
+    return score_features(d, bins).ranking("mi")

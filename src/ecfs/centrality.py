@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, FeatureRanking, normalize_features
+from .data import Dataset, FeatureRanking, NormalizationStats, normalize_features
 from .graph import (
     AdjacencyMatrix,
     ScoreVector,
@@ -174,15 +174,17 @@ def rank_features(v0: ScoreVector | np.ndarray) -> FeatureRanking:
 
 @dataclass(frozen=True, eq=False)
 class FeatureScores:
-    """Fisher scores, mutual-information scores and spreads of one normalized dataset.
+    """Fisher scores, mutual-information scores and spreads of one dataset's rows.
 
-    Precondition: `data` is already normalized; nothing here normalizes again.
-    Each vector is computed on first use and then reused, so every ranking
-    taken from one instance (`ranking`, for any method and any alpha) shares
-    one scoring pass, and Fisher-only callers never pay for MI.
+    `data` holds the rows normalized and `stats` the statistics fitted on them,
+    which map held-out rows into the same representation. Each vector is
+    computed on first use and then reused, so every ranking taken from one
+    instance (`ranking`, for any method and any alpha) shares one scoring pass,
+    and Fisher-only callers never pay for MI.
     """
 
     data: Dataset
+    stats: NormalizationStats
     bins: int
 
     @cached_property
@@ -206,15 +208,16 @@ class FeatureScores:
         return rank_features(self.fisher if method == "fisher" else self.mutual_information)
 
 
-def score_features(dn: Dataset, bins: int | None = None) -> FeatureScores:
-    """Score an already-normalized dataset once, for every ranking taken from it.
+def score_features(d: Dataset, bins: int | None = None) -> FeatureScores:
+    """Normalize d's rows on their own statistics and score them once, for every
+    ranking taken from the result.
 
-    Precondition: `dn` is already normalized; score_features does not
-    normalize. bins defaults to max(2, floor(sqrt(T))) of dn's sample count.
+    bins defaults to max(2, floor(sqrt(T))) of d's sample count.
     """
+    dn, stats = normalize_features(d)
     if bins is None:
         bins = default_bin_count(dn.n_samples)
-    return FeatureScores(dn, bins)
+    return FeatureScores(dn, stats, bins)
 
 
 def _centrality_ranking(
@@ -247,11 +250,10 @@ def ecfs_run(
 ) -> EcfsRun:
     """Run the full ranking pipeline, keeping intermediates.
 
-    Normalizes features once, scores them (Fisher, mutual information), builds
-    the blended adjacency, extracts its dominant eigenvector, and ranks by it.
+    Normalizes and scores the features once (score_features), builds the
+    blended adjacency, extracts its dominant eigenvector, and ranks by it.
     """
-    dn, stats = normalize_features(d)
-    scores = score_features(dn, bins)
+    scores = score_features(d, bins)
     ranking, eigen, adjacency = _centrality_ranking(scores, alpha, tol, max_iter)
     return EcfsRun(
         ranking=ranking,
@@ -260,7 +262,7 @@ def ecfs_run(
         fisher=scores.fisher,
         mutual_information=scores.mutual_information,
         bins=scores.bins,
-        degenerate_features=stats.degenerate_columns,
+        degenerate_features=scores.stats.degenerate_columns,
     )
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import METHODS, score_features
-from .data import Dataset, FeatureRanking, NormalizationStats, normalize_features
+from .centrality import METHODS, FeatureScores, score_features
+from .data import Dataset, FeatureRanking
 
 DEFAULT_ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0)
@@ -35,7 +35,6 @@ class SplitPlan:
     train_fraction: float = 2.0 / 3.0
     n_repeats: int = 100
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
@@ -59,40 +58,27 @@ def _train_count(count: int, fraction: float) -> int:
 def split_indices(y: np.ndarray, plan: SplitPlan) -> list[tuple[np.ndarray, np.ndarray]]:
     """Index pairs (train, test) for each repeat; together they cover all rows.
 
-    Stratified mode splits within each class, keeping class proportions to
-    within one sample and at least one sample of every class on both sides.
+    Each repeat splits within each class, keeping class proportions to within
+    one sample and at least one sample of every class on both sides.
     """
     y = np.asarray(y, dtype=int)
     out = []
     classes = np.unique(y)
     for r in range(plan.n_repeats):
         rng = np.random.default_rng([plan.seed, r])
-        if plan.stratified:
-            train_parts, test_parts = [], []
-            for c in classes:
-                idx = np.flatnonzero(y == c)
-                if len(idx) < 2:
-                    raise SplitError(
-                        f"class {c} has {len(idx)} sample(s); need at least 2 to stratify"
-                    )
-                perm = rng.permutation(idx)
-                k = _train_count(len(idx), plan.train_fraction)
-                train_parts.append(perm[:k])
-                test_parts.append(perm[k:])
-            train = np.sort(np.concatenate(train_parts))
-            test = np.sort(np.concatenate(test_parts))
-        else:
-            perm = rng.permutation(len(y))
-            k = _train_count(len(y), plan.train_fraction)
-            train = np.sort(perm[:k])
-            test = np.sort(perm[k:])
-        out.append((train, test))
+        train_parts, test_parts = [], []
+        for c in classes:
+            idx = np.flatnonzero(y == c)
+            if len(idx) < 2:
+                raise SplitError(
+                    f"class {c} has {len(idx)} sample(s); need at least 2 to stratify"
+                )
+            perm = rng.permutation(idx)
+            k = _train_count(len(idx), plan.train_fraction)
+            train_parts.append(perm[:k])
+            test_parts.append(perm[k:])
+        out.append((np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))))
     return out
-
-
-def make_splits(d: Dataset, plan: SplitPlan) -> list[tuple[Dataset, Dataset]]:
-    """Materialize the planned repeats as (train, test) dataset pairs."""
-    return [(d.subset(tr), d.subset(te)) for tr, te in split_indices(d.y, plan)]
 
 
 def stratified_fold_indices(y: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
@@ -286,45 +272,31 @@ def _violation_counts(grams: list[np.ndarray], runs: list, epochs: int) -> np.nd
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability a positive outranks a negative, ties counting one half.
 
-    Computed from integer win/tie counts over score groups, so the result is
-    exactly the pairwise definition.
+    Computed from integer win/tie counts, so the result is exactly the pairwise
+    definition.
     """
     s = np.asarray(scores, dtype=float)
     yl = np.asarray(labels, dtype=int)
     if s.shape != yl.shape or s.ndim != 1:
         raise ValueError("scores and labels must be aligned vectors")
-    n_pos = int((yl == 1).sum())
-    n_neg = int((yl == 0).sum())
-    if n_pos == 0 or n_neg == 0:
+    pos = s[yl == 1]
+    neg = np.sort(s[yl == 0])
+    if len(pos) == 0 or len(neg) == 0:
         raise ValueError("both classes must be present to compute AUC")
-    order = np.argsort(s, kind="mergesort")
-    ss = s[order]
-    yy = yl[order]
-    wins = ties = 0
-    neg_below = 0
-    i = 0
-    T = len(ss)
-    while i < T:
-        j = i
-        while j < T and ss[j] == ss[i]:
-            j += 1
-        pos_in = int((yy[i:j] == 1).sum())
-        neg_in = (j - i) - pos_in
-        wins += neg_below * pos_in
-        ties += neg_in * pos_in
-        neg_below += neg_in
-        i = j
-    return (2 * wins + ties) / (2 * n_pos * n_neg)
+    # per positive, the negatives below it plus those at or below it: 2 wins + ties
+    twice = int(np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum())
+    return twice / (2 * len(pos) * len(neg))
 
 
-def _held_group(trn: Dataset, stats: NormalizationStats, jobs: list, X: np.ndarray,
-                y: np.ndarray) -> tuple:
-    """The (trn, jobs, X, y) group of _heldout_aucs for held-out rows X, y (raw) with
-    trn and every job cut to the columns some job selects: groups are held until
+def _held_group(scores: FeatureScores, jobs: list, X: np.ndarray, y: np.ndarray) -> tuple:
+    """The (trn, jobs, X, y) group of _heldout_aucs for held-out rows X, y (raw):
+    trn is scores' normalized training rows, X goes through scores' statistics, and
+    both and every job are cut to the columns some job selects. Groups are held until
     one training call, and a remapped job trains and scores bit for bit as before."""
     cols = np.unique(np.concatenate([sel for sel, _, _ in jobs]))
     jobs = [(np.searchsorted(cols, sel), c, seed) for sel, c, seed in jobs]
-    return Dataset(trn.X[:, cols], trn.y), jobs, stats.transform(X)[:, cols], y
+    trn = scores.data
+    return Dataset(trn.X[:, cols], trn.y), jobs, scores.stats.transform(X)[:, cols], y
 
 
 def _heldout_aucs(groups: list, epochs: int) -> list[list[float]]:
@@ -374,12 +346,11 @@ def cross_validate(
         for part, name in ((tr_idx, "training side"), (va_idx, "validation side")):
             if len(np.unique(train.y[part])) != n_classes:
                 raise SplitError(f"fold {j} leaves a single class on its {name}")
-        trn, stats = normalize_features(train.subset(tr_idx))
-        scores = score_features(trn, bins)
+        scores = score_features(train.subset(tr_idx), bins)
         sels = [scores.ranking("ec_fs", a).top(cardinality) for a in alphas]
         jobs = [(sel, c, derive_seed(seed, j, ai, ci))
                 for ai, sel in enumerate(sels) for ci, c in enumerate(Cs)]
-        groups.append(_held_group(trn, stats, jobs, train.X[va_idx], train.y[va_idx]))
+        groups.append(_held_group(scores, jobs, train.X[va_idx], train.y[va_idx]))
     table = np.zeros((len(alphas), len(Cs)))
     for aucs in _heldout_aucs(groups, epochs):
         table += np.reshape(aucs, table.shape)
@@ -643,23 +614,23 @@ def _repeat_body(
     d: Dataset, splits: list[tuple[np.ndarray, np.ndarray]], seed: int, methods: list[str],
     alpha: float | None, bins: int | None, cv_args: dict, k_max: int,
 ):
-    """Repeat r as run_evaluation and run_stability share it: normalize the training
-    rows alone, cross-validate (alpha, C) on them when alpha is None and ec_fs (the
-    one method reading the pair) is requested, rank every method from one scoring
-    pass; return the record, the normalized rows and their statistics."""
+    """Repeat r as run_evaluation and run_stability share it: cross-validate
+    (alpha, C) on the training rows when alpha is None and ec_fs (the one method
+    reading the pair) is requested, then normalize and score the training rows
+    alone in one score_features pass and rank every method from it; return the
+    record and the scores, which hold the normalized rows and their statistics."""
 
-    def body(r: int) -> tuple[_Repeat, Dataset, NormalizationStats]:
+    def body(r: int) -> tuple[_Repeat, FeatureScores]:
         trd = d.subset(splits[r][0])
-        trn, stats = normalize_features(trd)
         alpha_r, c_r = alpha, None
         if alpha is None and "ec_fs" in methods:
             alpha_r, c_r = cross_validate(
                 trd, seed=derive_seed(seed, r, 101), bins=bins, **cv_args
             )
-        scores = score_features(trn, bins)
+        scores = score_features(trd, bins)
         # a copy, so the record does not pin the full ranking
         tops = {m: scores.ranking(m, alpha_r).top(k_max).copy() for m in methods}
-        return _Repeat(alpha_r, c_r, tops), trn, stats
+        return _Repeat(alpha_r, c_r, tops), scores
 
     return body
 
@@ -690,7 +661,7 @@ def _report(
             "train_fraction": plan.train_fraction,
             "n_repeats": plan.n_repeats,
             "seed": plan.seed,
-            "stratified": plan.stratified,
+            "stratified": True,
         },
         "stability": stability,
     }
@@ -718,12 +689,12 @@ def run_evaluation(
     """Full protocol: repeated stratified splits, classifier AUC on the held-out
     side, stability and pairwise significance across repeats.
 
-    Each repeat runs run_stability's body (normalize_features, one score_features
-    pass, every ranking from FeatureScores.ranking), then trains the classifiers
-    of all methods x cardinalities in one call (_heldout_aucs, the step
-    cross_validate scores its folds with) and scores each top-k set on the test
-    rows under the training statistics. A (method, k) AUC does not depend on
-    which other methods or cardinalities are requested.
+    Each repeat runs run_stability's body (one score_features pass over the raw
+    training rows, every ranking from FeatureScores.ranking), then trains the
+    classifiers of all methods x cardinalities in one call (_heldout_aucs, the
+    step cross_validate scores its folds with) and scores each top-k set on the
+    test rows under the statistics the scores hold. A (method, k) AUC does not
+    depend on which other methods or cardinalities are requested.
 
     alpha may be a number or "cv", in which case each repeat picks (alpha, C)
     on its own training split. Baselines always train at fixed_c. The returned
@@ -745,12 +716,12 @@ def run_evaluation(
     def one_chunk(chunk: range) -> list[tuple[_Repeat, float, dict[str, list[float]]]]:
         reps, cs, groups = [], [], []
         for r in chunk:
-            rep, trn, stats = body(r)
+            rep, scores = body(r)
             c_r = fixed_c if rep.C is None else rep.C
             jobs = [(rep.tops[m][:k], c_r if m == "ec_fs" else fixed_c,
                      derive_seed(plan.seed, r, _METHOD_SEED[m], k)) for m in methods for k in ks]
             test = splits[r][1]
-            groups.append(_held_group(trn, stats, jobs, d.X[test], d.y[test]))
+            groups.append(_held_group(scores, jobs, d.X[test], d.y[test]))
             reps.append(rep)
             cs.append(c_r)
         aucs = [{m: flat[mi * len(ks):(mi + 1) * len(ks)] for mi, m in enumerate(methods)}

@@ -323,13 +323,13 @@ def _fail_in_worker(monkeypatch, data, plan, r, fail):
     """Call fail() where score_features meets repeat r's training rows inside a
     worker process; forked workers inherit the patch, this process never fails."""
     d = load_dataset(data)
-    target = normalize_features(d.subset(split_indices(d.y, plan)[r][0]))[0].X
+    target = d.X[split_indices(d.y, plan)[r][0]]
     parent, real = os.getpid(), ev.score_features
 
-    def failing(dn, bins=None):
-        if os.getpid() != parent and np.array_equal(dn.X, target):
+    def failing(trd, bins=None):
+        if os.getpid() != parent and np.array_equal(trd.X, target):
             fail()
-        return real(dn, bins)
+        return real(trd, bins)
 
     monkeypatch.setattr(ev, "score_features", failing)
 

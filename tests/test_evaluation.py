@@ -33,7 +33,6 @@ from ecfs import (
     fit_normalization,
     generate_synthetic,
     kuncheva_index,
-    make_splits,
     mutual_information_scores,
     power_iteration,
     rank_features,
@@ -54,13 +53,15 @@ def _ds(X, y):
 
 
 def _spy_scoring(monkeypatch) -> list:
-    """Record every dataset the harness hands to score_features."""
+    """Record every (dataset, scores) pair the harness hands to and gets back from
+    score_features."""
     seen = []
     real = ev.score_features
 
-    def spy(dn, bins=None):
-        seen.append(dn)
-        return real(dn, bins)
+    def spy(d, bins=None):
+        scores = real(d, bins)
+        seen.append((d, scores))
+        return scores
 
     monkeypatch.setattr(ev, "score_features", spy)
     return seen
@@ -82,15 +83,17 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 def _assert_scored_training_rows_only(d, plan, seen) -> None:
-    """One scoring pass per repeat, on exactly its training rows, transformed
-    with statistics fitted on those rows alone."""
+    """One scoring pass per repeat, handed exactly its raw training rows, which it
+    transforms with statistics fitted on those rows alone."""
     expected = split_indices(d.y, plan)
     assert len(seen) == len(expected)
-    for (tr_idx, _), ds in zip(expected, seen):
-        want = fit_normalization(d.X[tr_idx]).transform(d.X[tr_idx])
+    for (tr_idx, _), (ds, scores) in zip(expected, seen):
         assert ds.n_samples == len(tr_idx) < d.n_samples
-        np.testing.assert_array_equal(ds.X, want)
+        np.testing.assert_array_equal(ds.X, d.X[tr_idx])
         np.testing.assert_array_equal(ds.y, d.y[tr_idx])
+        want = fit_normalization(d.X[tr_idx]).transform(d.X[tr_idx])
+        np.testing.assert_array_equal(scores.data.X, want)
+        np.testing.assert_array_equal(scores.data.y, d.y[tr_idx])
 
 
 class TestSplits:
@@ -132,13 +135,6 @@ class TestSplits:
         y = np.array([0, 0, 0, 1])
         with pytest.raises(SplitError, match="stratify"):
             split_indices(y, SplitPlan(n_repeats=1, seed=0))
-
-    def test_make_splits_returns_datasets(self):
-        d, _ = generate_synthetic(SyntheticSpec(12, 4, 1, 2.0, 1.0, seed=0))
-        pairs = make_splits(d, SplitPlan(n_repeats=2, seed=0))
-        assert len(pairs) == 2
-        tr, te = pairs[0]
-        assert tr.n_samples + te.n_samples == 12
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -285,7 +281,7 @@ class TestLinearClassifier:
         groups = []
         for j in range(5):
             tr_idx = np.sort(np.concatenate([parts[i] for i in range(5) if i != j]))
-            trn, _ = ev.normalize_features(d.subset(tr_idx))
+            trn, _ = ecfs.normalize_features(d.subset(tr_idx))
             jobs = [(np.arange(j, 40, 3), 0.05, derive_seed(j, 0)),
                     (np.arange(j, 40, 3), 5.0, derive_seed(j, 1)),
                     (np.array([39 - j, j]), 0.5, derive_seed(j, 2))]
@@ -336,6 +332,9 @@ class TestRocAuc:
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         scores = rng.integers(0, 6, T) / 4.0  # lattice scores force ties
+        assert roc_auc(scores, labels) == _auc_bruteforce(scores.tolist(), labels.tolist())
+        # -0.0 == +0.0 and inf == inf, so each such pair ties
+        scores = rng.choice([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf], T)
         assert roc_auc(scores, labels) == _auc_bruteforce(scores.tolist(), labels.tolist())
 
     def test_monotone_transform_invariance(self):
@@ -865,19 +864,34 @@ class TestChunks:
         # forked workers inherit the patch; only a worker, never this process, fails
         d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
         plan = SplitPlan(n_repeats=4, seed=3)
-        target = ev.normalize_features(d.subset(split_indices(d.y, plan)[3][0]))[0].X
+        target = d.X[split_indices(d.y, plan)[3][0]]
         parent, real = os.getpid(), ev.score_features
 
-        def failing(dn, bins=None):
-            if os.getpid() != parent and np.array_equal(dn.X, target):
+        def failing(trd, bins=None):
+            if os.getpid() != parent and np.array_equal(trd.X, target):
                 raise PowerIterationError("no convergence after 9 iterations", 1e-3, 9)
-            return real(dn, bins)
+            return real(trd, bins)
 
         monkeypatch.setattr(ev, "score_features", failing)
         with pytest.raises(PowerIterationError) as exc:
             run_stability(d, plan, cardinalities=(3,), workers=2)
         assert str(exc.value) == "no convergence after 9 iterations"
         assert (exc.value.residual, exc.value.iterations) == (1e-3, 9)
+
+    def test_without_fork_every_chunk_runs_serially(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no process pool without fork")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
+        plan = SplitPlan(n_repeats=4, seed=3)
+        kw = dict(cardinalities=(3, 6), epochs=4)
+        for run, workers in ((run_stability, 2), (run_evaluation, 3)):
+            one = json.dumps(run(d, plan, workers=1, **kw), sort_keys=True)
+            assert json.dumps(run(d, plan, workers=workers, **kw), sort_keys=True) == one
 
 
 class TestSeedDerivation:

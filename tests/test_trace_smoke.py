@@ -39,7 +39,7 @@ def data(tmp_path_factory):
     ("evaluate", "--alpha", "cv", "--repeats", "2", "--epochs", "4", "--alpha-grid", "0,1",
      "--c-grid", "1", "--cardinalities", "3"),
     ("stability", "--workers", "2", "--repeats", "3", "--cardinalities", "3"),
-], ids=["evaluate-cv", "stability-threads"])
+], ids=["evaluate-cv", "stability-workers"])
 def test_trace_covers_the_command_with_one_root_span(tmp_path, data, args):
     spans_path = tmp_path / "spans.json"
     pythonpath = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)

@@ -113,51 +113,6 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
     )
 
 
-def matrix_power_oracle(A, l_max: int = 2**20, agree_tol: float = 1e-10) -> EigenResult:
-    """Dominant eigenpair via the literal accessibility limit A^l e.
-
-    Squares the matrix repeatedly (renormalizing each time to avoid overflow),
-    doubling l until successive normalized A^l e directions agree within
-    agree_tol in the max norm. lambda0 is the Rayleigh quotient of the limit
-    direction under the original matrix. Independent of power_iteration by
-    construction; intended as a cross-check.
-    """
-    M = np.array(list(A.rows())) if isinstance(A, AdjacencyMatrix) else _as_matrix(A)
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
-    n = M.shape[0]
-    e = np.ones(n)
-    if not M.any():
-        return EigenResult(0.0, e / np.sqrt(n), 0, 0.0, degenerate=True)
-    B = M.copy()
-    l = 1
-    w = B @ e
-    w /= np.linalg.norm(w)  # row sums of a non-zero non-negative matrix cannot all vanish
-    while l < l_max:
-        B = B @ B
-        peak = B.max()
-        if peak == 0.0:
-            # the matrix is nilpotent; A^l e is exactly zero from here on
-            return EigenResult(0.0, _clamp_tiny_negatives(w), l, 0.0, degenerate=True)
-        B /= peak
-        l *= 2
-        u = B @ e
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            return EigenResult(0.0, _clamp_tiny_negatives(w), l, 0.0, degenerate=True)
-        u /= nu
-        if float(np.abs(u - w).max()) <= agree_tol:
-            lam = float(u @ (M @ u))
-            residual = float(np.linalg.norm(M @ u - lam * u))
-            return EigenResult(lam, _clamp_tiny_negatives(u), l, residual)
-        w = u
-    raise PowerIterationError(
-        f"successive directions still disagree at l = {l}",
-        residual=float(np.abs(u - w).max()) if l > 1 else np.inf,
-        iterations=l,
-    )
-
-
 def rank_features(v0: ScoreVector | np.ndarray) -> FeatureRanking:
     """Order features by score, best first; ties break toward the smaller index."""
     values = v0.values if isinstance(v0, ScoreVector) else np.asarray(v0, dtype=float)

@@ -299,6 +299,24 @@ def _rank_json(report: dict, rows: list[tuple[int, int, str, float]]) -> str:
     return head.replace('\n  "ranking": []', f'\n  "ranking": [\n{body}\n  ]', 1)
 
 
+def _scores_json(vectors: dict) -> str:
+    """_dump_json of the --dump-scores object, byte for byte: schema_version 1 and,
+    per name, {"kind": kind, "values": [...]} for its (kind, values) vector.
+
+    As in _rank_json, the values (one per feature) are formatted here as json's
+    pure-Python indent encoder would: one float.__repr__ per line.
+    """
+    empty = {name: {"kind": kind, "values": []} for name, (kind, _) in vectors.items()}
+    head = _dump_json({"schema_version": 1, **empty})
+    # keys are sorted, so the placeholders appear in name order
+    parts = head.split('"values": []')
+    out = [parts[0]]
+    for name, rest in zip(sorted(vectors), parts[1:]):
+        body = ",\n      ".join(map(float.__repr__, vectors[name][1].tolist()))
+        out.append(f'"values": [\n      {body}\n    ]{rest}')
+    return "".join(out)
+
+
 def _cmd_rank(args) -> int:
     errors: list[str] = []
     common = _validate_common(args, errors)
@@ -323,13 +341,11 @@ def _cmd_rank(args) -> int:
     if args.dump_adjacency:
         run.adjacency.dump_text(args.dump_adjacency)
     if args.dump_scores:
-        scores = {
-            "schema_version": 1,
-            "fisher": run.fisher.to_dict(),
-            "mutual_information": run.mutual_information.to_dict(),
-            "centrality": {"kind": "centrality", "values": [float(v) for v in run.eigen.v0]},
-        }
-        _write(_dump_json(scores), args.dump_scores)
+        _write(_scores_json({
+            "fisher": (run.fisher.kind, run.fisher.values),
+            "mutual_information": (run.mutual_information.kind, run.mutual_information.values),
+            "centrality": ("centrality", run.eigen.v0),
+        }), args.dump_scores)
     report = {
         "schema_version": 1,
         "command": "rank",
@@ -449,12 +465,12 @@ def _cmd_synth(args) -> int:
     prefix = Path(args.output)
     data_path = prefix.with_suffix(".csv")
     truth_path = prefix.with_suffix(".informative.json")
-    header = ",".join([d.feature_name(i) for i in range(d.n_features)] + ["label"])
-    lines = [header]
-    for i in range(d.n_samples):
-        lines.append(",".join(repr(float(v)) for v in d.X[i]) + f",{int(d.y[i])}")
     data_path.parent.mkdir(parents=True, exist_ok=True)
-    data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # one row's text at a time, so memory holds the matrix and not the file
+    with open(data_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join([d.feature_name(i) for i in range(d.n_features)] + ["label"]) + "\n")
+        for row, label in zip(d.X, d.y.tolist()):
+            fh.write(",".join(map(repr, row.tolist())) + f",{label}\n")
     truth = {
         "schema_version": 1,
         "command": "synth",

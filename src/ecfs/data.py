@@ -48,15 +48,24 @@ class Dataset:
 
     def __post_init__(self) -> None:
         X = np.array(self.X, dtype=float)
-        y = np.array(self.y, dtype=int)
+        labels = np.asarray(self.y)
         if X.ndim != 2:
             raise DatasetError(f"feature matrix must be 2-dimensional, got shape {X.shape}")
         if X.shape[0] < 2:
             raise DatasetError(f"need at least 2 samples, got {X.shape[0]}")
         if X.shape[1] < 1:
             raise DatasetError("need at least 1 feature")
-        if y.shape != (X.shape[0],):
-            raise DatasetError(f"label vector shape {y.shape} does not match {X.shape[0]} samples")
+        if labels.shape != (X.shape[0],):
+            raise DatasetError(
+                f"label vector shape {labels.shape} does not match {X.shape[0]} samples"
+            )
+        if labels.dtype.kind == "f":
+            # the int cast below would truncate 1.7 to 1 without a word
+            bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.round(labels)))
+            if bad.size:
+                r = bad[0]
+                raise DatasetError(f"label at row {r} is not an integer: {float(labels[r])}")
+        y = np.array(labels, dtype=int)
         _check_finite(X)
         if y.min() < 0:
             raise ClassCountError("labels must be non-negative integers")

@@ -99,11 +99,10 @@ def stratified_fold_indices(y: np.ndarray, folds: int, seed: int) -> list[np.nda
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Linear decision function w.x + b with the C it was trained at."""
+    """Linear decision function w.x + b."""
 
     w: np.ndarray
     b: float
-    C: float
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -111,45 +110,22 @@ class LinearModel:
             raise ValueError("matrix width does not match the trained weights")
         return X @ self.w + self.b
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision(X) > 0).astype(int)
 
-
-def train_linear_classifier(
-    train: Dataset,
-    selected: np.ndarray,
-    C: float,
-    epochs: int = 50,
-    seed: int = 0,
-) -> LinearModel:
-    """Hinge-loss linear classifier on columns `selected` of train.
-
-    The one-job call of train_linear_classifiers, with the same checks. Inside
-    any batch the job gets these weights bit for bit.
-    """
-    return train_linear_classifiers(train, [(selected, C, seed)], epochs)[0]
-
-
-def train_linear_classifiers(train: Dataset, jobs, epochs: int = 50) -> list[LinearModel]:
+def train_linear_classifiers(groups, epochs: int = 50) -> list[list[LinearModel]]:
     """Hinge-loss linear classifiers by stochastic subgradient descent, one per
-    job (selected columns, C, seed), all on the rows of train.
+    job (selected columns, C, seed) of every (train, jobs) group; each group's
+    models in job order. A group is one set of training rows, such as a fold.
 
     Each model is Pegasos: step size 1/(lambda t), lambda = 1/(C T), over its own
-    seeded reshuffle of the samples each epoch; the bias is carried as a constant
-    input and regularized with the weights. All models step together in the
-    dual form (_violation_counts), and jobs with equal columns share one T x T
-    Gram matrix. A model's weights depend on its own job alone, never on the
-    others. Per step the work is models x T whatever the column counts, and the
-    Grams take (distinct column sets) x T^2 x 8 bytes; with more samples than the
-    widest column set has columns, stepping in the primal (models x (k+1) per
-    step) would be the cheaper form.
-    """
-    return _train_groups([(train, jobs)], epochs)[0]
-
-
-def _train_groups(groups, epochs: int) -> list[list[LinearModel]]:
-    """Train the jobs of every (train, jobs) group in one step loop; each group's
-    models in job order. A group is one set of training rows, such as a fold.
+    seeded reshuffle of its group's T rows each epoch; the bias is carried as a
+    constant input and regularized with the weights. All models of all groups
+    step together in the dual form (_violation_counts), and jobs of one group with
+    equal columns share one T x T Gram matrix. A model's weights depend on its own
+    job and rows alone, never on the rest of the batch. Per step the work is
+    models x T whatever the column counts, and the Grams take (distinct column
+    sets) x T^2 x 8 bytes; with more samples than the widest column set has
+    columns, stepping in the primal (models x (k+1) per step) would be the
+    cheaper form.
 
     Only the Grams are held through the step loop; each design is built again when
     its models' weights are formed, the same bits as the first time.
@@ -158,7 +134,7 @@ def _train_groups(groups, epochs: int) -> list[list[LinearModel]]:
         raise ValueError("epochs must be positive")
     grams: list[np.ndarray] = []
     sources = []  # per Gram: the (train, selected) its design is built from
-    runs, Cs, sizes = [], [], []
+    runs, sizes = [], []
     for train, jobs in groups:
         if train.n_classes != 2:
             raise ValueError("classifier requires binary labels")
@@ -184,16 +160,15 @@ def _train_groups(groups, epochs: int) -> list[list[LinearModel]]:
             if not C > 0:
                 raise ValueError("C must be positive")
             runs.append((blocks[key], 1.0 / (C * T), seed))
-            Cs.append(float(C))
         sizes.append(len(jobs))
     counts = _violation_counts(grams, runs, epochs)
     models = []
-    for (b, lam, _), a, C in zip(runs, counts, Cs):
+    for (b, lam, _), a in zip(runs, counts):
         design = _signed_design(*sources[b])
         T = len(design)
         # w after the last step t_end = epochs T: the violated rows' sum over lambda t_end
         w = (a[:T] @ design) / (lam * (epochs * T))
-        models.append(LinearModel(w=w[:-1], b=float(w[-1]), C=C))
+        models.append(LinearModel(w=w[:-1], b=float(w[-1])))
     it = iter(models)
     return [list(itertools.islice(it, n)) for n in sizes]
 
@@ -303,7 +278,7 @@ def _heldout_aucs(groups: list, epochs: int) -> list[list[float]]:
     """Train the (columns, C, seed) jobs of every (trn, jobs, X, y) group in one
     step loop; per group, each job's AUC on the held-out rows X (under trn's
     statistics) with labels y, in job order."""
-    fits = _train_groups([(trn, jobs) for trn, jobs, _, _ in groups], epochs)
+    fits = train_linear_classifiers([(trn, jobs) for trn, jobs, _, _ in groups], epochs)
     return [[roc_auc(model.decision(X[:, sel]), y) for model, (sel, _, _) in zip(models, jobs)]
             for models, (_, jobs, X, y) in zip(fits, groups)]
 
@@ -360,29 +335,6 @@ def cross_validate(
     return alphas[ai], Cs[ci]
 
 
-def kuncheva_index(set_a, set_b, n_total: int) -> float:
-    """Chance-corrected overlap of two equal-size feature subsets.
-
-    1 for identical sets, 0 at the chance overlap k^2/N, and negative below
-    it (-1 exactly for disjoint halves of the feature set).
-    """
-    a = set(int(i) for i in set_a)
-    b = set(int(i) for i in set_b)
-    if len(a) != len(set_a) or len(b) != len(set_b):
-        raise ValueError("feature subsets must not contain duplicates")
-    if len(a) != len(b):
-        raise ValueError(f"subsets must have equal size, got {len(a)} and {len(b)}")
-    k = len(a)
-    if not 0 < k < n_total:
-        raise ValueError(f"subset size must be in 1..{n_total - 1}, got {k}")
-    if a | b:
-        lo, hi = min(a | b), max(a | b)
-        if lo < 0 or hi >= n_total:
-            raise ValueError("subset contains an index outside 0..n_total-1")
-    r = len(a & b)
-    return (r * n_total - k * k) / (k * (n_total - k))
-
-
 def stability_curve(
     rankings: list[FeatureRanking], cardinalities
 ) -> list[tuple[int, float]]:
@@ -411,7 +363,8 @@ def _kuncheva_curve(tops: np.ndarray, n: int, ks: list[int]) -> list[tuple[int, 
         member = np.zeros((R, len(union)))
         member[np.arange(R)[:, None], cols.reshape(R, k)] = 1.0
         shared = (member @ member.T)[pairs].astype(np.int64)
-        # kuncheva_index of each pair: integers exact while k * n < 2^53, rounded once
+        # Kuncheva index (r n - k^2) / (k (n - k)) of each pair: integers exact while
+        # k * n < 2^53, rounded once
         vals = (shared * n - k * k) / (k * (n - k))
         out.append((k, float(np.mean(vals))))
     return out

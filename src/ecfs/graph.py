@@ -46,9 +46,6 @@ class ScoreVector:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "values": [float(v) for v in self.values]}
-
 
 def default_bin_count(n_samples: int) -> int:
     """Histogram width rule when no bin count is given: max(2, floor(sqrt(T)))."""

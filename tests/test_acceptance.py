@@ -24,9 +24,7 @@ from ecfs import (
     build_adjacency,
     ecfs_rank,
     generate_synthetic,
-    kuncheva_index,
     load_dataset,
-    matrix_power_oracle,
     power_iteration,
     roc_auc,
     run_evaluation,
@@ -34,6 +32,7 @@ from ecfs import (
 )
 from ecfs.data import FeatureRanking
 from ecfs.graph import ScoreVector
+from oracles import matrix_power_oracle
 
 
 def _verdict(num: int, name: str, ok: bool) -> None:
@@ -139,9 +138,16 @@ def test_acceptance_4_microarray_benchmark():
 
 
 def test_acceptance_5_stability_index():
-    ok = kuncheva_index(range(100), range(100), 400) == 1.0
-    ok = ok and kuncheva_index(range(8), range(8, 16), 16) == -1.0
-    ok = ok and kuncheva_index({0, 1, 2, 3}, {3, 7, 8, 9}, 16) == 0.0
+    def ranking(order):
+        return FeatureRanking(np.asarray(order), np.linspace(1.0, 0.0, len(order)))
+
+    # identical sets give 1, disjoint halves -1, and the chance overlap k^2/N 0
+    same = ranking(np.arange(400))
+    ok = stability_curve([same, same], [100]) == [(100, 1.0)]
+    ok = ok and stability_curve([ranking(np.arange(16)), ranking(np.arange(16)[::-1])],
+                                [8]) == [(8, -1.0)]
+    chance = ranking([3, 7, 8, 9] + [i for i in range(16) if i not in (3, 7, 8, 9)])
+    ok = ok and stability_curve([ranking(np.arange(16)), chance], [4]) == [(4, 0.0)]
     rng = np.random.default_rng(42)
     N, k = 400, 100
     scores = np.linspace(1.0, 0.0, N)

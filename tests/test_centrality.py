@@ -15,12 +15,12 @@ from ecfs import (
     feature_spreads,
     fisher_scores,
     generate_synthetic,
-    matrix_power_oracle,
     mutual_information_scores,
     normalize_features,
     power_iteration,
     rank_features,
 )
+from oracles import matrix_power_oracle
 
 
 class TestPowerIteration:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import multiprocessing
@@ -12,6 +13,7 @@ from ecfs import (
     PowerIterationError,
     SplitError,
     SplitPlan,
+    ecfs_run,
     fisher_scores,
     load_dataset,
     mutual_information_scores,
@@ -149,6 +151,22 @@ class TestRank:
         scores = json.loads(sc.read_text())
         for key in ("fisher", "mutual_information", "centrality"):
             assert len(scores[key]["values"]) == 12
+
+    def test_dump_scores_is_what_the_json_module_writes(self, tmp_path):
+        # the score vectors are formatted without json's indent encoder
+        data, _ = _synth_csv(tmp_path)
+        sc = tmp_path / "scores.json"
+        assert main(["rank", "--data", str(data), "--output", str(tmp_path / "r.json"),
+                     "--dump-scores", str(sc)]) == 0
+        run = ecfs_run(load_dataset(data), alpha=0.5)
+        want = {
+            "schema_version": 1,
+            "fisher": {"kind": "fisher", "values": run.fisher.values.tolist()},
+            "mutual_information": {"kind": "mutual_information",
+                                   "values": run.mutual_information.values.tolist()},
+            "centrality": {"kind": "centrality", "values": run.eigen.v0.tolist()},
+        }
+        assert sc.read_text(encoding="utf-8") == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
     def test_huge_bin_count_scores_label_entropy(self, tmp_path):
         # 2^40 bins once asked numpy for a 16 TiB table; every value now sits
@@ -466,6 +484,14 @@ class TestSynth:
         tb = json.loads(b.with_suffix(".informative.json").read_text())
         assert ta == tb
         assert len(ta["informative_indices"]) == 2
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # the digest of the file as written before rows were streamed one at a time
+        prefix = tmp_path / "p"
+        assert main(["synth", "--samples", "24", "--features", "30", "--informative", "4",
+                     "--seed", "3", "--output", str(prefix)]) == 0
+        digest = hashlib.sha256(prefix.with_suffix(".csv").read_bytes()).hexdigest()
+        assert digest == "093242fff0401965c82309dbe228237b8feefc43d303ecb599391b3021ca1d0e"
 
     def test_env_seed_matches_flag(self, tmp_path, monkeypatch):
         flagged = tmp_path / "f"

@@ -453,6 +453,16 @@ class TestDatasetInvariants:
         with pytest.raises(NonFiniteValueError):
             _ds([[1.0], [np.nan]], [0, 1])
 
+    def test_rejects_non_integer_labels(self):
+        X = np.ones((3, 1))
+        with pytest.raises(DatasetError, match=r"row 1 is not an integer: 1\.7"):
+            Dataset(X, [0.0, 1.7, 0.2])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DatasetError, match="row 2 is not an integer"):
+                Dataset(X, [0.0, 1.0, bad])
+        d = Dataset(X, [0.0, 1.0, 1.0])
+        assert d.y.dtype.kind == "i" and d.y.tolist() == [0, 1, 1]
+
     def test_immutable_after_construction(self):
         d = _ds([[1.0], [2.0]], [0, 1])
         with pytest.raises(ValueError):

@@ -32,7 +32,6 @@ from ecfs import (
     fisher_scores,
     fit_normalization,
     generate_synthetic,
-    kuncheva_index,
     mutual_information_scores,
     power_iteration,
     rank_features,
@@ -42,10 +41,10 @@ from ecfs import (
     split_indices,
     stability_curve,
     stratified_fold_indices,
-    train_linear_classifier,
     train_linear_classifiers,
     two_sample_ttest,
 )
+from oracles import kuncheva_index
 
 
 def _ds(X, y):
@@ -151,11 +150,17 @@ class TestSplits:
         assert sizes[-1] - sizes[0] <= 2
 
 
+def _fit_one(train, selected, C, epochs=50, seed=0):
+    """The model of a one-group, one-job training call."""
+    ((model,),) = train_linear_classifiers([(train, [(selected, C, seed)])], epochs)
+    return model
+
+
 class TestLinearClassifier:
     def test_separable_pair_reaches_accuracy_one(self):
         d = _ds([[-1.0], [1.0]], [0, 1])
-        model = train_linear_classifier(d, np.array([0]), C=10.0, epochs=100, seed=0)
-        assert model.predict(d.X).tolist() == [0, 1]
+        model = _fit_one(d, np.array([0]), C=10.0, epochs=100, seed=0)
+        assert (model.decision(d.X) > 0).tolist() == [False, True]
 
     def test_separable_cloud(self):
         rng = np.random.default_rng(0)
@@ -163,21 +168,20 @@ class TestLinearClassifier:
         y = np.arange(T) % 2
         X = rng.normal(size=(T, 3)) + np.outer(y * 6.0 - 3.0, np.ones(3))
         d = _ds(X, y)
-        model = train_linear_classifier(d, np.arange(3), C=1.0, epochs=50, seed=1)
-        assert (model.predict(d.X) == y).mean() == 1.0
+        model = _fit_one(d, np.arange(3), C=1.0, epochs=50, seed=1)
+        assert ((model.decision(d.X) > 0) == y).all()
 
     def test_deterministic(self):
         d, _ = generate_synthetic(SyntheticSpec(30, 6, 2, 2.0, 1.0, seed=4))
-        a = train_linear_classifier(d, np.arange(4), C=1.0, epochs=20, seed=9)
-        b = train_linear_classifier(d, np.arange(4), C=1.0, epochs=20, seed=9)
+        a = _fit_one(d, np.arange(4), C=1.0, epochs=20, seed=9)
+        b = _fit_one(d, np.arange(4), C=1.0, epochs=20, seed=9)
         np.testing.assert_array_equal(a.w, b.w)
         assert a.b == b.b
 
     def test_weight_norm_grows_with_c(self):
         d, _ = generate_synthetic(SyntheticSpec(50, 8, 3, 1.5, 1.0, seed=5))
         norms = [
-            float(np.linalg.norm(train_linear_classifier(d, np.arange(8), C=c,
-                                                         epochs=30, seed=2).w))
+            float(np.linalg.norm(_fit_one(d, np.arange(8), C=c, epochs=30, seed=2).w))
             for c in (0.01, 0.1, 1.0, 10.0)
         ]
         assert norms == sorted(norms)
@@ -185,12 +189,15 @@ class TestLinearClassifier:
 
     def test_validation(self):
         def one_job(train, selected, C, epochs=50):
-            return train_linear_classifier(train, selected, C, epochs=epochs)
+            return _fit_one(train, selected, C, epochs=epochs)
 
         def batched(train, selected, C, epochs=50):
-            # the bad job follows a valid one, so every job is checked, not only the first
-            return train_linear_classifiers(train, [(np.array([0]), 1.0, 0), (selected, C, 1)],
-                                            epochs)
+            # the bad job follows a valid group and a valid job of its own group, so
+            # every job of every group is checked, not only the first
+            ok = _ds([[0.0], [1.0]], [0, 1])
+            return train_linear_classifiers(
+                [(ok, [(np.array([0]), 1.0, 0)]),
+                 (train, [(np.array([0]), 1.0, 0), (selected, C, 1)])], epochs)
 
         d = _ds([[0.0], [1.0], [2.0]], [0, 1, 2])
         d2 = _ds([[0.0], [1.0]], [0, 1])
@@ -208,7 +215,7 @@ class TestLinearClassifier:
             with pytest.raises(ValueError, match="epochs"):
                 fit(d2, np.array([0]), C=1.0, epochs=0)
         with pytest.raises(ValueError, match="at least one"):
-            train_linear_classifiers(d2, [])
+            train_linear_classifiers([(d2, [])])
 
     @staticmethod
     def _reference(train, selected, C, epochs, seed):
@@ -254,7 +261,6 @@ class TestLinearClassifier:
         # the dual form sums the same steps in another order: equal up to rounding
         scale = np.linalg.norm(np.append(w, b))
         assert np.linalg.norm(np.append(model.w - w, model.b - b)) <= 1e-12 * scale
-        assert model.C == C
 
     def test_stacked_kernel_matches_scalar_reference(self, monkeypatch):
         d, _ = generate_synthetic(SyntheticSpec(30, 250, 3, 1.0, 1.0, seed=7))
@@ -265,11 +271,11 @@ class TestLinearClassifier:
                 (shared, 10.0, 12), (np.array([2, 7, 11]), 3.0, 3),
                 (np.arange(0, 250, 5), 0.5, 8), (np.arange(249, 48, -1), 0.1, 9)]
         seen = self._spy_counts(monkeypatch)
-        models = train_linear_classifiers(d, jobs, epochs=7)
+        (models,) = train_linear_classifiers([(d, jobs)], epochs=7)
         (counts,) = seen
         for model, a, (sel, C, seed) in zip(models, counts, jobs):
             self._assert_matches_reference(d, model, a, sel, C, 7, seed)
-            alone = train_linear_classifier(d, sel, C, epochs=7, seed=seed)
+            alone = _fit_one(d, sel, C, epochs=7, seed=seed)
             assert alone.w.tobytes() == model.w.tobytes() and alone.b == model.b
             np.testing.assert_array_equal(seen[-1][0], a)  # the one-job call's counts
 
@@ -288,18 +294,18 @@ class TestLinearClassifier:
             groups.append((trn, jobs))
         assert sorted({trn.n_samples for trn, _ in groups}) == [17, 18, 19]
         seen = self._spy_counts(monkeypatch)
-        batched = ev._train_groups(groups, 6)
+        batched = train_linear_classifiers(groups, 6)
         (counts,) = seen
         assert counts.shape == (15, 19)
         for g, ((trn, jobs), models) in enumerate(zip(groups, batched)):
-            alone = train_linear_classifiers(trn, jobs, epochs=6)
+            (alone,) = train_linear_classifiers([(trn, jobs)], epochs=6)
             for m, (model, solo, (sel, C, seed)) in enumerate(zip(models, alone, jobs)):
                 assert model.w.tobytes() == solo.w.tobytes() and model.b == solo.b
                 self._assert_matches_reference(trn, model, counts[3 * g + m], sel, C, 6, seed)
 
     def test_decision_width_check(self):
         d = _ds([[0.0, 1.0], [1.0, 0.0]], [0, 1])
-        model = train_linear_classifier(d, np.array([0]), C=1.0, epochs=5)
+        model = _fit_one(d, np.array([0]), C=1.0, epochs=5)
         with pytest.raises(ValueError, match="width"):
             model.decision(np.ones((2, 2)))
 
@@ -400,9 +406,8 @@ class TestCrossValidate:
                 A = a * np.outer(fs, ms) + (1 - a) * np.maximum.outer(s, s)
                 sel = rank_features(power_iteration(A).v0).top(cardinality)
                 for ci, c in enumerate(cs):
-                    model = train_linear_classifier(
-                        trn, sel, c, epochs=epochs, seed=derive_seed(seed, j, ai, ci)
-                    )
+                    model = _fit_one(trn, sel, c, epochs=epochs,
+                                     seed=derive_seed(seed, j, ai, ci))
                     table[ai, ci] += roc_auc(model.decision(va_X[:, sel]), va_y)
         table /= folds
         best = max(
@@ -590,12 +595,15 @@ class TestTwoSampleTTest:
             "                          cardinalities=(3,), epochs=4)\n"
             "print(sorted(p for s in rep['significance'].values() for p in s.values()))\n"
             "print('scipy.special' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=src))
-        before, pvalues, after = out.stdout.strip().splitlines()
+        before, pvalues, after, scipy_modules = out.stdout.strip().splitlines()
         assert all(0.0 < p < 1.0 for p in json.loads(pvalues))
         assert before == after == "False"
+        # no part of scipy runs at all, so it need not be a run-time dependency
+        assert scipy_modules == "[]"
 
 
 class TestRunEvaluation:
@@ -666,10 +674,8 @@ class TestRunEvaluation:
                 c = want_c if method == "ec_fs" else fixed_c
                 for k in ks:
                     sel = ranking.top(k)
-                    model = train_linear_classifier(
-                        trn, sel, c, epochs=epochs,
-                        seed=derive_seed(plan.seed, r, method_seed[method], k),
-                    )
+                    model = _fit_one(trn, sel, c, epochs=epochs,
+                                     seed=derive_seed(plan.seed, r, method_seed[method], k))
                     want = roc_auc(model.decision(te_X[:, sel]), d.y[te_idx])
                     assert rep["auc"][method]["per_cardinality"][str(k)]["samples"][r] == want
 
@@ -825,13 +831,13 @@ class TestChunks:
 
     def test_one_training_call_per_chunk(self, monkeypatch):
         calls = []
-        real = ev._train_groups
+        real = ev.train_linear_classifiers
 
         def spy(groups, epochs):
             calls.append(len(groups))
             return real(groups, epochs)
 
-        monkeypatch.setattr(ev, "_train_groups", spy)
+        monkeypatch.setattr(ev, "train_linear_classifiers", spy)
         d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
         kw = dict(cardinalities=(3, 6), epochs=2)
         run_evaluation(d, SplitPlan(n_repeats=8, seed=0), **kw)

@@ -463,10 +463,6 @@ class TestScoreVector:
         with pytest.raises(ValueError, match="finite"):
             ScoreVector(np.array([np.inf]), "fisher")
 
-    def test_to_dict(self):
-        sv = ScoreVector(np.array([0.25, 1.0]), "mutual_information")
-        assert sv.to_dict() == {"kind": "mutual_information", "values": [0.25, 1.0]}
-
     def test_adjacency_rejects_negative_entries(self):
         fs = np.array([0.0, 1.0])
         with pytest.raises(ValueError, match="non-negative"):

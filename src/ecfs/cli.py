@@ -9,17 +9,25 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .centrality import PowerIterationError, ecfs_run
-from .data import Dataset, DatasetError, SyntheticSpec, generate_synthetic, load_dataset
+from .data import (
+    Dataset,
+    DatasetError,
+    FeatureRanking,
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+)
 from .evaluation import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_C_GRID,
@@ -262,48 +270,67 @@ def _binarize(d: Dataset, positive: str) -> Dataset:
             raise DatasetError(f"positive class index {idx} out of range 0..{d.n_classes - 1}")
     name = d.label_names[idx] if d.label_names else str(idx)
     y = (d.y == idx).astype(int)
-    return Dataset(d.X, y, d.feature_names, ("rest", name))
+    # d.X is read-only, so both datasets can share it
+    return Dataset._own(d.X, y, d.feature_names, ("rest", name))
 
 
 def _dump_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write(text: str, path: str) -> None:
+@contextmanager
+def _sink(path: str):
+    """The text stream an output goes to: stdout for -, else the file at path."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
 
 
-def _ranking_rows(d: Dataset, run) -> list[tuple[int, int, str, float]]:
-    """(rank, index, name, score) of every feature, best first."""
-    return [(pos, int(j), d.feature_name(int(j)), float(s))
-            for pos, (j, s) in enumerate(zip(run.ranking.order, run.ranking.scores))]
+def _write(text: str, path: str) -> None:
+    with _sink(path) as fh:
+        fh.write(text)
 
 
-def _rank_json(report: dict, rows: list[tuple[int, int, str, float]]) -> str:
-    """_dump_json of the report with its ranking rows as dicts, byte for byte.
+# the rank report is formatted and written this many ranks at a time, so that
+# no per-feature list and no whole-report string is built
+_RANKS_PER_WRITE = 4096
+
+
+def _ranking_blocks(d: Dataset, ranking: FeatureRanking):
+    """(first rank, indices, names, scores) of each block of _RANKS_PER_WRITE
+    ranks, best first, as Python lists."""
+    for a in range(0, ranking.n_features, _RANKS_PER_WRITE):
+        order = ranking.order[a:a + _RANKS_PER_WRITE].tolist()
+        yield (a, order, [d.feature_name(j) for j in order],
+               ranking.scores[a:a + _RANKS_PER_WRITE].tolist())
+
+
+def _write_rank_json(fh, report: dict, d: Dataset, ranking: FeatureRanking) -> None:
+    """Write _dump_json of the report with its ranking rows as dicts, byte for byte.
 
     Under indent, json encodes in pure Python, so the rows (one per feature) are
     formatted here as json would: names by its ASCII string encoder, scores by
     float.__repr__. Everything else goes through _dump_json.
     """
-    head = _dump_json({**report, "ranking": []})
-    body = ",\n".join(
-        f'    {{\n      "index": {j},\n      "name": {encode_basestring_ascii(name)},\n'
-        f'      "rank": {pos},\n      "score": {float.__repr__(score)}\n    }}'
-        for pos, j, name, score in rows
-    )
     # a newline never occurs inside an encoded string, so this is the top-level key
-    return head.replace('\n  "ranking": []', f'\n  "ranking": [\n{body}\n  ]', 1)
+    head, tail = _dump_json({**report, "ranking": []}).split('\n  "ranking": []', 1)
+    fh.write(head + '\n  "ranking": [\n')
+    for a, order, names, scores in _ranking_blocks(d, ranking):
+        fh.write((",\n" if a else "") + ",\n".join(
+            f'    {{\n      "index": {j},\n      "name": {encode_basestring_ascii(name)},\n'
+            f'      "rank": {pos},\n      "score": {float.__repr__(score)}\n    }}'
+            for pos, j, name, score in zip(itertools.count(a), order, names, scores)
+        ))
+    fh.write("\n  ]" + tail)
 
 
 def _scores_json(vectors: dict) -> str:
     """_dump_json of the --dump-scores object, byte for byte: schema_version 1 and,
     per name, {"kind": kind, "values": [...]} for its (kind, values) vector.
 
-    As in _rank_json, the values (one per feature) are formatted here as json's
+    As in _write_rank_json, the values (one per feature) are formatted here as json's
     pure-Python indent encoder would: one float.__repr__ per line.
     """
     empty = {name: {"kind": kind, "values": []} for name, (kind, _) in vectors.items()}
@@ -371,16 +398,15 @@ def _cmd_rank(args) -> int:
             "degenerate_mi": run.adjacency.degenerate_mi,
         },
     }
-    rows = _ranking_rows(d, run)
-    if args.output_format == "json":
-        _write(_rank_json(report, rows), args.output)
-    else:
-        # the csv module quotes a name that holds a comma, quote or line break
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["rank", "index", "name", "score"])
-        writer.writerows([pos, j, name, repr(score)] for pos, j, name, score in rows)
-        _write(buf.getvalue(), args.output)
+    with _sink(args.output) as fh:
+        if args.output_format == "json":
+            _write_rank_json(fh, report, d, run.ranking)
+        else:
+            # the csv module quotes a name that holds a comma, quote or line break
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["rank", "index", "name", "score"])
+            for a, order, names, scores in _ranking_blocks(d, run.ranking):
+                writer.writerows(zip(itertools.count(a), order, names, map(repr, scores)))
     return 0
 
 

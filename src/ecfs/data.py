@@ -26,8 +26,28 @@ class ClassCountError(DatasetError):
     """Labels do not form at least two non-empty classes 0..C-1."""
 
 
+# Passes over the columns of a T x n matrix (normalization sums, Fisher, spreads,
+# mutual information) run in blocks of about this many cells, so that none of
+# them allocates a temporary the size of the matrix.
+CHUNK_CELLS = 2**16
+
+
+def column_blocks(n: int, cells_per_column: int) -> list[slice]:
+    """Slices cutting n columns into blocks of about CHUNK_CELLS cells.
+
+    Every block holds at least 2 columns unless n is 1: an axis-0 reduction
+    over two or more columns adds each column's rows in order, exactly as over
+    the whole matrix, where a lone column would be summed pairwise instead.
+    """
+    step = max(2, CHUNK_CELLS // max(1, cells_per_column))
+    starts = list(range(0, max(n - 1, 1), step))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def _check_finite(X: np.ndarray) -> None:
-    if not np.isfinite(X).all():
+    blocks = column_blocks(X.shape[1], X.shape[0])
+    if not all(np.isfinite(X[:, cols]).all() for cols in blocks):
+        # the first bad cell in row-major order, whichever block it is in
         r, c = np.argwhere(~np.isfinite(X))[0]
         raise NonFiniteValueError(f"non-finite value at (row {r}, column {c})")
 
@@ -39,6 +59,11 @@ class Dataset:
     X is T x n float64, y holds labels from the contiguous set {0..C-1} with
     every class present and C >= 2. Optional feature_names/label_names record
     the source header and the original label values in mapping order.
+
+    The constructor copies X, so the caller's array stays its own and stays
+    writable. The loaders, subset and normalize_features instead hand over the
+    array they have just built (Dataset._own), so a matrix is held once. Either
+    way X and y are read-only.
     """
 
     X: np.ndarray
@@ -47,7 +72,22 @@ class Dataset:
     label_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        X = np.array(self.X, dtype=float)
+        self._adopt(np.array(self.X, dtype=float))
+
+    @classmethod
+    def _own(cls, X: np.ndarray, y, feature_names=None, label_names=None) -> "Dataset":
+        """A Dataset that takes X itself, with no copy, and makes it read-only:
+        for an array its caller has just built and holds no other reference to,
+        or one that is read-only already. It runs the constructor's checks."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "y", y)
+        object.__setattr__(d, "feature_names", feature_names)
+        object.__setattr__(d, "label_names", label_names)
+        d._adopt(np.asarray(X, dtype=float))
+        return d
+
+    def _adopt(self, X: np.ndarray) -> None:
+        """Validate X and self.y, then freeze and store X and an int copy of y."""
         labels = np.asarray(self.y)
         if X.ndim != 2:
             raise DatasetError(f"feature matrix must be 2-dimensional, got shape {X.shape}")
@@ -70,12 +110,13 @@ class Dataset:
         if y.min() < 0:
             raise ClassCountError("labels must be non-negative integers")
         n_classes = int(y.max()) + 1
-        present = np.unique(y)
         if n_classes < 2:
             raise ClassCountError("expected at least two classes, found 1")
-        if len(present) != n_classes:
-            missing = sorted(set(range(n_classes)) - set(present.tolist()))
-            raise ClassCountError(f"class {missing[0]} has zero samples")
+        # T samples fill at most classes 0..T-1, so labels past T are counted
+        # together in slot T: the first empty class is found in O(T) memory
+        empty = np.flatnonzero(np.bincount(np.minimum(y, len(y))) == 0)
+        if empty.size:
+            raise ClassCountError(f"class {empty[0]} has zero samples")
         if self.feature_names is not None and len(self.feature_names) != X.shape[1]:
             raise DatasetError("feature_names length does not match feature count")
         if self.label_names is not None and len(self.label_names) != n_classes:
@@ -105,7 +146,7 @@ class Dataset:
     def subset(self, rows: np.ndarray) -> "Dataset":
         """Row subset keeping names. Fails if a class disappears."""
         rows = np.asarray(rows, dtype=int)
-        return Dataset(self.X[rows], self.y[rows], self.feature_names, self.label_names)
+        return Dataset._own(self.X[rows], self.y[rows], self.feature_names, self.label_names)
 
 
 @dataclass(frozen=True)
@@ -152,10 +193,16 @@ class NormalizationStats:
     degenerate: np.ndarray
 
     def transform(self, X: np.ndarray) -> np.ndarray:
+        """(X + shift) / scale, with degenerate columns zeroed, as a new array.
+
+        The shifted copy is divided in place, so the only full-size array made
+        is the result.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.shift.shape[0]:
             raise ValueError("matrix width does not match fitted statistics")
-        out = (X + self.shift) / self.scale
+        out = X + self.shift
+        out /= self.scale
         out[:, self.degenerate] = 0.0
         return out
 
@@ -168,14 +215,18 @@ def fit_normalization(X: np.ndarray) -> NormalizationStats:
     """Fit the shift-by-min / divide-by-sum statistics on each column.
 
     A column is shifted only when it contains negative entries; constant
-    columns are flagged degenerate and will transform to zeros.
+    columns are flagged degenerate and will transform to zeros. The shifted
+    columns are summed in blocks (column_blocks), each column's rows in the
+    same order as one sum over the whole shifted matrix.
     """
     X = np.asarray(X, dtype=float)
     mins = X.min(axis=0)
     maxs = X.max(axis=0)
     degenerate = mins == maxs
     shift = np.where(mins < 0, -mins, 0.0)
-    sums = (X + shift).sum(axis=0)
+    sums = np.empty_like(shift)
+    for cols in column_blocks(X.shape[1], X.shape[0]):
+        np.sum(X[:, cols] + shift[cols], axis=0, out=sums[cols])
     scale = np.where(degenerate | (sums == 0), 1.0, sums)
     return NormalizationStats(shift=shift, scale=scale, degenerate=degenerate)
 
@@ -188,8 +239,7 @@ def normalize_features(d: Dataset) -> tuple[Dataset, NormalizationStats]:
     function to its own output changes nothing (beyond 1e-12 round-off).
     """
     stats = fit_normalization(d.X)
-    Xn = stats.transform(d.X)
-    return Dataset(Xn, d.y, d.feature_names, d.label_names), stats
+    return Dataset._own(stats.transform(d.X), d.y, d.feature_names, d.label_names), stats
 
 
 def _map_labels(raw: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -300,7 +350,7 @@ def _load_csv(path: Path, label_col: str | int) -> Dataset:
         parsed = _read_csv_cells(path, label_col)
     feat_names, X, raw_labels = parsed
     y, label_names = _map_labels(raw_labels)
-    return Dataset(X, y, feat_names, label_names)
+    return Dataset._own(X, y, feat_names, label_names)
 
 
 def _read_csv_fast(path: Path, label_col: str | int):
@@ -385,7 +435,7 @@ def _load_matrix(path: Path, labels_path: Path) -> Dataset:
             f"{labels_path}: {len(raw_labels)} labels for {X.shape[0]} matrix rows"
         )
     y, label_names = _map_labels(raw_labels)
-    return Dataset(X, y, None, label_names)
+    return Dataset._own(X, y, None, label_names)
 
 
 def _read_matrix_fast(path: Path) -> np.ndarray | None:
@@ -444,5 +494,5 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, frozenset[int]]:
     y = np.arange(spec.n_samples) % 2
     X = rng.normal(0.0, spec.noise_sd, size=(spec.n_samples, spec.n_features))
     X[:, informative] += np.outer(y, np.full(spec.n_informative, spec.class_separation))
-    d = Dataset(X, y)
+    d = Dataset._own(X, y)
     return d, frozenset(int(i) for i in informative)

@@ -127,12 +127,12 @@ def train_linear_classifiers(groups, epochs: int = 50) -> list[list[LinearModel]
     columns, stepping in the primal (models x (k+1) per step) would be the
     cheaper form.
 
-    Only the Grams are held through the step loop; each design is built again when
-    its models' weights are formed, the same bits as the first time.
+    Only the Grams are held through the step loop, each written once into
+    _violation_counts' padded stack; each design is built again when its models'
+    weights are formed, the same bits as the first time.
     """
     if epochs < 1:
         raise ValueError("epochs must be positive")
-    grams: list[np.ndarray] = []
     sources = []  # per Gram: the (train, selected) its design is built from
     runs, sizes = [], []
     for train, jobs in groups:
@@ -153,15 +153,21 @@ def train_linear_classifiers(groups, epochs: int = 50) -> list[list[LinearModel]
                     raise ValueError("selected feature indices must be unique")
                 if selected.min() < 0 or selected.max() >= train.n_features:
                     raise ValueError("selected feature index out of range")
-                blocks[key] = len(grams)
-                design = _signed_design(train, selected)
-                grams.append(design @ design.T)
+                blocks[key] = len(sources)
                 sources.append((train, selected))
             if not C > 0:
                 raise ValueError("C must be positive")
             runs.append((blocks[key], 1.0 / (C * T), seed))
         sizes.append(len(jobs))
-    counts = _violation_counts(grams, runs, epochs)
+    row_counts = [train.n_samples for train, _ in sources]
+    width = max(row_counts)
+    # row 0 of G stays zero: a model whose test passes adds it
+    G = np.zeros((1 + len(sources) * width, width))
+    for b, (source, T) in enumerate(zip(sources, row_counts)):
+        design = _signed_design(*source)
+        start = 1 + b * width
+        np.matmul(design, design.T, out=G[start:start + T, :T])
+    counts = _violation_counts(G, row_counts, runs, epochs)
     models = []
     for (b, lam, _), a in zip(runs, counts):
         design = _signed_design(*sources[b])
@@ -183,32 +189,31 @@ def _signed_design(train: Dataset, selected: np.ndarray) -> np.ndarray:
     return design
 
 
-def _violation_counts(grams: list[np.ndarray], runs: list, epochs: int) -> np.ndarray:
+def _violation_counts(
+    G: np.ndarray, row_counts: list[int], runs: list, epochs: int
+) -> np.ndarray:
     """How often each training row failed its margin test, per model, by Pegasos
     in its dual form with a linear kernel (Shalev-Shwartz et al., ICML 2007, s. 4).
 
-    grams[b] is G = (yX)(yX)^T of design b, a block yX with the bias column; a
-    run is (design index, lambda, seed). With step size 1/(lambda t), the
-    weights before step t are (yX)^T a / (lambda (t-1)), where a counts each
-    row's violations so far. So the step's test y x . w < 1 reads
-    (G a)[row] < lambda (t-1), and step 1 always counts as violated. The loop
-    keeps each model's margins G a and adds G's row at each violation, in step
-    order. It has no weights and no shrink step, and a model's margins, hence
-    its counts, come out the same in any batch.
+    G stacks one zero row and then, per design b, a width x width tile whose
+    top left corner is the T_b x T_b Gram (yX)(yX)^T of design b, a block yX
+    with the bias column; T_b is row_counts[b], width is max(row_counts), and
+    the rest of G is zero. A run is (design index, lambda, seed). With step
+    size 1/(lambda t), the weights before step t are (yX)^T a / (lambda (t-1)),
+    where a counts each row's violations so far. So the step's test
+    y x . w < 1 reads (G a)[row] < lambda (t-1), and step 1 always counts as
+    violated. The loop keeps each model's margins G a and adds G's row at each
+    violation, in step order. It has no weights and no shrink step, and a
+    model's margins, hence its counts, come out the same in any batch.
 
     All models step together through the batch's widest epoch. Model m takes
     T_m steps of each epoch, over its own rng's reshuffle of its T_m rows, and
     idles through the rest of the epoch with threshold -inf. Returns counts of
     shape models x the widest T, zero past each model's T_m.
     """
-    width = max(len(g) for g in grams)
+    width = G.shape[1]
     n_models = len(runs)
-    # row 0 of G stays zero: a model whose test passes adds it
-    G = np.zeros((1 + len(grams) * width, width))
-    for b, g in enumerate(grams):
-        start = 1 + b * width
-        G[start:start + len(g), :len(g)] = g
-    T = np.array([len(grams[b]) for b, _, _ in runs])
+    T = np.array([row_counts[b] for b, _, _ in runs])
     lam = np.array([lam for _, lam, _ in runs])
     rows = np.zeros((epochs, width, n_models), dtype=np.min_scalar_type(width))
     for m, (_, _, seed) in enumerate(runs):
@@ -271,7 +276,7 @@ def _held_group(scores: FeatureScores, jobs: list, X: np.ndarray, y: np.ndarray)
     cols = np.unique(np.concatenate([sel for sel, _, _ in jobs]))
     jobs = [(np.searchsorted(cols, sel), c, seed) for sel, c, seed in jobs]
     trn = scores.data
-    return Dataset(trn.X[:, cols], trn.y), jobs, scores.stats.transform(X)[:, cols], y
+    return Dataset._own(trn.X[:, cols], trn.y), jobs, scores.stats.transform(X)[:, cols], y
 
 
 def _heldout_aucs(groups: list, epochs: int) -> list[list[float]]:

@@ -12,15 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, column_blocks
 
 # denominator floor for zero-variance Fisher scores
 VARIANCE_FLOOR = 1e-12
 
 SCORE_KINDS = ("fisher", "mutual_information", "centrality")
-
-# columns per MI chunk keep its temporaries near this many cells, at any n
-_MI_CHUNK_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -59,19 +56,23 @@ def fisher_scores(d: Dataset) -> ScoreVector:
     classes: sum of squared class-mean offsets from the overall mean, over the
     summed class variances. Variances are population (divide by class size).
     A zero denominator yields 0 when the numerator is 0, otherwise the
-    numerator over a 1e-12 floor.
+    numerator over a 1e-12 floor. Columns are scored in blocks (column_blocks),
+    to the same bits as one pass over the whole matrix.
     """
     X, y = d.X, d.y
-    classes = range(d.n_classes)
-    means = np.stack([X[y == c].mean(axis=0) for c in classes])
-    variances = np.stack([X[y == c].var(axis=0) for c in classes])
-    if d.n_classes == 2:
-        num = (means[0] - means[1]) ** 2
-        den = variances[0] + variances[1]
-    else:
-        overall = X.mean(axis=0)
-        num = ((means - overall) ** 2).sum(axis=0)
-        den = variances.sum(axis=0)
+    members = [y == c for c in range(d.n_classes)]
+    num = np.empty(d.n_features)
+    den = np.empty(d.n_features)
+    for cols in column_blocks(d.n_features, d.n_samples):
+        block = X[:, cols]
+        means = np.stack([block[rows].mean(axis=0) for rows in members])
+        variances = np.stack([block[rows].var(axis=0) for rows in members])
+        if d.n_classes == 2:
+            num[cols] = (means[0] - means[1]) ** 2
+            den[cols] = variances[0] + variances[1]
+        else:
+            num[cols] = ((means - block.mean(axis=0)) ** 2).sum(axis=0)
+            den[cols] = variances.sum(axis=0)
     out = np.zeros(d.n_features)
     ok = den > 0
     out[ok] = num[ok] / den[ok]
@@ -133,10 +134,11 @@ def mutual_information_scores(d: Dataset, bins: int | None = None) -> ScoreVecto
     Each sum runs left to right over the sorted counts, so tables that are
     equal up to a permutation of bins or of classes give bit-equal scores,
     and features tie exactly when their tables do. Columns are scored in
-    chunks of about 2^18 table and sample cells, and a column's table has
-    min(bins, T) bin slots (its occupied bins are renumbered when bins > T),
-    so memory does not grow with n or bins. Constant features score 0;
-    round-off can push a score a hair below zero, so scores are clamped at 0.
+    blocks of about CHUNK_CELLS table or sample cells (column_blocks), and a
+    column's table has min(bins, T) bin slots (its occupied bins are
+    renumbered when bins > T), so memory does not grow with n or bins.
+    Constant features score 0; round-off can push a score a hair below zero,
+    so scores are clamped at 0.
     ValueError if bins is below 2 or does not convert to a finite float.
     """
     if bins is None:
@@ -156,17 +158,20 @@ def mutual_information_scores(d: Dataset, bins: int | None = None) -> ScoreVecto
     L = np.concatenate(([0.0], k * np.log(k)))
     t_hy = L[T] - _ascending_sums(np.bincount(y)[None], L)[0]
     slots = min(bins, T)
-    step = max(1, _MI_CHUNK_CELLS // max(T, slots * C))
     out = np.zeros(n)
-    for a in range(0, n, step):
-        out[a : a + step] = _chunk_scores(X[:, a : a + step], y, C, bins, slots, L, t_hy)
+    for cols in column_blocks(n, max(T, slots * C)):
+        out[cols] = _chunk_scores(X[:, cols], y, C, bins, slots, L, t_hy)
     return ScoreVector(out, "mutual_information")
 
 
 def feature_spreads(d: Dataset) -> np.ndarray:
     """Population standard deviation s_i of each feature. The feature graph's
-    dispersion edge (i, j) weighs max(s_i, s_j), in [0, 1] on normalized input."""
-    return d.X.std(axis=0)
+    dispersion edge (i, j) weighs max(s_i, s_j), in [0, 1] on normalized input.
+    Taken in blocks of columns (column_blocks), to the bits of one pass."""
+    out = np.empty(d.n_features)
+    for cols in column_blocks(d.n_features, d.n_samples):
+        out[cols] = d.X[:, cols].std(axis=0)
+    return out
 
 
 def _minmax_rescale(values: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -1,7 +1,9 @@
 """Slow, literal reference implementations that the tests check ecfs against.
 
-Neither runs in the ecfs pipeline: matrix_power_oracle cross-checks
-power_iteration, and kuncheva_index cross-checks stability_curve pair by pair.
+None runs in the ecfs pipeline: matrix_power_oracle cross-checks
+power_iteration, kuncheva_index cross-checks stability_curve pair by pair, and
+the one-pass formulas (normalization_oracle, fisher_oracle, spreads_oracle)
+cross-check the passes that ecfs runs over blocks of columns.
 """
 
 import numpy as np
@@ -81,3 +83,40 @@ def kuncheva_index(set_a, set_b, n_total: int) -> float:
             raise ValueError("subset contains an index outside 0..n_total-1")
     r = len(a & b)
     return (r * n_total - k * k) / (k * (n_total - k))
+
+
+def normalization_oracle(X: np.ndarray):
+    """(shift, scale, degenerate) of fit_normalization, each from one reduction
+    over the whole matrix."""
+    mins = X.min(axis=0)
+    maxs = X.max(axis=0)
+    degenerate = mins == maxs
+    shift = np.where(mins < 0, -mins, 0.0)
+    sums = (X + shift).sum(axis=0)
+    scale = np.where(degenerate | (sums == 0), 1.0, sums)
+    return shift, scale, degenerate
+
+
+def fisher_oracle(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """fisher_scores' values, each class mean and variance from one reduction over
+    the whole matrix."""
+    classes = range(int(y.max()) + 1)
+    means = np.stack([X[y == c].mean(axis=0) for c in classes])
+    variances = np.stack([X[y == c].var(axis=0) for c in classes])
+    if len(classes) == 2:
+        num = (means[0] - means[1]) ** 2
+        den = variances[0] + variances[1]
+    else:
+        num = ((means - X.mean(axis=0)) ** 2).sum(axis=0)
+        den = variances.sum(axis=0)
+    out = np.zeros(X.shape[1])
+    ok = den > 0
+    out[ok] = num[ok] / den[ok]
+    floored = ~ok & (num > 0)
+    out[floored] = num[floored] / 1e-12
+    return out
+
+
+def spreads_oracle(X: np.ndarray) -> np.ndarray:
+    """feature_spreads' values from one reduction over the whole matrix."""
+    return X.std(axis=0)

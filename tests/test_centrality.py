@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ecfs import (
+    Dataset,
     FeatureRanking,
     PowerIterationError,
     ScoreVector,
@@ -19,6 +20,7 @@ from ecfs import (
     normalize_features,
     power_iteration,
     rank_features,
+    score_features,
 )
 from oracles import matrix_power_oracle
 
@@ -289,6 +291,20 @@ class TestEcfsRank:
         finally:
             tracemalloc.stop()
         assert peak < n * n
+
+    def test_scoring_holds_the_normalized_matrix_once(self):
+        # the normalized rows, 8 B a cell, and no full-size temporary in the
+        # normalization, Fisher, MI or spread passes; 2.2x before
+        rng = np.random.default_rng(13)
+        d = Dataset(rng.normal(size=(30, 200_000)), np.arange(30) % 2)
+        tracemalloc.start()
+        try:
+            scores = score_features(d)
+            scores.fisher, scores.mutual_information, scores.spreads
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * d.X.nbytes
 
     def test_single_seed_recovery(self):
         d, inf = generate_synthetic(SyntheticSpec(200, 500, 20, 2.0, 1.0, seed=0))

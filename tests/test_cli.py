@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+import ecfs.cli
 import ecfs.evaluation as ev
 from ecfs import (
     PowerIterationError,
@@ -106,9 +107,8 @@ class TestRank:
         assert '"a,b"' in text and '"q""x"' in text
         assert [line for line in text.splitlines() if "plain" in line][0].count('"') == 0
 
-    def test_json_report_is_what_the_json_module_writes(self, tmp_path):
-        # the ranking rows are formatted without json's encoder; quotes, backslashes,
-        # non-ASCII and control characters in names must come out as json writes them
+    @staticmethod
+    def _awkward_names_csv(tmp_path):
         names = ['q"x', "back\\slash", "caf\u00e9 \u2603", "tab\there", "bell\x07",
                  "line\nbreak", "\U0001f600", "plain"]
         rng = np.random.default_rng(6)
@@ -117,8 +117,15 @@ class TestRank:
         writer.writerow(names + ["label"])
         for i in range(12):
             writer.writerow([repr(float(v)) for v in rng.normal(size=len(names))] + [i % 2])
-        data, out = tmp_path / "d.csv", tmp_path / "rank.json"
+        data = tmp_path / "d.csv"
         data.write_text(buf.getvalue(), encoding="utf-8")
+        return data, names
+
+    def test_json_report_is_what_the_json_module_writes(self, tmp_path):
+        # the ranking rows are formatted without json's encoder; quotes, backslashes,
+        # non-ASCII and control characters in names must come out as json writes them
+        data, names = self._awkward_names_csv(tmp_path)
+        out = tmp_path / "rank.json"
         assert main(["rank", "--data", str(data), "--output", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         report = json.loads(text)
@@ -126,6 +133,31 @@ class TestRank:
         assert [row["name"] for row in report["ranking"]] == [
             names[row["index"]] for row in report["ranking"]]
         assert sorted(row["index"] for row in report["ranking"]) == list(range(len(names)))
+
+    def test_report_streamed_in_blocks_is_the_same_on_both_sinks(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # blocks of 3 ranks cut the 8 rows into 3 writes; each format gives the
+        # same bytes as in one block, to a file and to stdout
+        data, _ = self._awkward_names_csv(tmp_path)
+
+        def outputs(fmt: str) -> tuple[str, str]:
+            out = tmp_path / f"rank.{fmt}"
+            assert main(["rank", "--data", str(data), "--output", str(out),
+                         "--output-format", fmt]) == 0
+            capsys.readouterr()
+            assert main(["rank", "--data", str(data), "--output", "-",
+                         "--output-format", fmt]) == 0
+            return out.read_text(encoding="utf-8"), capsys.readouterr().out
+
+        whole = {fmt: outputs(fmt) for fmt in ("json", "csv")}
+        monkeypatch.setattr(ecfs.cli, "_RANKS_PER_WRITE", 3)
+        for fmt, (file_text, stdout_text) in whole.items():
+            assert file_text == stdout_text
+            assert outputs(fmt) == (file_text, stdout_text)
+        report = json.loads(whole["json"][0])
+        rows = list(csv.reader(io.StringIO(whole["csv"][0])))
+        assert [(int(r[0]), int(r[1]), r[2], float(r[3])) for r in rows[1:]] == [
+            (row["rank"], row["index"], row["name"], row["score"]) for row in report["ranking"]]
 
     def test_dump_scores_and_adjacency(self, tmp_path):
         data, _ = _synth_csv(tmp_path)

@@ -1,10 +1,15 @@
 import csv
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ecfs
 from ecfs import (
     ClassCountError,
     Dataset,
@@ -12,13 +17,15 @@ from ecfs import (
     NonFiniteValueError,
     NonNumericValueError,
     SyntheticSpec,
+    feature_spreads,
     fisher_scores,
     fit_normalization,
     generate_synthetic,
     load_dataset,
     normalize_features,
 )
-from ecfs.data import _map_labels, _read_csv_fast, _read_matrix_fast
+from ecfs.data import _map_labels, _read_csv_fast, _read_matrix_fast, column_blocks
+from oracles import fisher_oracle, normalization_oracle, spreads_oracle
 
 
 def write_csv(path, text):
@@ -304,8 +311,8 @@ class TestLoaderMatchesCellReference:
             )
 
     def test_memory_per_cell(self, tmp_path):
-        # one Python string per cell cost about 110 B per cell; X and its
-        # Dataset copy are 16
+        # one Python string per cell cost about 110 B per cell; np.loadtxt's
+        # growth buffer peaks near 16, and the header strings add the rest
         T, n = 20, 20000
         rng = np.random.default_rng(0)
         X = rng.normal(size=(T, n))
@@ -322,6 +329,31 @@ class TestLoaderMatchesCellReference:
             tracemalloc.stop()
         assert d.X.tobytes() == X.tobytes()
         assert peak < 32 * T * n
+
+    def test_load_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma, some 10-20 ms and 1 MB of every command
+        p = write_csv(tmp_path / "d.csv", "a,b,label\n1,2,x\n3,4,y\n5,6,x\n")
+        src = str(Path(ecfs.__file__).parents[1])
+        code = ("import sys, ecfs\n"
+                "d = ecfs.load_dataset(sys.argv[1])\n"
+                "print(d.n_classes, 'numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code, str(p)], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.split() == ["2", "False"]
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _wide_dataset() -> Dataset:
+    rng = np.random.default_rng(13)
+    return Dataset(rng.normal(size=(30, 200_000)), np.arange(30) % 2)
 
 
 def _ds(X, y):
@@ -393,6 +425,51 @@ class TestNormalize:
         with pytest.raises(ValueError, match="width"):
             stats.transform(np.ones((2, 3)))
 
+    def test_memory_holds_one_normalized_copy(self):
+        # the result, 8 B a cell, and no full-size temporary: the two of the
+        # transform and the Dataset copy of its result once took 2.2x
+        d = _wide_dataset()
+        assert _traced_peak(lambda: normalize_features(d)) < 1.3 * d.X.nbytes
+
+
+def _column_pass_case(T: int, n: int, C: int, seed: int) -> np.ndarray:
+    """A T x n matrix with spread-out scales, constant columns (one of them
+    negative), all-negative columns and columns of tied integers."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(T, n)) * rng.uniform(0.01, 1e3, size=n)
+    X[:, 0::7] = 2.5
+    X[:, 1::7] = -1.0
+    X[:, 2::7] -= 1e4
+    X[:, 3::7] = rng.integers(-3, 4, size=(T, len(range(3, n, 7))))
+    return X
+
+
+# tall, wide and 3-class; each cuts its columns into more than one block
+COLUMN_PASS_CASES = [(40_000, 5, 2), (30, 5000, 2), (45, 3000, 3)]
+
+
+class TestColumnBlocks:
+    def test_blocks_cover_the_columns_at_least_two_wide(self):
+        for n in range(1, 12):
+            for cells in (1, 2**16 // 2, 2**16 // 3, 2**16, 2**20):
+                blocks = column_blocks(n, cells)
+                assert blocks[0].start == 0 and blocks[-1].stop == n
+                assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+                assert all(b.stop - b.start >= min(2, n) for b in blocks)
+
+    @pytest.mark.parametrize("T, n, C", COLUMN_PASS_CASES)
+    def test_passes_match_one_pass_formulas_bit_for_bit(self, T, n, C):
+        X = _column_pass_case(T, n, C, seed=T + n)
+        y = np.arange(T) % C
+        assert len(column_blocks(n, T)) > 1
+        stats = fit_normalization(X)
+        for got, want in zip((stats.shift, stats.scale, stats.degenerate),
+                             normalization_oracle(X)):
+            assert got.tobytes() == want.tobytes()
+        for d in (Dataset(X, y), normalize_features(Dataset(X, y))[0]):
+            assert fisher_scores(d).values.tobytes() == fisher_oracle(d.X, y).tobytes()
+            assert feature_spreads(d).tobytes() == spreads_oracle(d.X).tobytes()
+
 
 class TestSynthetic:
     def test_deterministic(self):
@@ -463,10 +540,26 @@ class TestDatasetInvariants:
         d = Dataset(X, [0.0, 1.0, 1.0])
         assert d.y.dtype.kind == "i" and d.y.tolist() == [0, 1, 1]
 
+    def test_rejects_gap_below_a_label_past_the_sample_count(self):
+        with pytest.raises(ClassCountError, match="class 2 has zero samples"):
+            _ds([[1.0], [2.0], [3.0], [4.0]], [0, 1, 1, 7])
+
     def test_immutable_after_construction(self):
         d = _ds([[1.0], [2.0]], [0, 1])
         with pytest.raises(ValueError):
             d.X[0, 0] = 9.0
+
+    def test_constructor_neither_freezes_nor_aliases_the_callers_array(self):
+        X = np.arange(6, dtype=float).reshape(3, 2)
+        d = Dataset(X, np.array([0, 1, 0]))
+        assert X.flags.writeable and not np.shares_memory(d.X, X)
+        X[0, 0] = 99.0
+        assert d.X[0, 0] == 0.0 and not d.X.flags.writeable
+
+    def test_subset_memory_holds_one_copy_of_its_rows(self):
+        d = _wide_dataset()
+        rows = np.arange(30)[::-1]
+        assert _traced_peak(lambda: d.subset(rows)) < 1.3 * d.X.nbytes
 
     def test_subset_keeps_names_and_checks_classes(self):
         d = Dataset(np.arange(8, dtype=float).reshape(4, 2), np.array([0, 1, 0, 1]),

@@ -246,8 +246,8 @@ class TestLinearClassifier:
         seen = []
         real = ev._violation_counts
 
-        def spy(designs, runs, epochs):
-            counts = real(designs, runs, epochs)
+        def spy(*args):
+            counts = real(*args)
             seen.append(counts)
             return counts
 
@@ -302,6 +302,21 @@ class TestLinearClassifier:
             for m, (model, solo, (sel, C, seed)) in enumerate(zip(models, alone, jobs)):
                 assert model.w.tobytes() == solo.w.tobytes() and model.b == solo.b
                 self._assert_matches_reference(trn, model, counts[3 * g + m], sel, C, 6, seed)
+
+    def test_memory_holds_each_gram_once(self):
+        # the Grams are written straight into the step loop's padded stack; held
+        # in a list as well, they took twice the stack
+        d, _ = generate_synthetic(SyntheticSpec(300, 40, 3, 1.0, 1.0, seed=2))
+        jobs = [(np.arange(b, b + 5), 1.0, b) for b in range(6)]
+        train_linear_classifiers([(d, jobs[:1])], epochs=1)  # lazy imports first
+        tracemalloc.start()
+        try:
+            train_linear_classifiers([(d, jobs)], epochs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = (1 + len(jobs) * d.n_samples) * d.n_samples * 8
+        assert peak < 1.5 * stack
 
     def test_decision_width_check(self):
         d = _ds([[0.0, 1.0], [1.0, 0.0]], [0, 1])

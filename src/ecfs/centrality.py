@@ -64,18 +64,14 @@ def _as_matrix(A) -> np.ndarray:
     return M
 
 
-def _clamp_tiny_negatives(v: np.ndarray) -> np.ndarray:
-    # round-off guard; the iterates of a non-negative matrix stay non-negative
-    out = v.copy()
-    out[(out < 0) & (out > -1e-12)] = 0.0
-    return out
-
-
 def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult:
     """Dominant right eigenpair by normalized power iteration.
 
     Starts from the all-ones direction and repeats v <- A v / ||A v|| until
     ||A v - lambda v|| <= tol with lambda the Rayleigh quotient v.(A v).
+
+    A is validated non-negative and a sweep only multiplies, adds and divides
+    non-negative numbers, so v0 has no negative entry and is returned unclamped.
 
     Raises:
         PowerIterationError: residual still above tol after max_iter sweeps;
@@ -83,8 +79,8 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
     """
     # an AdjacencyMatrix's constructor proved its vectors finite and non-negative
     M = A if isinstance(A, AdjacencyMatrix) else _as_matrix(A)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = M.shape[0]
@@ -99,13 +95,13 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
         if nrm == 0.0:
             # the current direction is annihilated; every eigenvalue on this
             # path is 0, so report the last direction with lambda0 = 0
-            return EigenResult(0.0, _clamp_tiny_negatives(v), it, 0.0, degenerate=True)
+            return EigenResult(0.0, v, it, 0.0, degenerate=True)
         v = w / nrm
         w = M @ v
         lam = float(v @ w)
         residual = float(np.linalg.norm(w - lam * v))
         if residual <= tol:
-            return EigenResult(lam, _clamp_tiny_negatives(v), it, residual)
+            return EigenResult(lam, v, it, residual)
     raise PowerIterationError(
         f"no convergence after {max_iter} iterations (residual {residual:.3e})",
         residual=residual,
@@ -114,17 +110,8 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
 
 
 def rank_features(v0: ScoreVector | np.ndarray) -> FeatureRanking:
-    """Order features by score, best first; ties break toward the smaller index."""
-    values = v0.values if isinstance(v0, ScoreVector) else np.asarray(v0, dtype=float)
-    if values.ndim != 1 or values.shape[0] < 1:
-        raise ValueError("scores must form a non-empty vector")
-    if not np.isfinite(values).all():
-        raise ValueError("scores must be finite")
-    if values.min() < -1e-12:
-        raise ValueError("scores must be non-negative")
-    values = np.maximum(values, 0.0)
-    order = np.argsort(-values, kind="stable")
-    return FeatureRanking(order=order, scores=values[order])
+    """FeatureRanking of a ScoreVector or of raw scores, such as an eigenvector."""
+    return FeatureRanking(v0.values if isinstance(v0, ScoreVector) else v0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +146,8 @@ class FeatureScores:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
         if method == "ec_fs":
+            if alpha is None:
+                raise ValueError("ec_fs needs an alpha in [0, 1]")
             return _centrality_ranking(self, alpha)[0]
         return rank_features(self.fisher if method == "fisher" else self.mutual_information)
 
@@ -180,7 +169,7 @@ def _centrality_ranking(
 ) -> tuple[FeatureRanking, EigenResult, AdjacencyMatrix]:
     adjacency = build_adjacency(scores.fisher, scores.mutual_information, scores.spreads, alpha)
     eigen = power_iteration(adjacency, tol=tol, max_iter=max_iter)
-    return rank_features(ScoreVector(eigen.v0, "centrality")), eigen, adjacency
+    return rank_features(eigen.v0), eigen, adjacency
 
 
 @dataclass(frozen=True)

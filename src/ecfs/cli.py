@@ -11,6 +11,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -133,7 +134,8 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--noise-sd", type=float, default=1.0)
     p_synth.add_argument("--seed", type=int, default=None)
     p_synth.add_argument("--output", required=True,
-                         help="path prefix; writes <prefix>.csv and <prefix>.informative.json")
+                         help="path prefix; writes <prefix>.csv and <prefix>.informative.json "
+                              "(a trailing .csv is dropped from the prefix first)")
     return parser
 
 
@@ -191,8 +193,8 @@ def _validate_common(args, errors: list[str]) -> dict:
     if args.c_grid is not None:
         try:
             grid = _parse_number_list(args.c_grid, float)
-            if not grid or any(c <= 0 for c in grid):
-                errors.append("--c-grid values must be positive")
+            if not grid or any(not 0 < c < math.inf for c in grid):
+                errors.append("--c-grid values must be positive and finite")
             resolved["c_grid"] = grid
         except ValueError:
             errors.append(f"--c-grid is not a comma-separated number list: {args.c_grid!r}")
@@ -200,7 +202,7 @@ def _validate_common(args, errors: list[str]) -> dict:
         errors.append(f"--folds must be at least 2, got {args.folds}")
     if args.cv_cardinality < 1:
         errors.append(f"--cv-cardinality must be positive, got {args.cv_cardinality}")
-    if getattr(args, "epochs", 1) < 1:
+    if args.epochs < 1:
         errors.append(f"--epochs must be positive, got {args.epochs}")
     if args.format == "matrix" and args.labels is None:
         errors.append("--format matrix requires --labels")
@@ -215,7 +217,7 @@ def _validate_resample(args, errors: list[str]) -> dict:
         errors.append(f"--train-fraction must be in (0, 1), got {args.train_fraction}")
     if args.repeats < 1:
         errors.append(f"--repeats must be positive, got {args.repeats}")
-    if getattr(args, "workers", 1) < 1:
+    if args.workers < 1:
         errors.append(f"--workers must be at least 1, got {args.workers}")
     try:
         ks = _parse_number_list(args.cardinalities, int)
@@ -347,8 +349,8 @@ def _scores_json(vectors: dict) -> str:
 def _cmd_rank(args) -> int:
     errors: list[str] = []
     common = _validate_common(args, errors)
-    if args.tol <= 0:
-        errors.append(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.tol < math.inf:
+        errors.append(f"--tol must be positive and finite, got {args.tol}")
     if args.max_iter < 1:
         errors.append(f"--max-iter must be positive, got {args.max_iter}")
     if errors:
@@ -433,8 +435,8 @@ def _cmd_evaluate(args) -> int:
     errors: list[str] = []
     common = _validate_common(args, errors)
     resample = _validate_resample(args, errors)
-    if args.fixed_c <= 0:
-        errors.append(f"--fixed-c must be positive, got {args.fixed_c}")
+    if not 0 < args.fixed_c < math.inf:
+        errors.append(f"--fixed-c must be positive and finite, got {args.fixed_c}")
     if errors:
         return _fail(errors)
     d = _load(args)
@@ -488,9 +490,9 @@ def _cmd_synth(args) -> int:
         seed=seed,
     )
     d, informative = generate_synthetic(spec)
-    prefix = Path(args.output)
-    data_path = prefix.with_suffix(".csv")
-    truth_path = prefix.with_suffix(".informative.json")
+    # the prefix is kept whole, dots included, less a trailing .csv
+    prefix = args.output[:-4] if args.output.endswith(".csv") else args.output
+    data_path, truth_path = Path(prefix + ".csv"), Path(prefix + ".informative.json")
     data_path.parent.mkdir(parents=True, exist_ok=True)
     # one row's text at a time, so memory holds the matrix and not the file
     with open(data_path, "w", encoding="utf-8") as fh:

@@ -149,23 +149,29 @@ class Dataset:
         return Dataset._own(self.X[rows], self.y[rows], self.feature_names, self.label_names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FeatureRanking:
-    """A permutation of feature indices, best first, with aligned scores."""
+    """Features ordered by score, best first, built from one score per feature.
+
+    Round-off negatives (down to -1e-12) count as 0, and a stable descending sort
+    breaks ties toward the smaller index, so `order` is a permutation and the
+    read-only `scores` along it never increase, by construction.
+    """
 
     order: np.ndarray
     scores: np.ndarray
 
-    def __post_init__(self) -> None:
-        order = np.array(self.order, dtype=int)
-        scores = np.array(self.scores, dtype=float)
-        n = order.shape[0]
-        if scores.shape != (n,):
-            raise ValueError("scores must align with order")
-        if not np.array_equal(np.sort(order), np.arange(n)):
-            raise ValueError("order must be a permutation of 0..n-1")
-        if n > 1 and np.any(np.diff(scores) > 0):
-            raise ValueError("scores must be non-increasing along the ranking")
+    def __init__(self, values) -> None:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or values.shape[0] < 1:
+            raise ValueError("scores must form a non-empty vector")
+        if not np.isfinite(values).all():
+            raise ValueError("scores must be finite")
+        if values.min() < -1e-12:
+            raise ValueError("scores must be non-negative")
+        values = np.maximum(values, 0.0)
+        order = np.argsort(-values, kind="stable")
+        scores = values[order]
         order.setflags(write=False)
         scores.setflags(write=False)
         object.__setattr__(self, "order", order)

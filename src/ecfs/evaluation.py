@@ -155,8 +155,8 @@ def train_linear_classifiers(groups, epochs: int = 50) -> list[list[LinearModel]
                     raise ValueError("selected feature index out of range")
                 blocks[key] = len(sources)
                 sources.append((train, selected))
-            if not C > 0:
-                raise ValueError("C must be positive")
+            if not 0 < C < math.inf:
+                raise ValueError(f"C must be positive and finite, got {C}")
             runs.append((blocks[key], 1.0 / (C * T), seed))
         sizes.append(len(jobs))
     row_counts = [train.n_samples for train, _ in sources]
@@ -313,8 +313,8 @@ def cross_validate(
         raise ValueError("alpha_grid and C_grid must be non-empty")
     if alphas[0] < 0 or alphas[-1] > 1:
         raise ValueError("alpha grid values must lie in [0, 1]")
-    if Cs[0] <= 0:
-        raise ValueError("C grid values must be positive")
+    if not all(0 < c < math.inf for c in Cs):
+        raise ValueError("C grid values must be positive and finite")
     if cardinality < 1:
         raise ValueError("cardinality must be positive")
     cardinality = min(cardinality, train.n_features)
@@ -664,8 +664,8 @@ def run_evaluation(
     ks = _as_cardinalities(cardinalities, d.n_features)
     fixed_alpha = _resolve_alpha(alpha)
     cv_mode = fixed_alpha is None
-    if not fixed_c > 0:
-        raise ValueError("fixed_c must be positive")
+    if not 0 < fixed_c < math.inf:
+        raise ValueError(f"fixed_c must be positive and finite, got {fixed_c}")
     cv_args = dict(alpha_grid=alpha_grid, C_grid=c_grid, folds=folds,
                    cardinality=cv_cardinality, epochs=epochs)
     splits = split_indices(d.y, plan)

@@ -17,12 +17,13 @@ from .data import Dataset, column_blocks
 # denominator floor for zero-variance Fisher scores
 VARIANCE_FLOOR = 1e-12
 
-SCORE_KINDS = ("fisher", "mutual_information", "centrality")
+# relevance scores only; an eigenvector reaches FeatureRanking as a plain array
+SCORE_KINDS = ("fisher", "mutual_information")
 
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """One finite score per feature. Fisher/MI scores are non-negative."""
+    """One finite, non-negative score per feature, of a kind in SCORE_KINDS."""
 
     values: np.ndarray
     kind: str
@@ -35,7 +36,7 @@ class ScoreVector:
             raise ValueError("scores must be finite")
         if self.kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {self.kind!r}")
-        if self.kind in ("fisher", "mutual_information") and values.min() < 0:
+        if values.min() < 0:
             raise ValueError(f"{self.kind} scores must be non-negative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)

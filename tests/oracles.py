@@ -3,12 +3,22 @@
 None runs in the ecfs pipeline: matrix_power_oracle cross-checks
 power_iteration, kuncheva_index cross-checks stability_curve pair by pair, and
 the one-pass formulas (normalization_oracle, fisher_oracle, spreads_oracle)
-cross-check the passes that ecfs runs over blocks of columns.
+cross-check the passes that ecfs runs over blocks of columns. ranking_of_order
+builds the FeatureRanking a given order comes from, for stability tests.
 """
 
 import numpy as np
 
-from ecfs import AdjacencyMatrix, EigenResult, PowerIterationError
+from ecfs import AdjacencyMatrix, EigenResult, FeatureRanking, PowerIterationError
+
+
+def ranking_of_order(order) -> FeatureRanking:
+    """The FeatureRanking whose order is the given permutation: the feature at
+    position i scores n - i."""
+    order = np.asarray(order)
+    values = np.empty(len(order))
+    values[order] = np.arange(len(order), 0, -1)
+    return FeatureRanking(values)
 
 
 def _clamp_tiny_negatives(v: np.ndarray) -> np.ndarray:

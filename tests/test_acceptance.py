@@ -30,9 +30,8 @@ from ecfs import (
     run_evaluation,
     stability_curve,
 )
-from ecfs.data import FeatureRanking
 from ecfs.graph import ScoreVector
-from oracles import matrix_power_oracle
+from oracles import matrix_power_oracle, ranking_of_order
 
 
 def _verdict(num: int, name: str, ok: bool) -> None:
@@ -138,20 +137,17 @@ def test_acceptance_4_microarray_benchmark():
 
 
 def test_acceptance_5_stability_index():
-    def ranking(order):
-        return FeatureRanking(np.asarray(order), np.linspace(1.0, 0.0, len(order)))
-
     # identical sets give 1, disjoint halves -1, and the chance overlap k^2/N 0
-    same = ranking(np.arange(400))
+    same = ranking_of_order(np.arange(400))
     ok = stability_curve([same, same], [100]) == [(100, 1.0)]
-    ok = ok and stability_curve([ranking(np.arange(16)), ranking(np.arange(16)[::-1])],
+    first16 = ranking_of_order(np.arange(16))
+    ok = ok and stability_curve([first16, ranking_of_order(np.arange(16)[::-1])],
                                 [8]) == [(8, -1.0)]
-    chance = ranking([3, 7, 8, 9] + [i for i in range(16) if i not in (3, 7, 8, 9)])
-    ok = ok and stability_curve([ranking(np.arange(16)), chance], [4]) == [(4, 0.0)]
+    chance = ranking_of_order([3, 7, 8, 9] + [i for i in range(16) if i not in (3, 7, 8, 9)])
+    ok = ok and stability_curve([first16, chance], [4]) == [(4, 0.0)]
     rng = np.random.default_rng(42)
     N, k = 400, 100
-    scores = np.linspace(1.0, 0.0, N)
-    rankings = [FeatureRanking(rng.permutation(N), scores) for _ in range(50)]
+    rankings = [ranking_of_order(rng.permutation(N)) for _ in range(50)]
     (_, chance), = stability_curve(rankings, [k])
     _verdict(5, "stability-index", ok and abs(chance) <= 0.05)
 

@@ -272,6 +272,23 @@ class TestValidationFailures:
         assert "--alpha" in err and "--bins" in err and "--folds" in err
         assert "; " in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["evaluate", "--fixed-c", "inf"], "--fixed-c"),
+        (["evaluate", "--fixed-c", "nan"], "--fixed-c"),
+        (["rank", "--alpha", "cv", "--c-grid", "1,inf"], "--c-grid"),
+        (["evaluate", "--alpha", "cv", "--c-grid", "nan"], "--c-grid"),
+        (["rank", "--tol", "inf"], "--tol"),
+        (["rank", "--tol", "nan"], "--tol"),
+    ])
+    def test_non_finite_c_or_tol_joins_the_aggregated_errors(self, tmp_path, capsys,
+                                                             argv, flag):
+        data, _ = _synth_csv(tmp_path)
+        capsys.readouterr()  # drop the synth progress line
+        assert main([*argv, "--data", str(data), "--bins", "1"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0
+        assert f"{flag} " in err and "must be positive and finite" in err and "--bins" in err
+
     def test_malformed_env_seed_joins_the_aggregated_errors(self, tmp_path, capsys,
                                                             monkeypatch):
         data, _ = _synth_csv(tmp_path)
@@ -524,6 +541,16 @@ class TestSynth:
                      "--seed", "3", "--output", str(prefix)]) == 0
         digest = hashlib.sha256(prefix.with_suffix(".csv").read_bytes()).hexdigest()
         assert digest == "093242fff0401965c82309dbe228237b8feefc43d303ecb599391b3021ca1d0e"
+
+    @pytest.mark.parametrize("prefix, stem", [("run.v2", "run.v2"), ("data.csv", "data"),
+                                              ("plain", "plain")])
+    def test_output_prefix_keeps_its_dots(self, tmp_path, capsys, prefix, stem):
+        # Path.with_suffix once wrote run.csv and run.informative.json for run.v2
+        assert main(["synth", "--samples", "6", "--features", "3", "--informative", "1",
+                     "--output", str(tmp_path / prefix)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{stem}.csv",
+                                                              f"{stem}.informative.json"]
+        assert f"wrote {tmp_path / stem}.csv and" in capsys.readouterr().err
 
     def test_env_seed_matches_flag(self, tmp_path, monkeypatch):
         flagged = tmp_path / "f"

@@ -20,7 +20,6 @@ import ecfs.evaluation as ev
 import ecfs.graph
 from ecfs import (
     Dataset,
-    FeatureRanking,
     PowerIterationError,
     SplitError,
     SplitPlan,
@@ -44,7 +43,7 @@ from ecfs import (
     train_linear_classifiers,
     two_sample_ttest,
 )
-from oracles import kuncheva_index
+from oracles import kuncheva_index, ranking_of_order
 
 
 def _ds(X, y):
@@ -208,6 +207,10 @@ class TestLinearClassifier:
                 fit(d2, np.array([], dtype=int), C=1.0)
             with pytest.raises(ValueError, match="C"):
                 fit(d2, np.array([0]), C=0.0)
+            for C in (np.inf, np.nan):
+                # an infinite C once trained into NaN weights without an error
+                with pytest.raises(ValueError, match="C must be positive and finite"):
+                    fit(d2, np.array([0]), C=C)
             with pytest.raises(ValueError, match="unique"):
                 fit(d2, np.array([0, 0]), C=1.0)
             with pytest.raises(ValueError, match="range"):
@@ -457,6 +460,9 @@ class TestCrossValidate:
             cross_validate(d, (0.5, 1.2), (1.0,))
         with pytest.raises(ValueError, match="positive"):
             cross_validate(d, (0.5,), (0.0,))
+        for c in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                cross_validate(d, (0.5,), (1.0, c))
 
 
 class TestKuncheva:
@@ -491,40 +497,37 @@ class TestKuncheva:
     def test_random_rankings_sit_at_chance(self):
         rng = np.random.default_rng(4)
         N, k = 400, 100
-        scores = np.linspace(1.0, 0.0, N)
-        rankings = [FeatureRanking(rng.permutation(N), scores) for _ in range(50)]
+        rankings = [ranking_of_order(rng.permutation(N)) for _ in range(50)]
         (_, value), = stability_curve(rankings, [k])
         assert abs(value) <= 0.05
 
 
 class TestStabilityCurve:
     def test_identical_rankings_give_one(self):
-        r = FeatureRanking(np.arange(10), np.linspace(1, 0, 10))
+        r = ranking_of_order(np.arange(10))
         curve = stability_curve([r, r, r], [2, 5, 8])
         assert [v for _, v in curve] == [1.0, 1.0, 1.0]
 
     def test_reversed_rankings_give_minus_one_at_half(self):
         n = 12
-        scores = np.linspace(1, 0, n)
-        a = FeatureRanking(np.arange(n), scores)
-        b = FeatureRanking(np.arange(n)[::-1], scores)
+        a = ranking_of_order(np.arange(n))
+        b = ranking_of_order(np.arange(n)[::-1])
         curve = stability_curve([a, b], [n // 2])
         assert curve == [(6, -1.0)]
 
     def test_values_bounded(self):
         rng = np.random.default_rng(5)
-        scores = np.linspace(1, 0, 30)
-        rankings = [FeatureRanking(rng.permutation(30), scores) for _ in range(6)]
+        rankings = [ranking_of_order(rng.permutation(30)) for _ in range(6)]
         for _, v in stability_curve(rankings, [5, 10, 15]):
             assert -1.0 <= v <= 1.0
 
     def test_validation(self):
-        r = FeatureRanking(np.arange(5), np.linspace(1, 0, 5))
+        r = ranking_of_order(np.arange(5))
         with pytest.raises(ValueError, match="two rankings"):
             stability_curve([r], [2])
         with pytest.raises(ValueError, match="1..4"):
             stability_curve([r, r], [5])
-        r7 = FeatureRanking(np.arange(7), np.linspace(1, 0, 7))
+        r7 = ranking_of_order(np.arange(7))
         with pytest.raises(ValueError, match="same feature count"):
             stability_curve([r, r7], [2])
 
@@ -533,13 +536,12 @@ class TestStabilityCurve:
         # rankings that share most of their head, so overlaps vary across pairs
         rng = np.random.default_rng(n_rankings)
         n = 40
-        scores = np.linspace(1, 0, n)
         rankings = []
         for _ in range(n_rankings):
             order = np.arange(n)
             for a, b in rng.integers(0, n, size=(12, 2)):
                 order[[a, b]] = order[[b, a]]
-            rankings.append(FeatureRanking(order, scores))
+            rankings.append(ranking_of_order(order))
         ks = [1, 2, 5, 13, 20, n - 1]
         want = []
         for k in ks:
@@ -765,6 +767,13 @@ class TestRunEvaluation:
         d = _ds(rng.normal(size=(18, 4)), np.arange(18) % 3)
         with pytest.raises(ValueError, match="binary"):
             run_evaluation(d, SplitPlan(n_repeats=2, seed=0), cardinalities=(2,))
+
+    @pytest.mark.parametrize("fixed_c", [0.0, np.inf, np.nan])
+    def test_fixed_c_must_be_positive_and_finite(self, fixed_c):
+        # an infinite C once gave every AUC as 0.5 after divide-by-zero warnings
+        with pytest.raises(ValueError, match="fixed_c must be positive and finite"):
+            run_evaluation(self._fixture(), SplitPlan(n_repeats=2, seed=0),
+                           cardinalities=(3,), fixed_c=fixed_c)
 
     def test_cardinality_validation(self):
         d = self._fixture()

@@ -16,6 +16,7 @@ from ecfs import (
     power_iteration,
     rank_features,
 )
+from ecfs.graph import SCORE_KINDS
 
 
 def _ds(X, y):
@@ -458,6 +459,10 @@ class TestScoreVector:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             ScoreVector(np.array([0.1]), "entropy")
+        # an eigenvector reaches FeatureRanking as a plain array
+        assert SCORE_KINDS == ("fisher", "mutual_information")
+        with pytest.raises(ValueError, match="kind"):
+            ScoreVector(np.array([0.1]), "centrality")
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):

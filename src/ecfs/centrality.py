@@ -11,7 +11,6 @@ from .data import Dataset, FeatureRanking, NormalizationStats, normalize_feature
 from .graph import (
     AdjacencyMatrix,
     ScoreVector,
-    build_adjacency,
     default_bin_count,
     feature_spreads,
     fisher_scores,
@@ -38,7 +37,7 @@ class PowerIterationError(RuntimeError):
         return type(self), (self.args[0], self.residual, self.iterations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenResult:
     """Dominant eigenpair with convergence diagnostics.
 
@@ -76,6 +75,7 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
     Raises:
         PowerIterationError: residual still above tol after max_iter sweeps;
             the exception carries the last residual.
+        ValueError: a sweep overflowed float64, as entries near 1e200 do.
     """
     # an AdjacencyMatrix's constructor proved its vectors finite and non-negative
     M = A if isinstance(A, AdjacencyMatrix) else _as_matrix(A)
@@ -85,23 +85,28 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
         raise ValueError("max_iter must be at least 1")
     n = M.shape[0]
     v = np.ones(n) / np.sqrt(n)
-    w = M @ v
-    if not w.any():
-        # M is non-negative and v positive, so M v = 0 only when M = 0
-        return EigenResult(0.0, v, 0, 0.0, degenerate=True)
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            # the current direction is annihilated; every eigenvalue on this
-            # path is 0, so report the last direction with lambda0 = 0
-            return EigenResult(0.0, v, it, 0.0, degenerate=True)
-        v = w / nrm
-        w = M @ v
-        lam = float(v @ w)
-        residual = float(np.linalg.norm(w - lam * v))
-        if residual <= tol:
-            return EigenResult(lam, v, it, residual)
+    try:
+        # an overflow would turn v into zeros, whose residual of 0 would pass
+        with np.errstate(over="raise"):
+            w = M @ v
+            if not w.any():
+                # M is non-negative and v positive, so M v = 0 only when M = 0
+                return EigenResult(0.0, v, 0, 0.0, degenerate=True)
+            residual = np.inf
+            for it in range(1, max_iter + 1):
+                nrm = float(np.linalg.norm(w))
+                if nrm == 0.0:
+                    # the current direction is annihilated; every eigenvalue on this
+                    # path is 0, so report the last direction with lambda0 = 0
+                    return EigenResult(0.0, v, it, 0.0, degenerate=True)
+                v = w / nrm
+                w = M @ v
+                lam = float(v @ w)
+                residual = float(np.linalg.norm(w - lam * v))
+                if residual <= tol:
+                    return EigenResult(lam, v, it, residual)
+    except FloatingPointError as e:
+        raise ValueError(f"power iteration overflowed float64: {e}") from e
     raise PowerIterationError(
         f"no convergence after {max_iter} iterations (residual {residual:.3e})",
         residual=residual,
@@ -121,8 +126,8 @@ class FeatureScores:
     `data` holds the rows normalized and `stats` the statistics fitted on them,
     which map held-out rows into the same representation. Each vector is
     computed on first use and then reused, so every ranking taken from one
-    instance (`ranking`, for any method and any alpha) shares one scoring pass,
-    and Fisher-only callers never pay for MI.
+    instance (`ranking` or `centrality`, for any method and any alpha) shares
+    one scoring pass, and Fisher-only callers never pay for MI.
     """
 
     data: Dataset
@@ -141,6 +146,20 @@ class FeatureScores:
     def spreads(self) -> np.ndarray:
         return feature_spreads(self.data)
 
+    def centrality(
+        self, alpha: float, tol: float = 1e-10, max_iter: int = 10000
+    ) -> tuple[FeatureRanking, EigenResult, AdjacencyMatrix]:
+        """The ec_fs ranking at alpha, with the eigenpair and the feature graph
+        behind it: AdjacencyMatrix(fisher, mutual_information, spreads, alpha),
+        its dominant eigenvector by power_iteration(tol, max_iter), and the
+        ranking of that eigenvector.
+
+        Raises what power_iteration raises.
+        """
+        adjacency = AdjacencyMatrix(self.fisher, self.mutual_information, self.spreads, alpha)
+        eigen = power_iteration(adjacency, tol=tol, max_iter=max_iter)
+        return rank_features(eigen.v0), eigen, adjacency
+
     def ranking(self, method: str, alpha: float | None = None) -> FeatureRanking:
         """The ranking a method in METHODS gives; only ec_fs reads alpha."""
         if method not in METHODS:
@@ -148,7 +167,7 @@ class FeatureScores:
         if method == "ec_fs":
             if alpha is None:
                 raise ValueError("ec_fs needs an alpha in [0, 1]")
-            return _centrality_ranking(self, alpha)[0]
+            return self.centrality(alpha)[0]
         return rank_features(self.fisher if method == "fisher" else self.mutual_information)
 
 
@@ -164,52 +183,6 @@ def score_features(d: Dataset, bins: int | None = None) -> FeatureScores:
     return FeatureScores(dn, stats, bins)
 
 
-def _centrality_ranking(
-    scores: FeatureScores, alpha: float, tol: float = 1e-10, max_iter: int = 10000
-) -> tuple[FeatureRanking, EigenResult, AdjacencyMatrix]:
-    adjacency = build_adjacency(scores.fisher, scores.mutual_information, scores.spreads, alpha)
-    eigen = power_iteration(adjacency, tol=tol, max_iter=max_iter)
-    return rank_features(eigen.v0), eigen, adjacency
-
-
-@dataclass(frozen=True)
-class EcfsRun:
-    """Every intermediate of one centrality ranking, for reports and debugging."""
-
-    ranking: FeatureRanking
-    eigen: EigenResult
-    adjacency: AdjacencyMatrix
-    fisher: ScoreVector
-    mutual_information: ScoreVector
-    bins: int
-    degenerate_features: list[int]
-
-
-def ecfs_run(
-    d: Dataset,
-    alpha: float = 0.5,
-    bins: int | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> EcfsRun:
-    """Run the full ranking pipeline, keeping intermediates.
-
-    Normalizes and scores the features once (score_features), builds the
-    blended adjacency, extracts its dominant eigenvector, and ranks by it.
-    """
-    scores = score_features(d, bins)
-    ranking, eigen, adjacency = _centrality_ranking(scores, alpha, tol, max_iter)
-    return EcfsRun(
-        ranking=ranking,
-        eigen=eigen,
-        adjacency=adjacency,
-        fisher=scores.fisher,
-        mutual_information=scores.mutual_information,
-        bins=scores.bins,
-        degenerate_features=scores.stats.degenerate_columns,
-    )
-
-
 def ecfs_rank(d: Dataset, alpha: float = 0.5, bins: int | None = None) -> FeatureRanking:
     """Rank features by eigenvector centrality of the blended feature graph."""
-    return ecfs_run(d, alpha=alpha, bins=bins).ranking
+    return score_features(d, bins).ranking("ec_fs", alpha)

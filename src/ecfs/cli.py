@@ -20,7 +20,9 @@ from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .centrality import PowerIterationError, ecfs_run
+import numpy as np
+
+from .centrality import PowerIterationError, score_features
 from .data import (
     Dataset,
     DatasetError,
@@ -113,7 +115,8 @@ def _build_parser() -> _Parser:
     p_rank.add_argument("--dump-scores", default=None,
                         help="also write the per-feature score vectors as JSON")
     p_rank.add_argument("--dump-adjacency", default=None,
-                        help="also write the dense adjacency as row-major text, row by row")
+                        help="also write the dense adjacency as row-major text, row by row "
+                             "(- for stdout)")
     _add_output_flags(p_rank)
 
     p_eval = sub.add_parser("evaluate", help="repeated-split AUC / stability / significance")
@@ -365,15 +368,19 @@ def _cmd_rank(args) -> int:
             epochs=args.epochs,
         )
     t0 = time.perf_counter()
-    run = ecfs_run(d, alpha=alpha, bins=args.bins, tol=args.tol, max_iter=args.max_iter)
+    scores = score_features(d, args.bins)
+    ranking, eigen, adjacency = scores.centrality(alpha, tol=args.tol, max_iter=args.max_iter)
     print(f"ranking time: {time.perf_counter() - t0:.3f}s (ranking only)", file=sys.stderr)
     if args.dump_adjacency:
-        run.adjacency.dump_text(args.dump_adjacency)
+        with _sink(args.dump_adjacency) as fh:
+            for row in adjacency.rows():
+                np.savetxt(fh, row[None])
     if args.dump_scores:
         _write(_scores_json({
-            "fisher": (run.fisher.kind, run.fisher.values),
-            "mutual_information": (run.mutual_information.kind, run.mutual_information.values),
-            "centrality": ("centrality", run.eigen.v0),
+            "fisher": (scores.fisher.kind, scores.fisher.values),
+            "mutual_information": (scores.mutual_information.kind,
+                                   scores.mutual_information.values),
+            "centrality": ("centrality", eigen.v0),
         }), args.dump_scores)
     report = {
         "schema_version": 1,
@@ -383,7 +390,7 @@ def _cmd_rank(args) -> int:
         "label_mapping": list(d.label_names) if d.label_names else None,
         "config": {
             "alpha": "cv" if chosen_c is not None else alpha,
-            "bins": run.bins,
+            "bins": scores.bins,
             "seed": common["seed"],
             "tol": args.tol,
             "max_iter": args.max_iter,
@@ -391,24 +398,27 @@ def _cmd_rank(args) -> int:
         "metadata": {
             "alpha": alpha,
             "c": chosen_c,
-            "lambda0": run.eigen.lambda0,
-            "iterations": run.eigen.iterations,
-            "residual": run.eigen.residual,
-            "degenerate": run.eigen.degenerate,
-            "degenerate_features": run.degenerate_features,
-            "degenerate_fisher": run.adjacency.degenerate_fisher,
-            "degenerate_mi": run.adjacency.degenerate_mi,
+            "lambda0": eigen.lambda0,
+            "iterations": eigen.iterations,
+            "residual": eigen.residual,
+            "degenerate": eigen.degenerate,
+            "degenerate_features": scores.stats.degenerate_columns,
+            "degenerate_fisher": adjacency.degenerate_fisher,
+            "degenerate_mi": adjacency.degenerate_mi,
         },
     }
+    # the scores hold the normalized rows, a second copy of the matrix; kept
+    # through the write below they raised rank-wide's peak RSS by 1 MB
+    del scores
     with _sink(args.output) as fh:
         if args.output_format == "json":
-            _write_rank_json(fh, report, d, run.ranking)
+            _write_rank_json(fh, report, d, ranking)
         else:
             # the csv module quotes a name that holds a comma, quote or line break
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["rank", "index", "name", "score"])
-            for a, order, names, scores in _ranking_blocks(d, run.ranking):
-                writer.writerows(zip(itertools.count(a), order, names, map(repr, scores)))
+            for a, order, names, values in _ranking_blocks(d, ranking):
+                writer.writerows(zip(itertools.count(a), order, names, map(repr, values)))
     return 0
 
 

@@ -52,7 +52,7 @@ def _check_finite(X: np.ndarray) -> None:
         raise NonFiniteValueError(f"non-finite value at (row {r}, column {c})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable samples-by-features matrix with integer class labels.
 
@@ -149,7 +149,7 @@ class Dataset:
         return Dataset._own(self.X[rows], self.y[rows], self.feature_names, self.label_names)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class FeatureRanking:
     """Features ordered by score, best first, built from one score per feature.
 
@@ -177,6 +177,13 @@ class FeatureRanking:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "scores", scores)
 
+    def __reduce__(self):
+        # the default pickle brings order and scores back writable; rebuilding
+        # from the per-feature scores freezes them and gives the same order
+        values = np.empty(self.n_features)
+        values[self.order] = self.scores
+        return type(self), (values,)
+
     @property
     def n_features(self) -> int:
         return self.order.shape[0]
@@ -187,7 +194,7 @@ class FeatureRanking:
         return self.order[:k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizationStats:
     """Per-column shift/scale fitted on one matrix, applicable to another.
 

@@ -97,7 +97,7 @@ def stratified_fold_indices(y: np.ndarray, folds: int, seed: int) -> list[np.nda
     return [np.sort(np.concatenate(p)) for p in parts]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
     """Linear decision function w.x + b."""
 
@@ -558,7 +558,7 @@ def _map_chunks(fn, n_repeats: int, workers: int) -> list:
     return list(itertools.chain.from_iterable(map(fn, chunks)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Repeat:
     """What one repeat keeps for the report: no rows and no full rankings, so memory
     stays flat in n_repeats."""

@@ -21,7 +21,7 @@ VARIANCE_FLOOR = 1e-12
 SCORE_KINDS = ("fisher", "mutual_information")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreVector:
     """One finite, non-negative score per feature, of a kind in SCORE_KINDS."""
 
@@ -182,39 +182,47 @@ def _minmax_rescale(values: np.ndarray) -> tuple[np.ndarray, bool]:
     return (values - lo) / (hi - lo), False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class AdjacencyMatrix:
     """The feature graph A = alpha * outer(fs, ms) + (1 - alpha) * Sigma with
-    Sigma[i, j] = max(s_i, s_j), held as its vectors and never formed as n x n.
+    Sigma[i, j] = max(s_i, s_j), built from its scores and held as its vectors,
+    never formed as n x n.
 
-    fs, ms are the rescaled relevance scores, s the feature spreads. `A @ v`
-    costs O(n) after one O(n log n) sort of s. degenerate_fisher / degenerate_mi
-    flag score vectors that were constant and therefore rescaled to all zeros.
+    AdjacencyMatrix(f, m, s, alpha) min-max rescales the Fisher scores f and the
+    MI scores m to fs, ms in [0, 1]; a constant score vector becomes all zeros
+    and sets degenerate_fisher / degenerate_mi. s holds the feature spreads,
+    finite and non-negative, and is copied once; fs, ms and s are read-only.
+    `A @ v` costs O(n) after one O(n log n) sort of s.
+    ValueError if f, m and s differ in length, or alpha is outside [0, 1].
     """
 
     fs: np.ndarray
     ms: np.ndarray
     s: np.ndarray
     alpha: float
-    degenerate_fisher: bool = False
-    degenerate_mi: bool = False
+    degenerate_fisher: bool
+    degenerate_mi: bool
 
-    def __post_init__(self) -> None:
-        for name in ("fs", "ms", "s"):
-            v = np.array(getattr(self, name), dtype=float)
-            if v.ndim != 1 or v.shape != np.shape(self.fs) or v.shape[0] < 1:
-                raise ValueError("fs, ms and s must be non-empty vectors of one feature count")
-            if not (np.isfinite(v).all() and v.min() >= 0):
-                raise ValueError(f"{name} entries must be finite and non-negative")
+    def __init__(self, f: ScoreVector, m: ScoreVector, s, alpha: float) -> None:
+        s = np.array(s, dtype=float)
+        if s.ndim != 1 or not len(f) == len(m) == s.shape[0]:
+            raise ValueError("f, m and s must be vectors of one feature count")
+        if not (np.isfinite(s).all() and s.min() >= 0):
+            raise ValueError("s entries must be finite and non-negative")
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+        fs, degenerate_fisher = _minmax_rescale(f.values)
+        ms, degenerate_mi = _minmax_rescale(m.values)
+        for v in (fs, ms, s):
             v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        order = np.argsort(self.s, kind="stable")
-        n_at_most = np.searchsorted(self.s[order], self.s, side="right")
+        order = np.argsort(s, kind="stable")
+        n_at_most = np.searchsorted(s[order], s, side="right")
         # equal spreads share one position, hence bit-equal Sigma products
-        sorted_s = (order, self.s[order], n_at_most - 1, len(order) - n_at_most)
-        object.__setattr__(self, "_sorted", sorted_s)
+        sorted_s = (order, s[order], n_at_most - 1, len(order) - n_at_most)
+        for name, value in (("fs", fs), ("ms", ms), ("s", s), ("alpha", alpha),
+                            ("degenerate_fisher", degenerate_fisher),
+                            ("degenerate_mi", degenerate_mi), ("_sorted", sorted_s)):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -234,23 +242,3 @@ class AdjacencyMatrix:
         alpha * (fs_i * ms_j) + (1 - alpha) * max(s_i, s_j)."""
         for fi, si in zip(self.fs, self.s):
             yield self.alpha * (fi * self.ms) + (1.0 - self.alpha) * np.maximum(si, self.s)
-
-    def dump_text(self, path) -> None:
-        """Row-major plain-text dump for debugging, written one row at a time."""
-        with open(path, "w") as fh:
-            for row in self.rows():
-                np.savetxt(fh, row[None])
-
-
-def build_adjacency(
-    f: ScoreVector, m: ScoreVector, s: np.ndarray, alpha: float
-) -> AdjacencyMatrix:
-    """Blend the rank-1 relevance product with the dispersion graph of spreads s.
-
-    Both score vectors are min-max rescaled to [0, 1] (a constant vector becomes
-    all zeros and is flagged); the result is the operator of
-    A = alpha * outer(f, m) + (1 - alpha) * Sigma, Sigma[i, j] = max(s_i, s_j).
-    """
-    fs, degenerate_f = _minmax_rescale(f.values)
-    ms, degenerate_m = _minmax_rescale(m.values)
-    return AdjacencyMatrix(fs, ms, s, alpha, degenerate_f, degenerate_m)

@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 from ecfs import (
+    AdjacencyMatrix,
     SplitPlan,
     SyntheticSpec,
-    build_adjacency,
     ecfs_rank,
     generate_synthetic,
     load_dataset,
@@ -190,7 +190,7 @@ def _build_and_sweep(n: int):
 
     def once() -> float:
         t0 = time.perf_counter()
-        A = build_adjacency(f, m, s, 0.5)
+        A = AdjacencyMatrix(f, m, s, 0.5)
         w = A @ v
         w /= np.linalg.norm(w)
         return time.perf_counter() - t0

@@ -1,5 +1,6 @@
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,7 @@ from ecfs import (
     PowerIterationError,
     ScoreVector,
     SyntheticSpec,
-    build_adjacency,
     ecfs_rank,
-    ecfs_run,
     feature_spreads,
     fisher_scores,
     generate_synthetic,
@@ -92,6 +91,16 @@ class TestPowerIteration:
         assert exc.value.residual > 0
         assert exc.value.iterations == 50
 
+    def test_overflow_raises_instead_of_converging_on_zeros(self):
+        # an overflowed norm once made v all zeros, whose residual of 0 passed
+        f = ScoreVector(np.array([0.0, 1.0, 2.0]), "fisher")
+        m = ScoreVector(np.array([1.0, 0.0, 3.0]), "mutual_information")
+        for A in (np.full((3, 3), 1e200), AdjacencyMatrix(f, m, np.full(3, 1e200), 0.5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="overflow"):
+                    power_iteration(A)
+
     def test_error_survives_a_pickle_round_trip(self):
         # a worker process hands its errors to the parent pickled
         err = pickle.loads(pickle.dumps(PowerIterationError("stalled", residual=0.25,
@@ -133,13 +142,14 @@ class TestPowerIteration:
         fs, ms, s = rng.random((3, n))
         for v in (fs, ms, s):
             v[rng.random(n) < 0.2] = 0.0
+        f, m = ScoreVector(fs, "fisher"), ScoreVector(ms, "mutual_information")
         for alpha in (0.0, 0.5, 1.0):
-            assert not (power_iteration(AdjacencyMatrix(fs, ms, s, alpha)).v0 < 0).any()
+            assert not (power_iteration(AdjacencyMatrix(f, m, s, alpha)).v0 < 0).any()
 
     def test_accepts_adjacency_wrapper(self):
         f = ScoreVector(np.array([0.0, 1.0]), "fisher")
         m = ScoreVector(np.array([1.0, 0.0]), "mutual_information")
-        adj = build_adjacency(f, m, np.array([0.2, 0.5]), 0.5)
+        adj = AdjacencyMatrix(f, m, np.array([0.2, 0.5]), 0.5)
         res = power_iteration(adj)
         assert res.residual <= 1e-10
         dense = power_iteration(np.array(list(adj.rows())))
@@ -180,9 +190,9 @@ class TestMatrixPowerOracle:
 
     def test_accepts_adjacency_wrapper(self):
         rng = np.random.default_rng(9)
-        adj = build_adjacency(ScoreVector(rng.random(30), "fisher"),
-                              ScoreVector(rng.random(30), "mutual_information"),
-                              rng.random(30), 0.4)
+        adj = AdjacencyMatrix(ScoreVector(rng.random(30), "fisher"),
+                               ScoreVector(rng.random(30), "mutual_information"),
+                               rng.random(30), 0.4)
         a = power_iteration(adj)
         b = matrix_power_oracle(adj)
         assert np.abs(a.v0 - b.v0).max() <= 1e-8
@@ -265,6 +275,21 @@ class TestRankFeatures:
             tracemalloc.stop()
         assert peak < 4 * values.nbytes
 
+    def test_pickle_round_trip_keeps_order_and_read_only_arrays(self):
+        values = np.random.default_rng(1).integers(0, 5, 50) / 4.0
+        values[3] = -1e-13
+        r = FeatureRanking(values)
+        copy = pickle.loads(pickle.dumps(r))
+        np.testing.assert_array_equal(copy.order, r.order)
+        np.testing.assert_array_equal(copy.scores, r.scores)
+        assert not (copy.order.flags.writeable or copy.scores.flags.writeable)
+
+    def test_equality_is_identity(self):
+        # field-wise == on arrays once raised "truth value ... is ambiguous"
+        values = np.array([0.1, 0.9, 0.3])
+        r = FeatureRanking(values)
+        assert r == r and r != FeatureRanking(values)
+
     def test_accepts_score_vector(self):
         r = rank_features(ScoreVector(np.array([0.0, 1.0]), "fisher"))
         assert r.order.tolist() == [1, 0]
@@ -321,11 +346,21 @@ class TestEcfsRank:
 
     def test_run_carries_diagnostics(self):
         d, _ = self._informative_dataset()
-        run = ecfs_run(d, alpha=0.4)
-        assert run.eigen.residual <= 1e-10
-        assert run.adjacency.alpha == 0.4
-        assert run.bins == 8  # floor(sqrt(80))
-        assert len(run.ranking.order) == d.n_features
+        scores = score_features(d)
+        ranking, eigen, adjacency = scores.centrality(0.4)
+        assert eigen.residual <= 1e-10
+        assert adjacency.alpha == 0.4
+        assert scores.bins == 8  # floor(sqrt(80))
+        assert len(ranking.order) == d.n_features
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+    def test_centrality_ranking_is_the_ec_fs_ranking(self, alpha):
+        d, _ = self._informative_dataset()
+        scores = score_features(d)
+        ranking, eigen, adjacency = scores.centrality(alpha)
+        np.testing.assert_array_equal(ranking.order, scores.ranking("ec_fs", alpha).order)
+        np.testing.assert_array_equal(ranking.order, rank_features(eigen.v0).order)
+        assert adjacency.alpha == alpha
 
     def test_deterministic(self):
         d, _ = self._informative_dataset()
@@ -341,7 +376,7 @@ class TestEcfsRank:
         d, _ = generate_synthetic(SyntheticSpec(30, n, 10, 2.0, 1.0, seed=3))
         tracemalloc.start()
         try:
-            ecfs_run(d, alpha=0.5)
+            score_features(d).centrality(0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

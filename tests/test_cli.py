@@ -14,11 +14,11 @@ from ecfs import (
     PowerIterationError,
     SplitError,
     SplitPlan,
-    ecfs_run,
     fisher_scores,
     load_dataset,
     mutual_information_scores,
     normalize_features,
+    score_features,
     split_indices,
 )
 from ecfs.cli import main
@@ -184,19 +184,34 @@ class TestRank:
         for key in ("fisher", "mutual_information", "centrality"):
             assert len(scores[key]["values"]) == 12
 
+    def test_dump_adjacency_to_file_and_stdout(self, tmp_path, monkeypatch, capsys):
+        # `-` writes to stdout, as --output and --dump-scores do, not to a file named -
+        data, _ = _synth_csv(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        adjacency = score_features(load_dataset(data)).centrality(0.3)[2]
+        ref = tmp_path / "dense.txt"
+        np.savetxt(ref, np.array(list(adjacency.rows())))
+        argv = ["rank", "--data", str(data), "--alpha", "0.3", "--output", "r.json"]
+        assert main(argv + ["--dump-adjacency", "A.txt"]) == 0
+        assert (tmp_path / "A.txt").read_bytes() == ref.read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--dump-adjacency", "-"]) == 0
+        assert capsys.readouterr().out == ref.read_text()
+        assert not (tmp_path / "-").exists()
+
     def test_dump_scores_is_what_the_json_module_writes(self, tmp_path):
         # the score vectors are formatted without json's indent encoder
         data, _ = _synth_csv(tmp_path)
         sc = tmp_path / "scores.json"
         assert main(["rank", "--data", str(data), "--output", str(tmp_path / "r.json"),
                      "--dump-scores", str(sc)]) == 0
-        run = ecfs_run(load_dataset(data), alpha=0.5)
+        scores = score_features(load_dataset(data))
         want = {
             "schema_version": 1,
-            "fisher": {"kind": "fisher", "values": run.fisher.values.tolist()},
+            "fisher": {"kind": "fisher", "values": scores.fisher.values.tolist()},
             "mutual_information": {"kind": "mutual_information",
-                                   "values": run.mutual_information.values.tolist()},
-            "centrality": {"kind": "centrality", "values": run.eigen.v0.tolist()},
+                                   "values": scores.mutual_information.values.tolist()},
+            "centrality": {"kind": "centrality", "values": scores.centrality(0.5)[1].v0.tolist()},
         }
         assert sc.read_text(encoding="utf-8") == json.dumps(want, sort_keys=True, indent=2) + "\n"
 

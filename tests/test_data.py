@@ -544,6 +544,10 @@ class TestDatasetInvariants:
         with pytest.raises(ClassCountError, match="class 2 has zero samples"):
             _ds([[1.0], [2.0], [3.0], [4.0]], [0, 1, 1, 7])
 
+    def test_equality_is_identity(self):
+        d = _ds([[1.0], [2.0]], [0, 1])
+        assert d == d and d != _ds([[1.0], [2.0]], [0, 1])
+
     def test_immutable_after_construction(self):
         d = _ds([[1.0], [2.0]], [0, 1])
         with pytest.raises(ValueError):

@@ -19,12 +19,12 @@ import ecfs.centrality
 import ecfs.evaluation as ev
 import ecfs.graph
 from ecfs import (
+    AdjacencyMatrix,
     Dataset,
     PowerIterationError,
     SplitError,
     SplitPlan,
     SyntheticSpec,
-    build_adjacency,
     cross_validate,
     derive_seed,
     feature_spreads,
@@ -684,7 +684,7 @@ class TestRunEvaluation:
             trn = Dataset(stats.transform(d.X[tr_idx]), d.y[tr_idx])
             te_X = stats.transform(d.X[te_idx])
             f, m = fisher_scores(trn), mutual_information_scores(trn)
-            A = build_adjacency(f, m, feature_spreads(trn), rep["alpha_per_repeat"][r])
+            A = AdjacencyMatrix(f, m, feature_spreads(trn), rep["alpha_per_repeat"][r])
             rankings = {"ec_fs": rank_features(power_iteration(A).v0),
                         "fisher": rank_features(f), "mi": rank_features(m)}
             for method, ranking in rankings.items():

@@ -8,7 +8,6 @@ from ecfs import (
     AdjacencyMatrix,
     Dataset,
     ScoreVector,
-    build_adjacency,
     default_bin_count,
     feature_spreads,
     fisher_scores,
@@ -304,7 +303,7 @@ class TestSigmaMatrix:
         s = feature_spreads(d)
         np.testing.assert_allclose(s, [0.1, 0.3], rtol=1e-12)
         f, m = ScoreVector(np.zeros(2), "fisher"), ScoreVector(np.zeros(2), "mutual_information")
-        np.testing.assert_allclose(_dense(build_adjacency(f, m, s, 0.0)),
+        np.testing.assert_allclose(_dense(AdjacencyMatrix(f, m, s, 0.0)),
                                    [[0.1, 0.3], [0.3, 0.3]], rtol=1e-12)
 
     def test_symmetric_nonnegative_bounded_on_normalized_input(self):
@@ -317,7 +316,7 @@ class TestSigmaMatrix:
         assert s.min() >= 0.0
         assert s.max() <= 1.0
         f = ScoreVector(rng.random(9), "fisher")
-        S = _dense(build_adjacency(f, f, s, 0.0))
+        S = _dense(AdjacencyMatrix(f, f, s, 0.0))
         np.testing.assert_array_equal(S, S.T)
 
     def test_constant_features_produce_zero_rows(self):
@@ -334,15 +333,15 @@ class TestBuildAdjacency:
     def test_hand_example(self):
         # Sigma = [[0.2, 0.5], [0.5, 0.5]], outer(f, m) = [[0, 0], [1, 0]]
         f, m = self._fm()
-        A = _dense(build_adjacency(f, m, np.array([0.2, 0.5]), 0.5))
+        A = _dense(AdjacencyMatrix(f, m, np.array([0.2, 0.5]), 0.5))
         np.testing.assert_allclose(A, [[0.1, 0.25], [0.75, 0.25]], rtol=1e-15)
 
     def test_alpha_boundaries(self):
         f, m = self._fm()
         s = np.array([0.2, 0.5])
-        np.testing.assert_array_equal(_dense(build_adjacency(f, m, s, 0.0)),
+        np.testing.assert_array_equal(_dense(AdjacencyMatrix(f, m, s, 0.0)),
                                       np.maximum.outer(s, s))
-        np.testing.assert_array_equal(_dense(build_adjacency(f, m, s, 1.0)),
+        np.testing.assert_array_equal(_dense(AdjacencyMatrix(f, m, s, 1.0)),
                                       np.outer([0.0, 1.0], [1.0, 0.0]))
 
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.77, 0.9])
@@ -352,7 +351,7 @@ class TestBuildAdjacency:
         f = ScoreVector(rng.random(n), "fisher")
         m = ScoreVector(rng.random(n), "mutual_information")
         s = rng.random(n)
-        A = _dense(build_adjacency(f, m, s, alpha))
+        A = _dense(AdjacencyMatrix(f, m, s, alpha))
         want = alpha * np.outer(_rescaled(f.values), _rescaled(m.values)) + (
             1 - alpha
         ) * np.maximum.outer(s, s)
@@ -360,14 +359,14 @@ class TestBuildAdjacency:
 
     def test_alpha_out_of_range(self):
         f, m = self._fm()
-        for bad in (-0.1, 1.5):
+        for bad in (-0.1, 1.5, np.nan):
             with pytest.raises(ValueError, match="alpha"):
-                build_adjacency(f, m, np.zeros(2), bad)
+                AdjacencyMatrix(f, m, np.zeros(2), bad)
 
     def test_constant_scores_flagged_and_zeroed(self):
         f = ScoreVector(np.array([0.5, 0.5]), "fisher")
         m = ScoreVector(np.array([0.0, 1.0]), "mutual_information")
-        adj = build_adjacency(f, m, np.zeros(2), 1.0)
+        adj = AdjacencyMatrix(f, m, np.zeros(2), 1.0)
         assert adj.degenerate_fisher and not adj.degenerate_mi
         assert not _dense(adj).any()
         assert not (adj @ np.ones(2)).any()
@@ -377,25 +376,55 @@ class TestBuildAdjacency:
         n = 10
         f = ScoreVector(rng.random(n) * 100, "fisher")
         m = ScoreVector(rng.random(n), "mutual_information")
-        A = _dense(build_adjacency(f, m, rng.random(n), 0.4))
+        A = _dense(AdjacencyMatrix(f, m, rng.random(n), 0.4))
         assert A.min() >= 0.0 and A.max() <= 1.0
 
     def test_shape_mismatch_rejected(self):
         f, m = self._fm()
         with pytest.raises(ValueError, match="feature count"):
-            build_adjacency(f, m, np.zeros(3), 0.5)
+            AdjacencyMatrix(f, m, np.zeros(3), 0.5)
         with pytest.raises(ValueError, match="feature count"):
-            build_adjacency(f, m, np.zeros((2, 2)), 0.5)
+            AdjacencyMatrix(f, m, np.zeros((2, 2)), 0.5)
+        m3 = ScoreVector(np.array([1.0, 0.0, 0.5]), "mutual_information")
+        for s in (np.zeros(2), np.zeros(3)):
+            with pytest.raises(ValueError, match="feature count"):
+                AdjacencyMatrix(f, m3, s, 0.5)
 
-    def test_dump_text_roundtrip(self, tmp_path):
+    def test_holds_frozen_vectors_of_its_own(self):
+        # s is copied once, so the caller's array stays its own and writable
         f, m = self._fm()
-        adj = build_adjacency(f, m, np.array([0.2, 0.5]), 0.5)
-        p = tmp_path / "adj.txt"
-        adj.dump_text(p)
-        ref = tmp_path / "dense.txt"
-        np.savetxt(ref, _dense(adj))
-        assert p.read_bytes() == ref.read_bytes()
-        np.testing.assert_allclose(np.loadtxt(p), [[0.1, 0.25], [0.75, 0.25]], rtol=1e-15)
+        s = np.array([0.2, 0.5])
+        adj = AdjacencyMatrix(f, m, s, 0.5)
+        v = np.array([0.3, 0.7])
+        before = adj @ v
+        s[:] = [9.0, 0.0]
+        np.testing.assert_array_equal(adj @ v, before)
+        for vec in (adj.fs, adj.ms, adj.s):
+            assert not vec.flags.writeable
+        assert s.flags.writeable
+
+    def test_equality_is_identity(self):
+        f, m = self._fm()
+        adj = AdjacencyMatrix(f, m, np.zeros(2), 0.5)
+        assert adj == adj and adj != AdjacencyMatrix(f, m, np.zeros(2), 0.5)
+        assert f == f and f != ScoreVector(f.values, "fisher")
+
+    def test_build_peaks_below_nine_vectors(self):
+        # the rescaled fs and ms, the copy of s, and the sort: order, sorted s,
+        # positions at most and above, with one searchsorted temporary; 10.0
+        # vectors when the rescaled vectors were copied again
+        n = 200_000
+        rng = np.random.default_rng(2)
+        f = ScoreVector(rng.random(n), "fisher")
+        m = ScoreVector(rng.random(n), "mutual_information")
+        s = rng.random(n)
+        tracemalloc.start()
+        try:
+            AdjacencyMatrix(f, m, s, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * s.nbytes
 
 
 class TestAdjacencyOperator:
@@ -409,15 +438,15 @@ class TestAdjacencyOperator:
         f = ScoreVector(rng.integers(0, 4, n) / 3.0, "fisher")
         m = ScoreVector(rng.integers(0, 3, n) / 2.0, "mutual_information")
         s = rng.integers(0, 5, n) / 8.0
-        return build_adjacency(f, m, s, alpha)
+        return AdjacencyMatrix(f, m, s, alpha)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
     def test_matvec_matches_dense_rows(self, alpha):
         rng = np.random.default_rng(41)
         for adj in (self._tied_operator(alpha),
-                    build_adjacency(ScoreVector(rng.random(257), "fisher"),
-                                    ScoreVector(rng.random(257), "mutual_information"),
-                                    rng.random(257), alpha)):
+                    AdjacencyMatrix(ScoreVector(rng.random(257), "fisher"),
+                                     ScoreVector(rng.random(257), "mutual_information"),
+                                     rng.random(257), alpha)):
             dense = _dense(adj)
             assert adj.shape == dense.shape
             for v in (np.ones(adj.shape[0]), rng.random(adj.shape[0])):
@@ -439,7 +468,7 @@ class TestAdjacencyOperator:
 
     def test_zero_operator_is_degenerate_after_zero_iterations(self):
         zero_scores = ScoreVector(np.zeros(5), "fisher")
-        adj = build_adjacency(zero_scores, zero_scores, np.zeros(5), 0.3)
+        adj = AdjacencyMatrix(zero_scores, zero_scores, np.zeros(5), 0.3)
         assert not (adj @ np.ones(5)).any()
         res = power_iteration(adj)
         assert res.degenerate and res.iterations == 0 and res.lambda0 == 0.0
@@ -469,9 +498,9 @@ class TestScoreVector:
             ScoreVector(np.array([np.inf]), "fisher")
 
     def test_adjacency_rejects_negative_entries(self):
-        fs = np.array([0.0, 1.0])
+        f = ScoreVector(np.array([0.0, 1.0]), "fisher")
         with pytest.raises(ValueError, match="non-negative"):
-            AdjacencyMatrix(fs, fs, np.array([0.1, -0.2]), 0.5)
+            AdjacencyMatrix(f, f, np.array([0.1, -0.2]), 0.5)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                AdjacencyMatrix(fs, fs, np.array([0.1, bad]), 0.5)
+                AdjacencyMatrix(f, f, np.array([0.1, bad]), 0.5)

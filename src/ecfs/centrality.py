@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, FeatureRanking, NormalizationStats, normalize_features
+from .data import Dataset, FeatureRanking, NormalizationStats, fit_normalization
 from .graph import (
     AdjacencyMatrix,
     ScoreVector,
@@ -171,16 +171,21 @@ class FeatureScores:
         return rank_features(self.fisher if method == "fisher" else self.mutual_information)
 
 
-def score_features(d: Dataset, bins: int | None = None) -> FeatureScores:
-    """Normalize d's rows on their own statistics and score them once, for every
-    ranking taken from the result.
+def score_features(d: Dataset, bins: int | None = None, rows=None) -> FeatureScores:
+    """Normalize rows of d (indices in the order given; all rows when None) on
+    their own statistics and score them once, for every ranking taken from the
+    result. The rows are gathered once and that copy is normalized in place;
+    a class left with no row raises ClassCountError, as a Dataset of them would.
 
-    bins defaults to max(2, floor(sqrt(T))) of d's sample count.
+    bins defaults to max(2, floor(sqrt(T))) of the row count T.
     """
-    dn, stats = normalize_features(d)
+    rows = np.arange(d.n_samples) if rows is None else np.asarray(rows, dtype=int)
+    X = d.X[rows]
+    stats = fit_normalization(X)
+    data = Dataset._own(stats.transform(X, out=X), d.y[rows], d.feature_names, d.label_names)
     if bins is None:
-        bins = default_bin_count(dn.n_samples)
-    return FeatureScores(dn, stats, bins)
+        bins = default_bin_count(data.n_samples)
+    return FeatureScores(data, stats, bins)
 
 
 def ecfs_rank(d: Dataset, alpha: float = 0.5, bins: int | None = None) -> FeatureRanking:

@@ -61,9 +61,9 @@ class Dataset:
     the source header and the original label values in mapping order.
 
     The constructor copies X, so the caller's array stays its own and stays
-    writable. The loaders, subset and normalize_features instead hand over the
-    array they have just built (Dataset._own), so a matrix is held once. Either
-    way X and y are read-only.
+    writable. The loaders and score_features instead hand over the array they
+    have just built (Dataset._own), so a matrix is held once. Either way X and y
+    are read-only.
     """
 
     X: np.ndarray
@@ -143,11 +143,6 @@ class Dataset:
             return self.feature_names[i]
         return f"f{i}"
 
-    def subset(self, rows: np.ndarray) -> "Dataset":
-        """Row subset keeping names. Fails if a class disappears."""
-        rows = np.asarray(rows, dtype=int)
-        return Dataset._own(self.X[rows], self.y[rows], self.feature_names, self.label_names)
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class FeatureRanking:
@@ -205,16 +200,14 @@ class NormalizationStats:
     scale: np.ndarray
     degenerate: np.ndarray
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        """(X + shift) / scale, with degenerate columns zeroed, as a new array.
-
-        The shifted copy is divided in place, so the only full-size array made
-        is the result.
+    def transform(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(X + shift) / scale, with degenerate columns zeroed, into out (X itself
+        may be passed) or a new array; the only full-size array made is the result.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.shift.shape[0]:
             raise ValueError("matrix width does not match fitted statistics")
-        out = X + self.shift
+        out = np.add(X, self.shift, out=out)
         out /= self.scale
         out[:, self.degenerate] = 0.0
         return out
@@ -242,17 +235,6 @@ def fit_normalization(X: np.ndarray) -> NormalizationStats:
         np.sum(X[:, cols] + shift[cols], axis=0, out=sums[cols])
     scale = np.where(degenerate | (sums == 0), 1.0, sums)
     return NormalizationStats(shift=shift, scale=scale, degenerate=degenerate)
-
-
-def normalize_features(d: Dataset) -> tuple[Dataset, NormalizationStats]:
-    """Map each feature column onto the non-negative sum-to-1 representation.
-
-    Columns with negative entries are shifted by -min first; constant columns
-    become all zeros and are flagged in the returned statistics. Applying the
-    function to its own output changes nothing (beyond 1e-12 round-off).
-    """
-    stats = fit_normalization(d.X)
-    return Dataset._own(stats.transform(d.X), d.y, d.feature_names, d.label_names), stats
 
 
 def _map_labels(raw: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -487,10 +469,10 @@ class SyntheticSpec:
             raise ValueError(
                 f"n_informative must be in 1..{self.n_features}, got {self.n_informative}"
             )
-        if not self.class_separation > 0:
-            raise ValueError("class_separation must be positive")
-        if not self.noise_sd > 0:
-            raise ValueError("noise_sd must be positive")
+        for name in ("class_separation", "noise_sd"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a non-negative 64-bit integer")
 

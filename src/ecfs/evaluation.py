@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import METHODS, FeatureScores, score_features
-from .data import Dataset, FeatureRanking
+from .data import Dataset, FeatureRanking, NormalizationStats
 
 DEFAULT_ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0)
@@ -268,15 +268,18 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return twice / (2 * len(pos) * len(neg))
 
 
-def _held_group(scores: FeatureScores, jobs: list, X: np.ndarray, y: np.ndarray) -> tuple:
-    """The (trn, jobs, X, y) group of _heldout_aucs for held-out rows X, y (raw):
-    trn is scores' normalized training rows, X goes through scores' statistics, and
-    both and every job are cut to the columns some job selects. Groups are held until
-    one training call, and a remapped job trains and scores bit for bit as before."""
+def _held_group(scores: FeatureScores, jobs: list, d: Dataset, held: np.ndarray) -> tuple:
+    """The (trn, jobs, X, y) group of _heldout_aucs for d's held-out rows `held`:
+    trn is scores' normalized training rows, and trn, X and every job are cut to
+    the columns some job selects, X read from d in those columns alone and
+    normalized by scores' statistics. Groups are held until one training call,
+    and a remapped job trains and scores bit for bit as before."""
     cols = np.unique(np.concatenate([sel for sel, _, _ in jobs]))
     jobs = [(np.searchsorted(cols, sel), c, seed) for sel, c, seed in jobs]
-    trn = scores.data
-    return Dataset._own(trn.X[:, cols], trn.y), jobs, scores.stats.transform(X)[:, cols], y
+    trn, stats = scores.data, scores.stats
+    cut = NormalizationStats(stats.shift[cols], stats.scale[cols], stats.degenerate[cols])
+    X = cut.transform(d.X[np.ix_(held, cols)])
+    return Dataset._own(trn.X[:, cols], trn.y), jobs, X, d.y[held]
 
 
 def _heldout_aucs(groups: list, epochs: int) -> list[list[float]]:
@@ -289,7 +292,7 @@ def _heldout_aucs(groups: list, epochs: int) -> list[list[float]]:
 
 
 def cross_validate(
-    train: Dataset,
+    d: Dataset,
     alpha_grid=DEFAULT_ALPHA_GRID,
     C_grid=DEFAULT_C_GRID,
     folds: int = 5,
@@ -297,8 +300,10 @@ def cross_validate(
     seed: int = 0,
     bins: int | None = None,
     epochs: int = 50,
+    rows=None,
 ) -> tuple[float, float]:
-    """Pick (alpha, C) by stratified k-fold AUC on the training data only.
+    """Pick (alpha, C) by stratified k-fold AUC on training rows of d only: the
+    indices `rows`, in the order given (all rows when None), as a copy of them would.
 
     Each fold is normalized and scored once; every alpha's ec_fs ranking derives
     from those scores and selects the top `cardinality` features (capped at the
@@ -317,20 +322,21 @@ def cross_validate(
         raise ValueError("C grid values must be positive and finite")
     if cardinality < 1:
         raise ValueError("cardinality must be positive")
-    cardinality = min(cardinality, train.n_features)
-    fold_parts = stratified_fold_indices(train.y, folds, seed)
-    n_classes = train.n_classes
+    cardinality = min(cardinality, d.n_features)
+    rows = np.arange(d.n_samples) if rows is None else np.asarray(rows, dtype=int)
+    y = d.y[rows]
+    fold_parts = stratified_fold_indices(y, folds, seed)
     groups = []
     for j, va_idx in enumerate(fold_parts):
         tr_idx = np.sort(np.concatenate([fold_parts[i] for i in range(folds) if i != j]))
         for part, name in ((tr_idx, "training side"), (va_idx, "validation side")):
-            if len(np.unique(train.y[part])) != n_classes:
+            if len(np.unique(y[part])) != d.n_classes:
                 raise SplitError(f"fold {j} leaves a single class on its {name}")
-        scores = score_features(train.subset(tr_idx), bins)
+        scores = score_features(d, bins, rows[tr_idx])
         sels = [scores.ranking("ec_fs", a).top(cardinality) for a in alphas]
         jobs = [(sel, c, derive_seed(seed, j, ai, ci))
                 for ai, sel in enumerate(sels) for ci, c in enumerate(Cs)]
-        groups.append(_held_group(scores, jobs, train.X[va_idx], train.y[va_idx]))
+        groups.append(_held_group(scores, jobs, d, rows[va_idx]))
     table = np.zeros((len(alphas), len(Cs)))
     for aucs in _heldout_aucs(groups, epochs):
         table += np.reshape(aucs, table.shape)
@@ -579,13 +585,13 @@ def _repeat_body(
     record and the scores, which hold the normalized rows and their statistics."""
 
     def body(r: int) -> tuple[_Repeat, FeatureScores]:
-        trd = d.subset(splits[r][0])
+        train = splits[r][0]
         alpha_r, c_r = alpha, None
         if alpha is None and "ec_fs" in methods:
             alpha_r, c_r = cross_validate(
-                trd, seed=derive_seed(seed, r, 101), bins=bins, **cv_args
+                d, seed=derive_seed(seed, r, 101), bins=bins, rows=train, **cv_args
             )
-        scores = score_features(trd, bins)
+        scores = score_features(d, bins, train)
         # a copy, so the record does not pin the full ranking
         tops = {m: scores.ranking(m, alpha_r).top(k_max).copy() for m in methods}
         return _Repeat(alpha_r, c_r, tops), scores
@@ -678,8 +684,7 @@ def run_evaluation(
             c_r = fixed_c if rep.C is None else rep.C
             jobs = [(rep.tops[m][:k], c_r if m == "ec_fs" else fixed_c,
                      derive_seed(plan.seed, r, _METHOD_SEED[m], k)) for m in methods for k in ks]
-            test = splits[r][1]
-            groups.append(_held_group(scores, jobs, d.X[test], d.y[test]))
+            groups.append(_held_group(scores, jobs, d, splits[r][1]))
             reps.append(rep)
             cs.append(c_r)
         aucs = [{m: flat[mi * len(ks):(mi + 1) * len(ks)] for mi, m in enumerate(methods)}

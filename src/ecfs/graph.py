@@ -216,9 +216,9 @@ class AdjacencyMatrix:
         for v in (fs, ms, s):
             v.setflags(write=False)
         order = np.argsort(s, kind="stable")
-        n_at_most = np.searchsorted(s[order], s, side="right")
-        # equal spreads share one position, hence bit-equal Sigma products
-        sorted_s = (order, s[order], n_at_most - 1, len(order) - n_at_most)
+        s_sorted = s[order]
+        # equal spreads share one position, the last, hence bit-equal Sigma products
+        sorted_s = (order, s_sorted, np.searchsorted(s_sorted, s, side="right") - 1)
         for name, value in (("fs", fs), ("ms", ms), ("s", s), ("alpha", alpha),
                             ("degenerate_fisher", degenerate_fisher),
                             ("degenerate_mi", degenerate_mi), ("_sorted", sorted_s)):
@@ -231,11 +231,14 @@ class AdjacencyMatrix:
     def __matmul__(self, v) -> np.ndarray:
         """A v; (Sigma v)_i = s_i * sum(v_j : s_j <= s_i) + sum(s_j v_j : s_j > s_i)."""
         rank1 = self.alpha * float(self.ms @ v) * self.fs
-        order, s_sorted, at_most, n_above = self._sorted
+        order, s_sorted, at_most = self._sorted
         vs = np.asarray(v, dtype=float)[order]
-        # entry k of above sums s_j v_j over the k largest spreads
-        above = np.append(0.0, np.cumsum((s_sorted * vs)[::-1]))
-        return rank1 + (1.0 - self.alpha) * (self.s * np.cumsum(vs)[at_most] + above[n_above])
+        # in sorted position k: s_k times the sum of v up to k, plus s_j v_j summed
+        # from the largest spread down to position k + 1; then read at each
+        # feature's last position among equal spreads
+        sigma = s_sorted * np.cumsum(vs)
+        sigma[:-1] += np.cumsum((s_sorted * vs)[:0:-1])[::-1]
+        return rank1 + (1.0 - self.alpha) * sigma[at_most]
 
     def rows(self):
         """Yield the dense rows of A in order, each entry rounded exactly as

@@ -3,13 +3,37 @@
 None runs in the ecfs pipeline: matrix_power_oracle cross-checks
 power_iteration, kuncheva_index cross-checks stability_curve pair by pair, and
 the one-pass formulas (normalization_oracle, fisher_oracle, spreads_oracle)
-cross-check the passes that ecfs runs over blocks of columns. ranking_of_order
-builds the FeatureRanking a given order comes from, for stability tests.
+cross-check the passes that ecfs runs over blocks of columns. subset and
+normalize_features copy rows and normalize them as separate steps, the
+reference for score_features(d, rows=...), which gathers and normalizes one
+copy. ranking_of_order builds the FeatureRanking a given order comes from, for
+stability tests.
 """
 
 import numpy as np
 
-from ecfs import AdjacencyMatrix, EigenResult, FeatureRanking, PowerIterationError
+from ecfs import (
+    AdjacencyMatrix,
+    Dataset,
+    EigenResult,
+    FeatureRanking,
+    NormalizationStats,
+    PowerIterationError,
+    fit_normalization,
+)
+
+
+def subset(d: Dataset, rows) -> Dataset:
+    """The given rows of d, in the given order, as a Dataset of their own with
+    d's names; the constructor's checks reject a subset missing a class."""
+    rows = np.asarray(rows, dtype=int)
+    return Dataset(d.X[rows], d.y[rows], d.feature_names, d.label_names)
+
+
+def normalize_features(d: Dataset) -> tuple[Dataset, NormalizationStats]:
+    """d normalized on its own statistics, as a new Dataset, and the statistics."""
+    stats = fit_normalization(d.X)
+    return Dataset(stats.transform(d.X), d.y, d.feature_names, d.label_names), stats
 
 
 def ranking_of_order(order) -> FeatureRanking:

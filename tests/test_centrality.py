@@ -17,12 +17,11 @@ from ecfs import (
     fisher_scores,
     generate_synthetic,
     mutual_information_scores,
-    normalize_features,
     power_iteration,
     rank_features,
     score_features,
 )
-from oracles import matrix_power_oracle
+from oracles import matrix_power_oracle, normalize_features, subset
 
 
 class TestPowerIteration:
@@ -400,3 +399,47 @@ class TestEcfsRank:
         d, inf = generate_synthetic(SyntheticSpec(200, 500, 20, 2.0, 1.0, seed=0))
         hits = len(set(int(i) for i in ecfs_rank(d, alpha=0.5).top(50)) & inf)
         assert hits >= 18
+
+
+def _rows_case(T: int, n: int, C: int, seed: int) -> Dataset:
+    """A T x n dataset of C classes with spread-out scales, shifted all-negative
+    columns and a constant column."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(T, n)) * rng.uniform(0.01, 1e3, size=n)
+    X[:, 2::5] -= 1e4
+    X[:, 1] = -2.5
+    return Dataset(X, np.arange(T) % C)
+
+
+class TestScoreRows:
+    """score_features(d, rows=r) gathers r once and normalizes that copy in place,
+    to the bits of copying the rows first and normalizing them as a dataset."""
+
+    # (T, n, classes, seed, rows sorted)
+    CASES = [(62, 2000, 2, 0, True), (62, 2000, 2, 1, False), (200, 3000, 2, 2, False),
+             (40, 20001, 2, 3, True), (3000, 7, 2, 4, False), (45, 300, 3, 5, False)]
+
+    @pytest.mark.parametrize("T, n, C, seed, ordered", CASES)
+    def test_matches_scoring_a_copy_of_the_rows_bit_for_bit(self, T, n, C, seed, ordered):
+        d = _rows_case(T, n, C, seed)
+        rows = np.random.default_rng(seed).choice(T, size=2 * T // 3, replace=False)
+        if ordered:
+            rows = np.sort(rows)
+        got, want = score_features(d, rows=rows), score_features(subset(d, rows))
+        assert got.data.X.tobytes() == want.data.X.tobytes()
+        assert got.data.y.tolist() == want.data.y.tolist() == d.y[rows].tolist()
+        for name in ("shift", "scale", "degenerate"):
+            assert getattr(got.stats, name).tobytes() == getattr(want.stats, name).tobytes()
+        assert got.stats.degenerate[1]
+        assert got.bins == want.bins
+        assert got.fisher.values.tobytes() == want.fisher.values.tobytes()
+        assert (got.mutual_information.values.tobytes()
+                == want.mutual_information.values.tobytes())
+        assert got.spreads.tobytes() == want.spreads.tobytes()
+
+    def test_all_rows_by_default(self):
+        d = _rows_case(30, 40, 2, 6)
+        every, default = score_features(d, rows=np.arange(30)), score_features(d)
+        assert every.data.X.tobytes() == default.data.X.tobytes()
+        assert not np.shares_memory(default.data.X, d.X) and not d.X.flags.writeable
+

@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from ecfs import (
     fisher_scores,
     load_dataset,
     mutual_information_scores,
-    normalize_features,
     score_features,
     split_indices,
 )
 from ecfs.cli import main
+from oracles import normalize_features
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="--workers runs serially without fork")
@@ -405,13 +406,13 @@ def _fail_in_worker(monkeypatch, data, plan, r, fail):
     """Call fail() where score_features meets repeat r's training rows inside a
     worker process; forked workers inherit the patch, this process never fails."""
     d = load_dataset(data)
-    target = d.X[split_indices(d.y, plan)[r][0]]
+    target = split_indices(d.y, plan)[r][0]
     parent, real = os.getpid(), ev.score_features
 
-    def failing(trd, bins=None):
-        if os.getpid() != parent and np.array_equal(trd.X, target):
+    def failing(d, bins=None, rows=None):
+        if os.getpid() != parent and np.array_equal(rows, target):
             fail()
-        return real(trd, bins)
+        return real(d, bins, rows)
 
     monkeypatch.setattr(ev, "score_features", failing)
 
@@ -576,6 +577,22 @@ class TestSynth:
         assert main(["synth", "--samples", "15", "--features", "4", "--informative", "1",
                      "--output", str(env)]) == 0
         assert flagged.with_suffix(".csv").read_bytes() == env.with_suffix(".csv").read_bytes()
+
+    @pytest.mark.parametrize("flag, field", [("--separation", "class_separation"),
+                                             ("--noise-sd", "noise_sd")])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_spread_exits_one_before_writing(self, tmp_path, capsys, flag, field,
+                                                        value):
+        # --separation inf once drew NaN cells with a RuntimeWarning and then
+        # failed as if the file it wrote were a bad data file
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["synth", "--samples", "10", "--features", "3", "--informative", "1",
+                       flag, value, "--output", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"{field} must be positive and finite" in capsys.readouterr().err
+        assert caught == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_spec_exits_one(self, tmp_path, capsys):
         rc = main(["synth", "--samples", "10", "--features", "3", "--informative", "9",

@@ -22,7 +22,7 @@ from ecfs import (
     fit_normalization,
     generate_synthetic,
     load_dataset,
-    normalize_features,
+    score_features,
 )
 from ecfs.data import _map_labels, _read_csv_fast, _read_matrix_fast, column_blocks
 from oracles import fisher_oracle, normalization_oracle, spreads_oracle
@@ -363,41 +363,41 @@ def _ds(X, y):
 class TestNormalize:
     def test_positive_column_divided_by_sum(self):
         d = _ds([[1], [1], [2]], [0, 1, 0])
-        dn, stats = normalize_features(d)
-        assert dn.X[:, 0].tolist() == [0.25, 0.25, 0.5]
-        assert stats.degenerate_columns == []
+        scores = score_features(d)
+        assert scores.data.X[:, 0].tolist() == [0.25, 0.25, 0.5]
+        assert scores.stats.degenerate_columns == []
 
     def test_negative_column_shifted_first(self):
         d = _ds([[-1], [0], [1]], [0, 1, 0])
-        dn, _ = normalize_features(d)
+        dn = score_features(d).data
         np.testing.assert_allclose(dn.X[:, 0], [0.0, 1.0 / 3.0, 2.0 / 3.0])
 
     def test_constant_column_zeroed_and_flagged(self):
         d = _ds([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]], [0, 1, 0])
-        dn, stats = normalize_features(d)
-        assert dn.X[:, 0].tolist() == [0.0, 0.0, 0.0]
-        assert stats.degenerate_columns == [0]
-        np.testing.assert_allclose(dn.X[:, 1].sum(), 1.0)
+        scores = score_features(d)
+        assert scores.data.X[:, 0].tolist() == [0.0, 0.0, 0.0]
+        assert scores.stats.degenerate_columns == [0]
+        np.testing.assert_allclose(scores.data.X[:, 1].sum(), 1.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(42)
         X = rng.normal(size=(20, 7))  # mixed-sign columns
         d = _ds(X, np.arange(20) % 2)
-        d1, _ = normalize_features(d)
-        d2, _ = normalize_features(d1)
+        d1 = score_features(d).data
+        d2 = score_features(d1).data
         assert np.abs(d2.X - d1.X).max() <= 1e-12
 
     def test_columns_sum_to_one(self):
         rng = np.random.default_rng(7)
         d = _ds(rng.normal(size=(15, 6)), np.arange(15) % 2)
-        dn, _ = normalize_features(d)
+        dn = score_features(d).data
         np.testing.assert_allclose(dn.X.sum(axis=0), np.ones(6), atol=1e-12)
         assert dn.X.min() >= 0.0
 
     def test_shape_and_labels_preserved(self):
         d = Dataset(np.arange(12, dtype=float).reshape(4, 3), np.array([0, 1, 0, 1]),
                     ("a", "b", "c"), ("x", "y"))
-        dn, _ = normalize_features(d)
+        dn = score_features(d).data
         assert dn.X.shape == d.X.shape
         assert dn.y.tolist() == d.y.tolist()
         assert dn.feature_names == d.feature_names
@@ -426,10 +426,11 @@ class TestNormalize:
             stats.transform(np.ones((2, 3)))
 
     def test_memory_holds_one_normalized_copy(self):
-        # the result, 8 B a cell, and no full-size temporary: the two of the
-        # transform and the Dataset copy of its result once took 2.2x
+        # the gathered rows, 8 B a cell, normalized in place, and no full-size
+        # temporary: the two of the transform and the Dataset copy of its
+        # result once took 2.2x
         d = _wide_dataset()
-        assert _traced_peak(lambda: normalize_features(d)) < 1.3 * d.X.nbytes
+        assert _traced_peak(lambda: score_features(d)) < 1.3 * d.X.nbytes
 
 
 def _column_pass_case(T: int, n: int, C: int, seed: int) -> np.ndarray:
@@ -466,7 +467,7 @@ class TestColumnBlocks:
         for got, want in zip((stats.shift, stats.scale, stats.degenerate),
                              normalization_oracle(X)):
             assert got.tobytes() == want.tobytes()
-        for d in (Dataset(X, y), normalize_features(Dataset(X, y))[0]):
+        for d in (Dataset(X, y), score_features(Dataset(X, y)).data):
             assert fisher_scores(d).values.tobytes() == fisher_oracle(d.X, y).tobytes()
             assert feature_spreads(d).tobytes() == spreads_oracle(d.X).tobytes()
 
@@ -560,18 +561,20 @@ class TestDatasetInvariants:
         X[0, 0] = 99.0
         assert d.X[0, 0] == 0.0 and not d.X.flags.writeable
 
-    def test_subset_memory_holds_one_copy_of_its_rows(self):
+    def test_scoring_rows_holds_one_copy_of_them(self):
+        # the rows are gathered once and normalized in place; a row subset
+        # copied and then normalized into a second copy once took 2.11x
         d = _wide_dataset()
-        rows = np.arange(30)[::-1]
-        assert _traced_peak(lambda: d.subset(rows)) < 1.3 * d.X.nbytes
+        rows = np.arange(30)[::-1][:20]
+        assert _traced_peak(lambda: score_features(d, rows=rows)) < 1.4 * d.X[rows].nbytes
 
-    def test_subset_keeps_names_and_checks_classes(self):
+    def test_scoring_rows_keeps_names_and_checks_classes(self):
         d = Dataset(np.arange(8, dtype=float).reshape(4, 2), np.array([0, 1, 0, 1]),
                     ("u", "v"), ("n", "p"))
-        s = d.subset(np.array([0, 1]))
-        assert s.feature_names == ("u", "v")
+        s = score_features(d, rows=np.array([0, 1])).data
+        assert s.feature_names == ("u", "v") and s.label_names == ("n", "p")
         with pytest.raises(ClassCountError):
-            d.subset(np.array([0, 2]))  # drops class 1
+            score_features(d, rows=np.array([0, 2]))  # drops class 1
 
     def test_feature_name_fallback(self):
         d = _ds([[1.0, 2.0], [3.0, 4.0]], [0, 1])

@@ -43,7 +43,7 @@ from ecfs import (
     train_linear_classifiers,
     two_sample_ttest,
 )
-from oracles import kuncheva_index, ranking_of_order
+from oracles import kuncheva_index, normalize_features, ranking_of_order, subset
 
 
 def _ds(X, y):
@@ -51,14 +51,14 @@ def _ds(X, y):
 
 
 def _spy_scoring(monkeypatch) -> list:
-    """Record every (dataset, scores) pair the harness hands to and gets back from
-    score_features."""
+    """Record every (dataset, rows, scores) triple the harness hands to and gets
+    back from score_features."""
     seen = []
     real = ev.score_features
 
-    def spy(d, bins=None):
-        scores = real(d, bins)
-        seen.append((d, scores))
+    def spy(d, bins=None, rows=None):
+        scores = real(d, bins, rows)
+        seen.append((d, rows, scores))
         return scores
 
     monkeypatch.setattr(ev, "score_features", spy)
@@ -81,14 +81,16 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 def _assert_scored_training_rows_only(d, plan, seen) -> None:
-    """One scoring pass per repeat, handed exactly its raw training rows, which it
-    transforms with statistics fitted on those rows alone."""
+    """One scoring pass per repeat, handed the raw data and the indices of exactly
+    its training rows, none of them a test row, which it transforms with
+    statistics fitted on those rows alone."""
     expected = split_indices(d.y, plan)
     assert len(seen) == len(expected)
-    for (tr_idx, _), (ds, scores) in zip(expected, seen):
-        assert ds.n_samples == len(tr_idx) < d.n_samples
-        np.testing.assert_array_equal(ds.X, d.X[tr_idx])
-        np.testing.assert_array_equal(ds.y, d.y[tr_idx])
+    for (tr_idx, te_idx), (ds, rows, scores) in zip(expected, seen):
+        assert ds is d
+        assert np.intersect1d(rows, te_idx).size == 0
+        np.testing.assert_array_equal(rows, tr_idx)
+        assert scores.data.n_samples == len(tr_idx) < d.n_samples
         want = fit_normalization(d.X[tr_idx]).transform(d.X[tr_idx])
         np.testing.assert_array_equal(scores.data.X, want)
         np.testing.assert_array_equal(scores.data.y, d.y[tr_idx])
@@ -290,7 +292,7 @@ class TestLinearClassifier:
         groups = []
         for j in range(5):
             tr_idx = np.sort(np.concatenate([parts[i] for i in range(5) if i != j]))
-            trn, _ = ecfs.normalize_features(d.subset(tr_idx))
+            trn, _ = normalize_features(subset(d, tr_idx))
             jobs = [(np.arange(j, 40, 3), 0.05, derive_seed(j, 0)),
                     (np.arange(j, 40, 3), 5.0, derive_seed(j, 1)),
                     (np.array([39 - j, j]), 0.5, derive_seed(j, 2))]
@@ -412,7 +414,7 @@ class TestCrossValidate:
         for j in range(folds):
             tr_idx = np.sort(np.concatenate([fold_parts[i] for i in range(folds) if i != j]))
             va_idx = fold_parts[j]
-            trd = d.subset(tr_idx)
+            trd = subset(d, tr_idx)
             stats = fit_normalization(trd.X)
             trn = Dataset(stats.transform(trd.X), trd.y)
             va_X = stats.transform(d.X[va_idx])
@@ -463,6 +465,41 @@ class TestCrossValidate:
         for c in (np.inf, np.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 cross_validate(d, (0.5,), (1.0, c))
+
+    def test_rows_give_the_pair_of_a_copy_of_the_rows(self):
+        # folds are cut from the given rows' labels in the given order, so rows of
+        # d, sorted or not, choose as a dataset of those rows would
+        d = generate_synthetic(SyntheticSpec(45, 16, 3, 0.8, 1.0, seed=12))[0]
+        grid = dict(alpha_grid=(0.0, 0.3, 0.6, 1.0), C_grid=(0.1, 1.0, 10.0), folds=3,
+                    cardinality=3, epochs=6)
+        pairs = set()
+        for seed in range(4):
+            rows = np.random.default_rng(seed).choice(45, size=30, replace=False)
+            for r in (rows, np.sort(rows)):
+                want = cross_validate(_ds(d.X[r], d.y[r]), seed=seed, **grid)
+                assert cross_validate(d, seed=seed, rows=r, **grid) == want
+                pairs.add(want)
+        assert len(pairs) > 1
+        assert cross_validate(d, seed=0, rows=np.arange(45), **grid) == cross_validate(
+            d, seed=0, **grid)
+
+    def test_held_group_reads_only_the_selected_columns_of_held_rows(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(30, 12)) * rng.uniform(0.1, 100.0, size=12)
+        X[:, 3::4] -= 500.0  # shifted on the training rows' minimum
+        X[:, 5] = 7.0  # degenerate: held rows map to zeros
+        d = _ds(X, np.arange(30) % 2)
+        train, held = split_indices(d.y, SplitPlan(n_repeats=1, seed=2))[0]
+        held = held[::-1]
+        scores = ev.score_features(d, rows=train)
+        jobs = [(np.array([7, 5, 3]), 1.0, 0), (np.array([3, 11]), 0.5, 1)]
+        trn, remapped, Xh, yh = ev._held_group(scores, jobs, d, held)
+        cols = [3, 5, 7, 11]
+        assert Xh.tobytes() == scores.stats.transform(d.X[held])[:, cols].tobytes()
+        assert Xh[:, 1].tolist() == [0.0] * len(held)
+        assert yh.tolist() == d.y[held].tolist()
+        assert trn.X.tobytes() == scores.data.X[:, cols].tobytes()
+        assert [sel.tolist() for sel, _, _ in remapped] == [[2, 1, 0], [0, 3]]
 
 
 class TestKuncheva:
@@ -894,13 +931,13 @@ class TestChunks:
         # forked workers inherit the patch; only a worker, never this process, fails
         d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
         plan = SplitPlan(n_repeats=4, seed=3)
-        target = d.X[split_indices(d.y, plan)[3][0]]
+        target = split_indices(d.y, plan)[3][0]
         parent, real = os.getpid(), ev.score_features
 
-        def failing(trd, bins=None):
-            if os.getpid() != parent and np.array_equal(trd.X, target):
+        def failing(d, bins=None, rows=None):
+            if os.getpid() != parent and np.array_equal(rows, target):
                 raise PowerIterationError("no convergence after 9 iterations", 1e-3, 9)
-            return real(trd, bins)
+            return real(d, bins, rows)
 
         monkeypatch.setattr(ev, "score_features", failing)
         with pytest.raises(PowerIterationError) as exc:

@@ -16,6 +16,7 @@ from ecfs import (
     rank_features,
 )
 from ecfs.graph import SCORE_KINDS
+from oracles import normalize_features
 
 
 def _ds(X, y):
@@ -308,8 +309,6 @@ class TestSigmaMatrix:
 
     def test_symmetric_nonnegative_bounded_on_normalized_input(self):
         rng = np.random.default_rng(8)
-        from ecfs import normalize_features
-
         d, _ = normalize_features(_ds(rng.normal(size=(25, 9)), np.arange(25) % 2))
         s = feature_spreads(d)
         assert s.shape == (9,)

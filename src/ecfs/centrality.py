@@ -10,7 +10,6 @@ import numpy as np
 from .data import Dataset, FeatureRanking, NormalizationStats, fit_normalization
 from .graph import (
     AdjacencyMatrix,
-    ScoreVector,
     default_bin_count,
     feature_spreads,
     fisher_scores,
@@ -114,20 +113,15 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
     )
 
 
-def rank_features(v0: ScoreVector | np.ndarray) -> FeatureRanking:
-    """FeatureRanking of a ScoreVector or of raw scores, such as an eigenvector."""
-    return FeatureRanking(v0.values if isinstance(v0, ScoreVector) else v0)
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureScores:
     """Fisher scores, mutual-information scores and spreads of one dataset's rows.
 
     `data` holds the rows normalized and `stats` the statistics fitted on them,
-    which map held-out rows into the same representation. Each vector is
-    computed on first use and then reused, so every ranking taken from one
-    instance (`ranking` or `centrality`, for any method and any alpha) shares
-    one scoring pass, and Fisher-only callers never pay for MI.
+    which map held-out rows into the same representation. Each vector is a
+    read-only array, computed on first use and then reused, so every ranking
+    taken from one instance (`ranking` or `centrality`, for any method and any
+    alpha) shares one scoring pass, and Fisher-only callers never pay for MI.
     """
 
     data: Dataset
@@ -135,11 +129,11 @@ class FeatureScores:
     bins: int
 
     @cached_property
-    def fisher(self) -> ScoreVector:
+    def fisher(self) -> np.ndarray:
         return fisher_scores(self.data)
 
     @cached_property
-    def mutual_information(self) -> ScoreVector:
+    def mutual_information(self) -> np.ndarray:
         return mutual_information_scores(self.data, self.bins)
 
     @cached_property
@@ -158,7 +152,7 @@ class FeatureScores:
         """
         adjacency = AdjacencyMatrix(self.fisher, self.mutual_information, self.spreads, alpha)
         eigen = power_iteration(adjacency, tol=tol, max_iter=max_iter)
-        return rank_features(eigen.v0), eigen, adjacency
+        return FeatureRanking(eigen.v0), eigen, adjacency
 
     def ranking(self, method: str, alpha: float | None = None) -> FeatureRanking:
         """The ranking a method in METHODS gives; only ec_fs reads alpha."""
@@ -168,7 +162,7 @@ class FeatureScores:
             if alpha is None:
                 raise ValueError("ec_fs needs an alpha in [0, 1]")
             return self.centrality(alpha)[0]
-        return rank_features(self.fisher if method == "fisher" else self.mutual_information)
+        return FeatureRanking(self.fisher if method == "fisher" else self.mutual_information)
 
 
 def score_features(d: Dataset, bins: int | None = None, rows=None) -> FeatureScores:
@@ -186,8 +180,3 @@ def score_features(d: Dataset, bins: int | None = None, rows=None) -> FeatureSco
     if bins is None:
         bins = default_bin_count(data.n_samples)
     return FeatureScores(data, stats, bins)
-
-
-def ecfs_rank(d: Dataset, alpha: float = 0.5, bins: int | None = None) -> FeatureRanking:
-    """Rank features by eigenvector centrality of the blended feature graph."""
-    return score_features(d, bins).ranking("ec_fs", alpha)

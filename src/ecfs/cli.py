@@ -356,6 +356,12 @@ def _cmd_rank(args) -> int:
         errors.append(f"--tol must be positive and finite, got {args.tol}")
     if args.max_iter < 1:
         errors.append(f"--max-iter must be positive, got {args.max_iter}")
+    to_stdout = [flag for flag, path in (("--output", args.output),
+                                         ("--dump-scores", args.dump_scores),
+                                         ("--dump-adjacency", args.dump_adjacency))
+                 if path == "-"]
+    if len(to_stdout) > 1:
+        errors.append(f"at most one output may go to stdout (-), got {', '.join(to_stdout)}")
     if errors:
         return _fail(errors)
     d = _load(args)
@@ -377,9 +383,8 @@ def _cmd_rank(args) -> int:
                 np.savetxt(fh, row[None])
     if args.dump_scores:
         _write(_scores_json({
-            "fisher": (scores.fisher.kind, scores.fisher.values),
-            "mutual_information": (scores.mutual_information.kind,
-                                   scores.mutual_information.values),
+            "fisher": ("fisher", scores.fisher),
+            "mutual_information": ("mutual_information", scores.mutual_information),
             "centrality": ("centrality", eigen.v0),
         }), args.dump_scores)
     report = {

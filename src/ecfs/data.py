@@ -224,6 +224,8 @@ def fit_normalization(X: np.ndarray) -> NormalizationStats:
     columns are flagged degenerate and will transform to zeros. The shifted
     columns are summed in blocks (column_blocks), each column's rows in the
     same order as one sum over the whole shifted matrix.
+    DatasetError if a finite column's shifted values or their sum overflow
+    float64, as a column of values near 1e308 does.
     """
     X = np.asarray(X, dtype=float)
     mins = X.min(axis=0)
@@ -231,8 +233,15 @@ def fit_normalization(X: np.ndarray) -> NormalizationStats:
     degenerate = mins == maxs
     shift = np.where(mins < 0, -mins, 0.0)
     sums = np.empty_like(shift)
-    for cols in column_blocks(X.shape[1], X.shape[0]):
-        np.sum(X[:, cols] + shift[cols], axis=0, out=sums[cols])
+    with np.errstate(over="ignore"):
+        for cols in column_blocks(X.shape[1], X.shape[0]):
+            np.sum(X[:, cols] + shift[cols], axis=0, out=sums[cols])
+    overflowed = np.flatnonzero(~np.isfinite(sums))
+    if overflowed.size:
+        raise DatasetError(
+            f"column {overflowed[0]} overflows float64 when its values are shifted and summed "
+            "for normalization"
+        )
     scale = np.where(degenerate | (sums == 0), 1.0, sums)
     return NormalizationStats(shift=shift, scale=scale, degenerate=degenerate)
 

@@ -311,7 +311,12 @@ def cross_validate(
     call (_heldout_aucs), the Cs of one fold and alpha sharing a Gram matrix,
     and each is scored on its held-out fold. Exact mean-AUC ties break toward
     the smaller alpha, then the smaller C.
+    ValueError, before any fold is scored, unless d has exactly two classes.
     """
+    if d.n_classes != 2:
+        raise ValueError(
+            f"cross-validation trains binary classifiers; the data has {d.n_classes} classes"
+        )
     alphas = sorted(set(float(a) for a in alpha_grid))
     Cs = sorted(set(float(c) for c in C_grid))
     if not alphas or not Cs:

@@ -17,40 +17,12 @@ from .data import Dataset, column_blocks
 # denominator floor for zero-variance Fisher scores
 VARIANCE_FLOOR = 1e-12
 
-# relevance scores only; an eigenvector reaches FeatureRanking as a plain array
-SCORE_KINDS = ("fisher", "mutual_information")
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreVector:
-    """One finite, non-negative score per feature, of a kind in SCORE_KINDS."""
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or values.shape[0] < 1:
-            raise ValueError("scores must form a non-empty vector")
-        if not np.isfinite(values).all():
-            raise ValueError("scores must be finite")
-        if self.kind not in SCORE_KINDS:
-            raise ValueError(f"unknown score kind {self.kind!r}")
-        if values.min() < 0:
-            raise ValueError(f"{self.kind} scores must be non-negative")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
 def default_bin_count(n_samples: int) -> int:
     """Histogram width rule when no bin count is given: max(2, floor(sqrt(T)))."""
     return max(2, int(math.floor(math.sqrt(n_samples))))
 
 
-def fisher_scores(d: Dataset) -> ScoreVector:
+def fisher_scores(d: Dataset) -> np.ndarray:
     """Fisher separation score per feature.
 
     Two classes: squared mean gap over the summed class variances. More
@@ -58,7 +30,7 @@ def fisher_scores(d: Dataset) -> ScoreVector:
     summed class variances. Variances are population (divide by class size).
     A zero denominator yields 0 when the numerator is 0, otherwise the
     numerator over a 1e-12 floor. Columns are scored in blocks (column_blocks),
-    to the same bits as one pass over the whole matrix.
+    to the same bits as one pass over the whole matrix. The result is read-only.
     """
     X, y = d.X, d.y
     members = [y == c for c in range(d.n_classes)]
@@ -79,7 +51,8 @@ def fisher_scores(d: Dataset) -> ScoreVector:
     out[ok] = num[ok] / den[ok]
     floored = ~ok & (num > 0)
     out[floored] = num[floored] / VARIANCE_FLOOR
-    return ScoreVector(out, "fisher")
+    out.setflags(write=False)
+    return out
 
 
 def _ascending_sums(counts: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -122,7 +95,7 @@ def _chunk_scores(block, y, C, bins, slots, L, t_hy) -> np.ndarray:
     return np.where(live, np.maximum(score, 0.0), 0.0)
 
 
-def mutual_information_scores(d: Dataset, bins: int | None = None) -> ScoreVector:
+def mutual_information_scores(d: Dataset, bins: int | None = None) -> np.ndarray:
     """Mutual information between each discretized feature and the labels.
 
     Each feature is cut into equal-width bins over its own [min, max], bin
@@ -139,7 +112,7 @@ def mutual_information_scores(d: Dataset, bins: int | None = None) -> ScoreVecto
     column's table has min(bins, T) bin slots (its occupied bins are
     renumbered when bins > T), so memory does not grow with n or bins.
     Constant features score 0; round-off can push a score a hair below zero,
-    so scores are clamped at 0.
+    so scores are clamped at 0. The result is read-only.
     ValueError if bins is below 2 or does not convert to a finite float.
     """
     if bins is None:
@@ -162,7 +135,8 @@ def mutual_information_scores(d: Dataset, bins: int | None = None) -> ScoreVecto
     out = np.zeros(n)
     for cols in column_blocks(n, max(T, slots * C)):
         out[cols] = _chunk_scores(X[:, cols], y, C, bins, slots, L, t_hy)
-    return ScoreVector(out, "mutual_information")
+    out.setflags(write=False)
+    return out
 
 
 def feature_spreads(d: Dataset) -> np.ndarray:
@@ -188,12 +162,13 @@ class AdjacencyMatrix:
     Sigma[i, j] = max(s_i, s_j), built from its scores and held as its vectors,
     never formed as n x n.
 
-    AdjacencyMatrix(f, m, s, alpha) min-max rescales the Fisher scores f and the
-    MI scores m to fs, ms in [0, 1]; a constant score vector becomes all zeros
-    and sets degenerate_fisher / degenerate_mi. s holds the feature spreads,
-    finite and non-negative, and is copied once; fs, ms and s are read-only.
+    AdjacencyMatrix(f, m, s, alpha) takes three non-empty vectors of one length,
+    each finite and non-negative: the Fisher scores f, the MI scores m and the
+    feature spreads s. It min-max rescales f and m to fs, ms in [0, 1]; a
+    constant score vector becomes all zeros and sets degenerate_fisher /
+    degenerate_mi. s is copied once; fs, ms and s are read-only.
     `A @ v` costs O(n) after one O(n log n) sort of s.
-    ValueError if f, m and s differ in length, or alpha is outside [0, 1].
+    ValueError if a vector breaks those rules, or alpha is outside [0, 1].
     """
 
     fs: np.ndarray
@@ -203,16 +178,18 @@ class AdjacencyMatrix:
     degenerate_fisher: bool
     degenerate_mi: bool
 
-    def __init__(self, f: ScoreVector, m: ScoreVector, s, alpha: float) -> None:
-        s = np.array(s, dtype=float)
-        if s.ndim != 1 or not len(f) == len(m) == s.shape[0]:
-            raise ValueError("f, m and s must be vectors of one feature count")
-        if not (np.isfinite(s).all() and s.min() >= 0):
-            raise ValueError("s entries must be finite and non-negative")
+    def __init__(self, f, m, s, alpha: float) -> None:
+        # f and m are kept only as their rescaled copies, so only s is copied
+        f, m, s = np.asarray(f, dtype=float), np.asarray(m, dtype=float), np.array(s, dtype=float)
+        if s.ndim != 1 or s.shape[0] < 1 or not f.shape == m.shape == s.shape:
+            raise ValueError("f, m and s must be non-empty vectors of one feature count")
+        for name, v in (("f", f), ("m", m), ("s", s)):
+            if not (np.isfinite(v).all() and v.min() >= 0):
+                raise ValueError(f"{name} entries must be finite and non-negative")
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        fs, degenerate_fisher = _minmax_rescale(f.values)
-        ms, degenerate_mi = _minmax_rescale(m.values)
+        fs, degenerate_fisher = _minmax_rescale(f)
+        ms, degenerate_mi = _minmax_rescale(m)
         for v in (fs, ms, s):
             v.setflags(write=False)
         order = np.argsort(s, kind="stable")

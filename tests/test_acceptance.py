@@ -22,15 +22,14 @@ from ecfs import (
     AdjacencyMatrix,
     SplitPlan,
     SyntheticSpec,
-    ecfs_rank,
     generate_synthetic,
     load_dataset,
     power_iteration,
     roc_auc,
     run_evaluation,
+    score_features,
     stability_curve,
 )
-from ecfs.graph import ScoreVector
 from oracles import matrix_power_oracle, ranking_of_order
 
 
@@ -95,7 +94,7 @@ def test_acceptance_3_synthetic_recovery():
             SyntheticSpec(n_samples=200, n_features=500, n_informative=20,
                           class_separation=2.0, noise_sd=1.0, seed=seed)
         )
-        top = set(ecfs_rank(d, alpha=0.5).top(50).tolist())
+        top = set(score_features(d).ranking("ec_fs", 0.5).top(50).tolist())
         hits.append(len(top & informative))
     elapsed = time.perf_counter() - t0
     median_hits = statistics.median(hits)
@@ -183,8 +182,8 @@ def test_acceptance_6_auc_oracle():
 def _build_and_sweep(n: int):
     """A no-argument callable that times one adjacency build plus one eigensweep."""
     rng = np.random.default_rng(n)
-    f = ScoreVector(rng.random(n), "fisher")
-    m = ScoreVector(rng.random(n), "mutual_information")
+    f = rng.random(n)
+    m = rng.random(n)
     s = rng.random(n)
     v = np.full(n, 1.0 / math.sqrt(n))
 

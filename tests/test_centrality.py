@@ -10,15 +10,12 @@ from ecfs import (
     Dataset,
     FeatureRanking,
     PowerIterationError,
-    ScoreVector,
     SyntheticSpec,
-    ecfs_rank,
     feature_spreads,
     fisher_scores,
     generate_synthetic,
     mutual_information_scores,
     power_iteration,
-    rank_features,
     score_features,
 )
 from oracles import matrix_power_oracle, normalize_features, subset
@@ -79,8 +76,8 @@ class TestPowerIteration:
     def test_scale_invariance_of_ranking(self):
         rng = np.random.default_rng(6)
         A = rng.random((15, 15))
-        base = rank_features(power_iteration(A).v0)
-        scaled = rank_features(power_iteration(3.7 * A).v0)
+        base = FeatureRanking(power_iteration(A).v0)
+        scaled = FeatureRanking(power_iteration(3.7 * A).v0)
         np.testing.assert_array_equal(base.order, scaled.order)
 
     def test_non_convergence_raises_with_residual(self):
@@ -92,8 +89,8 @@ class TestPowerIteration:
 
     def test_overflow_raises_instead_of_converging_on_zeros(self):
         # an overflowed norm once made v all zeros, whose residual of 0 passed
-        f = ScoreVector(np.array([0.0, 1.0, 2.0]), "fisher")
-        m = ScoreVector(np.array([1.0, 0.0, 3.0]), "mutual_information")
+        f = np.array([0.0, 1.0, 2.0])
+        m = np.array([1.0, 0.0, 3.0])
         for A in (np.full((3, 3), 1e200), AdjacencyMatrix(f, m, np.full(3, 1e200), 0.5)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -141,13 +138,12 @@ class TestPowerIteration:
         fs, ms, s = rng.random((3, n))
         for v in (fs, ms, s):
             v[rng.random(n) < 0.2] = 0.0
-        f, m = ScoreVector(fs, "fisher"), ScoreVector(ms, "mutual_information")
         for alpha in (0.0, 0.5, 1.0):
-            assert not (power_iteration(AdjacencyMatrix(f, m, s, alpha)).v0 < 0).any()
+            assert not (power_iteration(AdjacencyMatrix(fs, ms, s, alpha)).v0 < 0).any()
 
     def test_accepts_adjacency_wrapper(self):
-        f = ScoreVector(np.array([0.0, 1.0]), "fisher")
-        m = ScoreVector(np.array([1.0, 0.0]), "mutual_information")
+        f = np.array([0.0, 1.0])
+        m = np.array([1.0, 0.0])
         adj = AdjacencyMatrix(f, m, np.array([0.2, 0.5]), 0.5)
         res = power_iteration(adj)
         assert res.residual <= 1e-10
@@ -189,9 +185,7 @@ class TestMatrixPowerOracle:
 
     def test_accepts_adjacency_wrapper(self):
         rng = np.random.default_rng(9)
-        adj = AdjacencyMatrix(ScoreVector(rng.random(30), "fisher"),
-                               ScoreVector(rng.random(30), "mutual_information"),
-                               rng.random(30), 0.4)
+        adj = AdjacencyMatrix(*rng.random((3, 30)), 0.4)
         a = power_iteration(adj)
         b = matrix_power_oracle(adj)
         assert np.abs(a.v0 - b.v0).max() <= 1e-8
@@ -233,16 +227,16 @@ class TestAccessibilityLimit:
 
 class TestRankFeatures:
     def test_orders_by_score_descending(self):
-        r = rank_features(np.array([0.1, 0.9, 0.3]))
+        r = FeatureRanking(np.array([0.1, 0.9, 0.3]))
         assert r.order.tolist() == [1, 2, 0]
         assert r.scores.tolist() == [0.9, 0.3, 0.1]
 
     def test_ties_break_to_smaller_index(self):
-        r = rank_features(np.array([5.0, 3.0, 5.0, 1.0]))
+        r = FeatureRanking(np.array([5.0, 3.0, 5.0, 1.0]))
         assert r.order.tolist() == [0, 2, 1, 3]
 
     def test_uniform_scores_yield_identity(self):
-        r = rank_features(np.full(5, 0.25))
+        r = FeatureRanking(np.full(5, 0.25))
         assert r.order.tolist() == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("seed", range(5))
@@ -257,10 +251,9 @@ class TestRankFeatures:
         np.testing.assert_array_equal(r.order, want)
         np.testing.assert_array_equal(r.scores, clamped[want])
         assert not (r.order.flags.writeable or r.scores.flags.writeable)
-        frozen = ScoreVector(clamped, "fisher")
-        from_frozen = FeatureRanking(frozen.values)
-        np.testing.assert_array_equal(from_frozen.order, want)
-        np.testing.assert_array_equal(frozen.values, clamped)
+        # a read-only input, as the cached Fisher and MI scores are, ranks the same
+        clamped.setflags(write=False)
+        np.testing.assert_array_equal(FeatureRanking(clamped).order, want)
 
     def test_ranking_peaks_below_four_vectors(self):
         # the clamped copy, its negation and the order, then the gathered scores;
@@ -268,7 +261,7 @@ class TestRankFeatures:
         values = np.random.default_rng(0).random(200_000)
         tracemalloc.start()
         try:
-            rank_features(values)
+            FeatureRanking(values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -289,20 +282,16 @@ class TestRankFeatures:
         r = FeatureRanking(values)
         assert r == r and r != FeatureRanking(values)
 
-    def test_accepts_score_vector(self):
-        r = rank_features(ScoreVector(np.array([0.0, 1.0]), "fisher"))
-        assert r.order.tolist() == [1, 0]
-
     def test_rejects_negative_scores(self):
         with pytest.raises(ValueError, match="non-negative"):
-            rank_features(np.array([0.5, -0.1]))
+            FeatureRanking(np.array([0.5, -0.1]))
 
     def test_clamps_round_off_negatives(self):
-        r = rank_features(np.array([0.5, -1e-13]))
+        r = FeatureRanking(np.array([0.5, -1e-13]))
         assert r.scores[1] == 0.0
 
     def test_top_slice(self):
-        r = rank_features(np.array([0.1, 0.9, 0.3]))
+        r = FeatureRanking(np.array([0.1, 0.9, 0.3]))
         assert r.top(2).tolist() == [1, 2]
         with pytest.raises(ValueError):
             r.top(0)
@@ -316,26 +305,35 @@ class TestEcfsRank:
 
     def test_informative_features_lead(self):
         d, inf = self._informative_dataset()
-        ranking = ecfs_rank(d, alpha=0.5)
+        ranking = score_features(d).ranking("ec_fs", 0.5)
         assert set(int(i) for i in ranking.top(8)) >= inf
 
     def test_alpha_zero_matches_sigma_eigenranking(self):
         d, _ = self._informative_dataset()
         dn, _ = normalize_features(d)
         s = feature_spreads(dn)
-        direct = rank_features(power_iteration(np.maximum.outer(s, s)).v0)
-        np.testing.assert_array_equal(ecfs_rank(d, alpha=0.0).order, direct.order)
+        direct = FeatureRanking(power_iteration(np.maximum.outer(s, s)).v0)
+        np.testing.assert_array_equal(score_features(d).ranking("ec_fs", 0.0).order, direct.order)
 
     def test_alpha_one_matches_relevance_product_eigenranking(self):
         d, _ = self._informative_dataset()
         dn, _ = normalize_features(d)
-        f = fisher_scores(dn).values
-        m = mutual_information_scores(dn).values
+        f = fisher_scores(dn)
+        m = mutual_information_scores(dn)
         fs = (f - f.min()) / (f.max() - f.min())
         ms = (m - m.min()) / (m.max() - m.min())
         k_only = np.outer(fs, ms)
-        direct = rank_features(power_iteration(k_only).v0)
-        np.testing.assert_array_equal(ecfs_rank(d, alpha=1.0).order, direct.order)
+        direct = FeatureRanking(power_iteration(k_only).v0)
+        np.testing.assert_array_equal(score_features(d).ranking("ec_fs", 1.0).order, direct.order)
+
+    def test_scores_are_read_only_float_vectors(self):
+        # FeatureScores hands the same cached arrays to every ranking taken from it
+        d, _ = self._informative_dataset()
+        scores = score_features(d)
+        for v in (scores.fisher, scores.mutual_information):
+            assert v.dtype == np.float64 and v.shape == (d.n_features,)
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 1.0
 
     def test_ec_fs_ranking_needs_an_alpha(self):
         # alpha once defaulted into a None-versus-float comparison (TypeError)
@@ -358,13 +356,13 @@ class TestEcfsRank:
         scores = score_features(d)
         ranking, eigen, adjacency = scores.centrality(alpha)
         np.testing.assert_array_equal(ranking.order, scores.ranking("ec_fs", alpha).order)
-        np.testing.assert_array_equal(ranking.order, rank_features(eigen.v0).order)
+        np.testing.assert_array_equal(ranking.order, FeatureRanking(eigen.v0).order)
         assert adjacency.alpha == alpha
 
     def test_deterministic(self):
         d, _ = self._informative_dataset()
-        a = ecfs_rank(d, alpha=0.3)
-        b = ecfs_rank(d, alpha=0.3)
+        a = score_features(d).ranking("ec_fs", 0.3)
+        b = score_features(d).ranking("ec_fs", 0.3)
         np.testing.assert_array_equal(a.order, b.order)
         np.testing.assert_array_equal(a.scores, b.scores)
 
@@ -397,7 +395,7 @@ class TestEcfsRank:
 
     def test_single_seed_recovery(self):
         d, inf = generate_synthetic(SyntheticSpec(200, 500, 20, 2.0, 1.0, seed=0))
-        hits = len(set(int(i) for i in ecfs_rank(d, alpha=0.5).top(50)) & inf)
+        hits = len(set(int(i) for i in score_features(d).ranking("ec_fs", 0.5).top(50)) & inf)
         assert hits >= 18
 
 
@@ -432,9 +430,9 @@ class TestScoreRows:
             assert getattr(got.stats, name).tobytes() == getattr(want.stats, name).tobytes()
         assert got.stats.degenerate[1]
         assert got.bins == want.bins
-        assert got.fisher.values.tobytes() == want.fisher.values.tobytes()
-        assert (got.mutual_information.values.tobytes()
-                == want.mutual_information.values.tobytes())
+        assert got.fisher.tobytes() == want.fisher.tobytes()
+        assert (got.mutual_information.tobytes()
+                == want.mutual_information.tobytes())
         assert got.spreads.tobytes() == want.spreads.tobytes()
 
     def test_all_rows_by_default(self):

@@ -172,8 +172,8 @@ class TestRank:
         assert A.min() >= 0.0
         # the streamed rows are byte-equal to a dump of the dense blend
         dn, _ = normalize_features(load_dataset(data))
-        f = fisher_scores(dn).values
-        m = mutual_information_scores(dn).values
+        f = fisher_scores(dn)
+        m = mutual_information_scores(dn)
         s = dn.X.std(axis=0)
         dense = 0.5 * np.outer((f - f.min()) / (f.max() - f.min()),
                                (m - m.min()) / (m.max() - m.min()))
@@ -209,9 +209,9 @@ class TestRank:
         scores = score_features(load_dataset(data))
         want = {
             "schema_version": 1,
-            "fisher": {"kind": "fisher", "values": scores.fisher.values.tolist()},
+            "fisher": {"kind": "fisher", "values": scores.fisher.tolist()},
             "mutual_information": {"kind": "mutual_information",
-                                   "values": scores.mutual_information.values.tolist()},
+                                   "values": scores.mutual_information.tolist()},
             "centrality": {"kind": "centrality", "values": scores.centrality(0.5)[1].v0.tolist()},
         }
         assert sc.read_text(encoding="utf-8") == json.dumps(want, sort_keys=True, indent=2) + "\n"
@@ -287,6 +287,55 @@ class TestValidationFailures:
         assert err.count("\n") == 0
         assert "--alpha" in err and "--bins" in err and "--folds" in err
         assert "; " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--alpha", "cv"],
+        ["stability", "--alpha", "cv", "--repeats", "2", "--cardinalities", "5,10"],
+    ])
+    def test_cv_on_three_classes_fails_before_scoring(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        data = tmp_path / "three.csv"
+        _write_csv(data, np.random.default_rng(0).normal(size=(30, 50)), np.arange(30) % 3)
+        calls = []
+        real = ev.score_features
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for mod in (ecfs.cli, ev):
+            monkeypatch.setattr(mod, "score_features", spy)
+        assert main(argv + ["--data", str(data), "--output", str(tmp_path / "out.json")]) == 1
+        assert "the data has 3 classes" in capsys.readouterr().err
+        assert calls == []
+
+    def test_stability_without_ec_fs_takes_three_classes_under_cv(self, tmp_path):
+        # no ec_fs ranking, so no cross-validation runs
+        data = tmp_path / "three.csv"
+        _write_csv(data, np.random.default_rng(0).normal(size=(30, 50)), np.arange(30) % 3)
+        assert main(["stability", "--data", str(data), "--alpha", "cv", "--methods", "fisher,mi",
+                     "--repeats", "2", "--cardinalities", "5,10",
+                     "--output", str(tmp_path / "out.json")]) == 0
+
+    @pytest.mark.parametrize("first", [1e308, -1e308])
+    def test_shifted_sum_overflow_exits_one(self, tmp_path, capsys, first):
+        data = tmp_path / "big.csv"
+        data.write_text(f"a,b,label\n{first!r},1,0\n1.2e308,2,1\n1.5e308,3,0\n1.7e308,4,1\n")
+        assert main(["rank", "--data", str(data), "--output", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: column 0 overflows float64")
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--dump-scores", "-"],
+        ["--dump-adjacency", "-"],
+        ["--output", "r.json", "--dump-scores", "-", "--dump-adjacency", "-"],
+    ])
+    def test_one_output_at_most_on_stdout(self, tmp_path, capsys, argv):
+        # two documents on stdout do not parse as one; the check precedes the load
+        rc = main(["rank", "--data", str(tmp_path / "missing.csv")] + argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "at most one output may go to stdout" in err and "missing.csv" not in err
 
     @pytest.mark.parametrize("argv, flag", [
         (["evaluate", "--fixed-c", "inf"], "--fixed-c"),

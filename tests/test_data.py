@@ -403,6 +403,15 @@ class TestNormalize:
         assert dn.feature_names == d.feature_names
         assert dn.label_names == d.label_names
 
+    @pytest.mark.parametrize("first", [1e308, -1e308])
+    def test_shifted_sum_overflow_names_the_column(self, tmp_path, first):
+        # finite cells whose sum passed float64 once scaled the column by inf,
+        # zeroing it; shifted past float64 they were blamed on a finite cell
+        path = tmp_path / "big.csv"
+        path.write_text(f"a,b,label\n{first!r},1,0\n1.2e308,2,1\n1.5e308,3,0\n1.7e308,4,1\n")
+        with pytest.raises(DatasetError, match="^column 0 overflows float64"):
+            score_features(load_dataset(path))
+
     def test_transform_carries_train_statistics_to_new_rows(self):
         rng = np.random.default_rng(3)
         train = rng.normal(size=(10, 4))
@@ -468,7 +477,7 @@ class TestColumnBlocks:
                              normalization_oracle(X)):
             assert got.tobytes() == want.tobytes()
         for d in (Dataset(X, y), score_features(Dataset(X, y)).data):
-            assert fisher_scores(d).values.tobytes() == fisher_oracle(d.X, y).tobytes()
+            assert fisher_scores(d).tobytes() == fisher_oracle(d.X, y).tobytes()
             assert feature_spreads(d).tobytes() == spreads_oracle(d.X).tobytes()
 
 
@@ -507,7 +516,7 @@ class TestSynthetic:
     def test_informative_columns_dominate_fisher_scores(self):
         # separation 2, noise 1: informative Fisher sits near 2, noise near 0
         d, inf = generate_synthetic(SyntheticSpec(200, 500, 20, 2.0, 1.0, seed=12))
-        scores = fisher_scores(d).values
+        scores = fisher_scores(d)
         inf_idx = sorted(inf)
         noise_max = scores[[i for i in range(500) if i not in inf]].max()
         frac = np.mean(scores[inf_idx] > noise_max)

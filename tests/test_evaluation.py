@@ -21,6 +21,7 @@ import ecfs.graph
 from ecfs import (
     AdjacencyMatrix,
     Dataset,
+    FeatureRanking,
     PowerIterationError,
     SplitError,
     SplitPlan,
@@ -33,7 +34,6 @@ from ecfs import (
     generate_synthetic,
     mutual_information_scores,
     power_iteration,
-    rank_features,
     roc_auc,
     run_evaluation,
     run_stability,
@@ -419,12 +419,12 @@ class TestCrossValidate:
             trn = Dataset(stats.transform(trd.X), trd.y)
             va_X = stats.transform(d.X[va_idx])
             va_y = d.y[va_idx]
-            fs = rescaled(fisher_scores(trn).values)
-            ms = rescaled(mutual_information_scores(trn).values)
+            fs = rescaled(fisher_scores(trn))
+            ms = rescaled(mutual_information_scores(trn))
             s = trn.X.std(axis=0)
             for ai, a in enumerate(alphas):
                 A = a * np.outer(fs, ms) + (1 - a) * np.maximum.outer(s, s)
-                sel = rank_features(power_iteration(A).v0).top(cardinality)
+                sel = FeatureRanking(power_iteration(A).v0).top(cardinality)
                 for ci, c in enumerate(cs):
                     model = _fit_one(trn, sel, c, epochs=epochs,
                                      seed=derive_seed(seed, j, ai, ci))
@@ -446,6 +446,14 @@ class TestCrossValidate:
         cross_validate(d, (0.0, 0.25, 0.5, 0.75, 1.0), (0.1, 1.0), folds=folds,
                        cardinality=4, seed=2, epochs=3)
         assert len(seen) == folds
+
+    def test_more_than_two_classes_rejected_before_scoring(self, monkeypatch):
+        # three classes once scored every fold before the trainer refused them
+        seen = _spy_scoring(monkeypatch)
+        d = _ds(np.random.default_rng(3).normal(size=(30, 6)), np.arange(30) % 3)
+        with pytest.raises(ValueError, match="the data has 3 classes"):
+            cross_validate(d, (0.5,), (1.0,), folds=5, cardinality=2, seed=0, epochs=2)
+        assert seen == []
 
     def test_fold_with_single_class_rejected(self):
         y = np.array([0] * 3 + [1] * 12)
@@ -722,8 +730,8 @@ class TestRunEvaluation:
             te_X = stats.transform(d.X[te_idx])
             f, m = fisher_scores(trn), mutual_information_scores(trn)
             A = AdjacencyMatrix(f, m, feature_spreads(trn), rep["alpha_per_repeat"][r])
-            rankings = {"ec_fs": rank_features(power_iteration(A).v0),
-                        "fisher": rank_features(f), "mi": rank_features(m)}
+            rankings = {"ec_fs": FeatureRanking(power_iteration(A).v0),
+                        "fisher": FeatureRanking(f), "mi": FeatureRanking(m)}
             for method, ranking in rankings.items():
                 c = want_c if method == "ec_fs" else fixed_c
                 for k in ks:

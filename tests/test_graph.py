@@ -7,15 +7,13 @@ import pytest
 from ecfs import (
     AdjacencyMatrix,
     Dataset,
-    ScoreVector,
+    FeatureRanking,
     default_bin_count,
     feature_spreads,
     fisher_scores,
     mutual_information_scores,
     power_iteration,
-    rank_features,
 )
-from ecfs.graph import SCORE_KINDS
 from oracles import normalize_features
 
 
@@ -78,7 +76,7 @@ class TestFisherScores:
         # class means 1 and 0, both population variances 0.5 -> score 1.0
         b = math.sqrt(0.5)
         d = _ds([[1 - b], [1 + b], [-b], [b]], [0, 0, 1, 1])
-        assert fisher_scores(d).values[0] == pytest.approx(1.0, abs=1e-12)
+        assert fisher_scores(d)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_three_class_hand_value(self):
         # class means 0,1,2 each with population variance 0.5, overall mean 1
@@ -86,7 +84,7 @@ class TestFisherScores:
         a = math.sqrt(0.5)
         rows = [[0 - a], [0 + a], [1 - a], [1 + a], [2 - a], [2 + a]]
         d = _ds(rows, [0, 0, 1, 1, 2, 2])
-        assert fisher_scores(d).values[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert fisher_scores(d)[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed,classes", [(0, 2), (1, 3), (2, 4), (3, 3), (4, 5)])
     def test_matches_reference_implementation(self, seed, classes):
@@ -95,48 +93,48 @@ class TestFisherScores:
         X = rng.normal(size=(T, 6))
         y = np.arange(T) % classes
         d = _ds(X, y)
-        np.testing.assert_allclose(fisher_scores(d).values, _fisher_reference(X, y),
+        np.testing.assert_allclose(fisher_scores(d), _fisher_reference(X, y),
                                    rtol=1e-10, atol=1e-12)
 
     def test_zero_numerator_gives_zero(self):
         # equal class means with real spread: score must be exactly 0
         d = _ds([[0.0], [2.0], [0.0], [2.0]], [0, 0, 1, 1])
-        assert fisher_scores(d).values[0] == 0.0
+        assert fisher_scores(d)[0] == 0.0
 
     def test_zero_denominator_uses_floor(self):
         # feature equal to the label: zero within-class variance, mean gap 1
         d = _ds([[0.0], [0.0], [1.0], [1.0]], [0, 0, 1, 1])
-        assert fisher_scores(d).values[0] == pytest.approx(1.0 / 1e-12)
+        assert fisher_scores(d)[0] == pytest.approx(1.0 / 1e-12)
 
     def test_constant_feature_scores_zero(self):
         d = _ds([[3.0, 0.0], [3.0, 1.0], [3.0, 0.5], [3.0, 2.0]], [0, 0, 1, 1])
-        assert fisher_scores(d).values[0] == 0.0
+        assert fisher_scores(d)[0] == 0.0
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(30, 5))
         y = np.arange(30) % 3
         perm = rng.permutation(30)
-        a = fisher_scores(_ds(X, y)).values
-        b = fisher_scores(_ds(X[perm], y[perm])).values
+        a = fisher_scores(_ds(X, y))
+        b = fisher_scores(_ds(X[perm], y[perm]))
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(20, 4))
         y = np.arange(20) % 2
-        a = fisher_scores(_ds(X, y)).values
-        b = fisher_scores(_ds(X + 7.25, y)).values
+        a = fisher_scores(_ds(X, y))
+        b = fisher_scores(_ds(X + 7.25, y))
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(20, 4))
         y = np.arange(20) % 2
-        a = fisher_scores(_ds(X, y)).values
-        exact = fisher_scores(_ds(X * 4.0, y)).values  # power of two: no rounding
+        a = fisher_scores(_ds(X, y))
+        exact = fisher_scores(_ds(X * 4.0, y))  # power of two: no rounding
         np.testing.assert_array_equal(a, exact)
-        close = fisher_scores(_ds(X * 3.0, y)).values
+        close = fisher_scores(_ds(X * 3.0, y))
         np.testing.assert_allclose(a, close, rtol=1e-12)
 
 
@@ -165,18 +163,18 @@ def _mi_per_feature_loop(d, bins):
 class TestMutualInformation:
     def test_constant_feature_scores_zero(self):
         d = _ds([[1.0], [1.0], [1.0], [1.0]], [0, 0, 1, 1])
-        assert mutual_information_scores(d, bins=4).values[0] == 0.0
+        assert mutual_information_scores(d, bins=4)[0] == 0.0
 
     def test_perfect_predictor_reaches_log2(self):
         d = _ds([[0.0], [1.0], [0.0], [1.0]], [0, 1, 0, 1])
-        got = mutual_information_scores(d, bins=2).values[0]
+        got = mutual_information_scores(d, bins=2)[0]
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_independent_feature_stays_small(self):
         rng = np.random.default_rng(21)
         X = rng.normal(size=(1000, 1))
         y = np.arange(1000) % 2
-        got = mutual_information_scores(_ds(X, y), bins=10).values[0]
+        got = mutual_information_scores(_ds(X, y), bins=10)[0]
         assert 0.0 <= got < 0.05
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -185,7 +183,7 @@ class TestMutualInformation:
         T = 60
         X = rng.normal(size=(T, 5))
         y = np.asarray(np.arange(T) % 3)
-        got = mutual_information_scores(_ds(X, y), bins=6).values
+        got = mutual_information_scores(_ds(X, y), bins=6)
         want = [_mi_reference(X[:, i].tolist(), y.tolist(), 6) for i in range(5)]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -205,20 +203,20 @@ class TestMutualInformation:
             with pytest.raises(ValueError, match="finite float"):
                 mutual_information_scores(d, bins=bins)
         # the largest power of ten that is still a finite float scores as usual
-        assert mutual_information_scores(d, bins=10**308).values[0] == np.log(2)
+        assert mutual_information_scores(d, bins=10**308)[0] == np.log(2)
 
     def test_nonnegative_on_random_data(self):
         rng = np.random.default_rng(5)
         d = _ds(rng.normal(size=(40, 8)), np.arange(40) % 2)
-        assert mutual_information_scores(d, bins=5).values.min() >= 0.0
+        assert mutual_information_scores(d, bins=5).min() >= 0.0
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(50, 4))
         y = np.arange(50) % 2
         perm = rng.permutation(50)
-        a = mutual_information_scores(_ds(X, y), bins=7).values
-        b = mutual_information_scores(_ds(X[perm], y[perm]), bins=7).values
+        a = mutual_information_scores(_ds(X, y), bins=7)
+        b = mutual_information_scores(_ds(X[perm], y[perm]), bins=7)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("T, n, classes, bins", [
@@ -230,7 +228,7 @@ class TestMutualInformation:
         X[:, 3::11] = 0.25  # constant columns
         X[:, 5::7] = np.round(X[:, 5::7])  # few distinct values, many shared bins
         d = _ds(X, np.arange(T) % classes)
-        got = mutual_information_scores(d, bins).values
+        got = mutual_information_scores(d, bins)
         want = _mi_per_feature_loop(d, bins or default_bin_count(T))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert (got[3::11] == 0.0).all()
@@ -239,9 +237,9 @@ class TestMutualInformation:
         rng = np.random.default_rng(10)
         X = rng.normal(size=(45, 60))
         y = rng.permutation(np.arange(45) % 3)
-        a = mutual_information_scores(_ds(X, y), bins=5).values
+        a = mutual_information_scores(_ds(X, y), bins=5)
         for relabel in ([1, 2, 0], [2, 1, 0], [0, 2, 1]):
-            b = mutual_information_scores(_ds(X, np.asarray(relabel)[y]), bins=5).values
+            b = mutual_information_scores(_ds(X, np.asarray(relabel)[y]), bins=5)
             np.testing.assert_array_equal(a, b)
 
     def test_column_permutation_permutes_scores_bit_for_bit(self):
@@ -251,8 +249,8 @@ class TestMutualInformation:
         X = rng.normal(size=(30, 20_000))
         y = np.arange(30) % 2
         perm = rng.permutation(20_000)
-        a = mutual_information_scores(_ds(X, y), bins=4).values
-        b = mutual_information_scores(_ds(X[:, perm], y), bins=4).values
+        a = mutual_information_scores(_ds(X, y), bins=4)
+        b = mutual_information_scores(_ds(X[:, perm], y), bins=4)
         np.testing.assert_array_equal(a[perm], b)
 
     def test_bin_permuted_tables_tie_toward_smaller_index(self):
@@ -269,8 +267,8 @@ class TestMutualInformation:
             X[:, 2 * j + 1] = rng.permutation(levels)[base[:, j].astype(int)]
         y = rng.permutation(np.arange(T) % 3)
         mi = mutual_information_scores(_ds(X, y), bins=levels)
-        np.testing.assert_array_equal(mi.values[0::2], mi.values[1::2])
-        position = np.argsort(rank_features(mi).order)
+        np.testing.assert_array_equal(mi[0::2], mi[1::2])
+        position = np.argsort(FeatureRanking(mi).order)
         assert (position[0::2] < position[1::2]).all()
 
     def test_memory_does_not_grow_with_feature_count(self):
@@ -303,7 +301,7 @@ class TestSigmaMatrix:
         d = _ds([[0.5 - 0.1, 0.5 - 0.3], [0.5 + 0.1, 0.5 + 0.3]], [0, 1])
         s = feature_spreads(d)
         np.testing.assert_allclose(s, [0.1, 0.3], rtol=1e-12)
-        f, m = ScoreVector(np.zeros(2), "fisher"), ScoreVector(np.zeros(2), "mutual_information")
+        f, m = np.zeros(2), np.zeros(2)
         np.testing.assert_allclose(_dense(AdjacencyMatrix(f, m, s, 0.0)),
                                    [[0.1, 0.3], [0.3, 0.3]], rtol=1e-12)
 
@@ -314,7 +312,7 @@ class TestSigmaMatrix:
         assert s.shape == (9,)
         assert s.min() >= 0.0
         assert s.max() <= 1.0
-        f = ScoreVector(rng.random(9), "fisher")
+        f = rng.random(9)
         S = _dense(AdjacencyMatrix(f, f, s, 0.0))
         np.testing.assert_array_equal(S, S.T)
 
@@ -325,8 +323,8 @@ class TestSigmaMatrix:
 
 class TestBuildAdjacency:
     def _fm(self):
-        f = ScoreVector(np.array([0.0, 1.0]), "fisher")
-        m = ScoreVector(np.array([1.0, 0.0]), "mutual_information")
+        f = np.array([0.0, 1.0])
+        m = np.array([1.0, 0.0])
         return f, m
 
     def test_hand_example(self):
@@ -347,11 +345,11 @@ class TestBuildAdjacency:
     def test_blend_identity(self, alpha):
         rng = np.random.default_rng(30)
         n = 6
-        f = ScoreVector(rng.random(n), "fisher")
-        m = ScoreVector(rng.random(n), "mutual_information")
+        f = rng.random(n)
+        m = rng.random(n)
         s = rng.random(n)
         A = _dense(AdjacencyMatrix(f, m, s, alpha))
-        want = alpha * np.outer(_rescaled(f.values), _rescaled(m.values)) + (
+        want = alpha * np.outer(_rescaled(f), _rescaled(m)) + (
             1 - alpha
         ) * np.maximum.outer(s, s)
         np.testing.assert_array_equal(A, want)
@@ -363,8 +361,8 @@ class TestBuildAdjacency:
                 AdjacencyMatrix(f, m, np.zeros(2), bad)
 
     def test_constant_scores_flagged_and_zeroed(self):
-        f = ScoreVector(np.array([0.5, 0.5]), "fisher")
-        m = ScoreVector(np.array([0.0, 1.0]), "mutual_information")
+        f = np.array([0.5, 0.5])
+        m = np.array([0.0, 1.0])
         adj = AdjacencyMatrix(f, m, np.zeros(2), 1.0)
         assert adj.degenerate_fisher and not adj.degenerate_mi
         assert not _dense(adj).any()
@@ -373,8 +371,8 @@ class TestBuildAdjacency:
     def test_entries_bounded_for_normalized_scores(self):
         rng = np.random.default_rng(31)
         n = 10
-        f = ScoreVector(rng.random(n) * 100, "fisher")
-        m = ScoreVector(rng.random(n), "mutual_information")
+        f = rng.random(n) * 100
+        m = rng.random(n)
         A = _dense(AdjacencyMatrix(f, m, rng.random(n), 0.4))
         assert A.min() >= 0.0 and A.max() <= 1.0
 
@@ -384,10 +382,14 @@ class TestBuildAdjacency:
             AdjacencyMatrix(f, m, np.zeros(3), 0.5)
         with pytest.raises(ValueError, match="feature count"):
             AdjacencyMatrix(f, m, np.zeros((2, 2)), 0.5)
-        m3 = ScoreVector(np.array([1.0, 0.0, 0.5]), "mutual_information")
+        m3 = np.array([1.0, 0.0, 0.5])
         for s in (np.zeros(2), np.zeros(3)):
             with pytest.raises(ValueError, match="feature count"):
                 AdjacencyMatrix(f, m3, s, 0.5)
+        with pytest.raises(ValueError, match="feature count"):
+            AdjacencyMatrix(f[:, None], m, np.zeros(2), 0.5)
+        with pytest.raises(ValueError, match="non-empty"):
+            AdjacencyMatrix(np.zeros(0), np.zeros(0), np.zeros(0), 0.5)
 
     def test_holds_frozen_vectors_of_its_own(self):
         # s is copied once, so the caller's array stays its own and writable
@@ -406,7 +408,6 @@ class TestBuildAdjacency:
         f, m = self._fm()
         adj = AdjacencyMatrix(f, m, np.zeros(2), 0.5)
         assert adj == adj and adj != AdjacencyMatrix(f, m, np.zeros(2), 0.5)
-        assert f == f and f != ScoreVector(f.values, "fisher")
 
     def test_build_peaks_below_nine_vectors(self):
         # the rescaled fs and ms, the copy of s, and the sort: order, sorted s,
@@ -414,8 +415,8 @@ class TestBuildAdjacency:
         # vectors when the rescaled vectors were copied again
         n = 200_000
         rng = np.random.default_rng(2)
-        f = ScoreVector(rng.random(n), "fisher")
-        m = ScoreVector(rng.random(n), "mutual_information")
+        f = rng.random(n)
+        m = rng.random(n)
         s = rng.random(n)
         tracemalloc.start()
         try:
@@ -434,8 +435,8 @@ class TestAdjacencyOperator:
         # few distinct values, so s has zeros and many exact ties, and whole
         # groups of features share (fs, ms, s)
         rng = np.random.default_rng(seed)
-        f = ScoreVector(rng.integers(0, 4, n) / 3.0, "fisher")
-        m = ScoreVector(rng.integers(0, 3, n) / 2.0, "mutual_information")
+        f = rng.integers(0, 4, n) / 3.0
+        m = rng.integers(0, 3, n) / 2.0
         s = rng.integers(0, 5, n) / 8.0
         return AdjacencyMatrix(f, m, s, alpha)
 
@@ -443,9 +444,7 @@ class TestAdjacencyOperator:
     def test_matvec_matches_dense_rows(self, alpha):
         rng = np.random.default_rng(41)
         for adj in (self._tied_operator(alpha),
-                    AdjacencyMatrix(ScoreVector(rng.random(257), "fisher"),
-                                     ScoreVector(rng.random(257), "mutual_information"),
-                                     rng.random(257), alpha)):
+                    AdjacencyMatrix(*rng.random((3, 257)), alpha)):
             dense = _dense(adj)
             assert adj.shape == dense.shape
             for v in (np.ones(adj.shape[0]), rng.random(adj.shape[0])):
@@ -466,7 +465,7 @@ class TestAdjacencyOperator:
             assert len(set(w[members].tolist())) == 1
 
     def test_zero_operator_is_degenerate_after_zero_iterations(self):
-        zero_scores = ScoreVector(np.zeros(5), "fisher")
+        zero_scores = np.zeros(5)
         adj = AdjacencyMatrix(zero_scores, zero_scores, np.zeros(5), 0.3)
         assert not (adj @ np.ones(5)).any()
         res = power_iteration(adj)
@@ -479,27 +478,14 @@ class TestAdjacencyOperator:
                 adj @ np.ones(n)
 
 
-class TestScoreVector:
-    def test_rejects_negative_supervised_scores(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            ScoreVector(np.array([-0.1, 0.2]), "fisher")
+class TestAdjacencyInputs:
+    """f, m and s are checked by one rule, each under its own name."""
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            ScoreVector(np.array([0.1]), "entropy")
-        # an eigenvector reaches FeatureRanking as a plain array
-        assert SCORE_KINDS == ("fisher", "mutual_information")
-        with pytest.raises(ValueError, match="kind"):
-            ScoreVector(np.array([0.1]), "centrality")
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="finite"):
-            ScoreVector(np.array([np.inf]), "fisher")
-
-    def test_adjacency_rejects_negative_entries(self):
-        f = ScoreVector(np.array([0.0, 1.0]), "fisher")
-        with pytest.raises(ValueError, match="non-negative"):
-            AdjacencyMatrix(f, f, np.array([0.1, -0.2]), 0.5)
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite"):
-                AdjacencyMatrix(f, f, np.array([0.1, bad]), 0.5)
+    @pytest.mark.parametrize("name", ["f", "m", "s"])
+    @pytest.mark.parametrize("bad", [-0.2, np.nan, np.inf])
+    def test_rejects_negative_and_nonfinite_entries(self, name, bad):
+        vectors = {"f": np.array([0.0, 1.0]), "m": np.array([1.0, 0.0]),
+                   "s": np.array([0.1, 0.3])}
+        vectors[name][1] = bad
+        with pytest.raises(ValueError, match=f"^{name} entries must be finite and non-negative$"):
+            AdjacencyMatrix(vectors["f"], vectors["m"], vectors["s"], 0.5)

@@ -7,13 +7,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, FeatureRanking, NormalizationStats, fit_normalization
+from .data import (
+    Dataset,
+    FeatureRanking,
+    NormalizationStats,
+    _class_count,
+    _row_indices,
+    column_blocks,
+)
 from .graph import (
     AdjacencyMatrix,
+    _fisher_ratio,
+    _fisher_terms,
+    _mutual_information,
+    _spreads,
     default_bin_count,
-    feature_spreads,
-    fisher_scores,
-    mutual_information_scores,
 )
 
 METHODS = ("ec_fs", "fisher", "mi")
@@ -115,30 +123,35 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
 
 @dataclass(frozen=True, eq=False)
 class FeatureScores:
-    """Fisher scores, mutual-information scores and spreads of one dataset's rows.
+    """Fisher scores, mutual-information scores and spreads of rows of a dataset.
 
-    `data` holds the rows normalized and `stats` the statistics fitted on them,
-    which map held-out rows into the same representation. Each vector is a
-    read-only array, computed on first use and then reused, so every ranking
-    taken from one instance (`ranking` or `centrality`, for any method and any
-    alpha) shares one scoring pass, and Fisher-only callers never pay for MI.
+    `source` is the dataset, `rows` a read-only copy of the scored rows'
+    indices into it and `y` their labels; `stats` are the normalization
+    statistics fitted on those rows, which map any of source's rows into the
+    representation the scores were taken in. No normalized matrix is held:
+    fisher and spreads come from score_features' one pass over the columns,
+    and mutual_information, on first use, from a second pass that gathers and
+    normalizes each block of columns again. So Fisher-only callers never pay
+    for MI, and every ranking taken from one instance (`ranking` or
+    `centrality`, for any method and any alpha) shares one scoring pass.
     """
 
-    data: Dataset
+    source: Dataset
+    rows: np.ndarray
+    y: np.ndarray
     stats: NormalizationStats
     bins: int
-
-    @cached_property
-    def fisher(self) -> np.ndarray:
-        return fisher_scores(self.data)
+    fisher: np.ndarray
+    spreads: np.ndarray
 
     @cached_property
     def mutual_information(self) -> np.ndarray:
-        return mutual_information_scores(self.data, self.bins)
+        def normalized(cols: slice) -> np.ndarray:
+            block = self.source.X[self.rows, cols]
+            return self.stats._transform(block, cols, out=block)
 
-    @cached_property
-    def spreads(self) -> np.ndarray:
-        return feature_spreads(self.data)
+        return _mutual_information(normalized, self.source.n_features, self.y,
+                                   int(self.y.max()) + 1, self.bins)
 
     def centrality(
         self, alpha: float, tol: float = 1e-10, max_iter: int = 10000
@@ -166,17 +179,32 @@ class FeatureScores:
 
 
 def score_features(d: Dataset, bins: int | None = None, rows=None) -> FeatureScores:
-    """Normalize rows of d (indices in the order given; all rows when None) on
-    their own statistics and score them once, for every ranking taken from the
-    result. The rows are gathered once and that copy is normalized in place;
-    a class left with no row raises ClassCountError, as a Dataset of them would.
+    """Score rows of d (indices in the order given; all rows when None),
+    normalized on their own statistics, once for every ranking taken from the
+    result.
+
+    One pass over the columns, in blocks (column_blocks), gathers each block
+    of those rows from d.X, fits the block's statistics, normalizes it in
+    place and takes its Fisher terms and spreads; no copy of all the rows is
+    made. ValueError unless rows is a non-empty 1-D integer array of indices
+    into d; a class left with no row raises ClassCountError, as a Dataset of
+    those rows would.
 
     bins defaults to max(2, floor(sqrt(T))) of the row count T.
     """
-    rows = np.arange(d.n_samples) if rows is None else np.asarray(rows, dtype=int)
-    X = d.X[rows]
-    stats = fit_normalization(X)
-    data = Dataset._own(stats.transform(X, out=X), d.y[rows], d.feature_names, d.label_names)
+    rows = _row_indices(rows, d.n_samples)
+    y = d.y[rows]
+    members = [y == c for c in range(_class_count(y, d.label_names))]
+    n = d.n_features
+    stats = NormalizationStats(np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+    num, den, spreads = np.empty(n), np.empty(n), np.empty(n)
+    for cols in column_blocks(n, len(rows)):
+        block = d.X[rows, cols]
+        stats._fit_transform(block, cols)
+        num[cols], den[cols] = _fisher_terms(block, members)
+        spreads[cols] = _spreads(block)
     if bins is None:
-        bins = default_bin_count(data.n_samples)
-    return FeatureScores(data, stats, bins)
+        bins = default_bin_count(len(rows))
+    y.setflags(write=False)
+    spreads.setflags(write=False)
+    return FeatureScores(d, rows, y, stats, bins, _fisher_ratio(num, den), spreads)

@@ -412,9 +412,6 @@ def _cmd_rank(args) -> int:
             "degenerate_mi": adjacency.degenerate_mi,
         },
     }
-    # the scores hold the normalized rows, a second copy of the matrix; kept
-    # through the write below they raised rank-wide's peak RSS by 1 MB
-    del scores
     with _sink(args.output) as fh:
         if args.output_format == "json":
             _write_rank_json(fh, report, d, ranking)

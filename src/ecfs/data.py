@@ -52,6 +52,44 @@ def _check_finite(X: np.ndarray) -> None:
         raise NonFiniteValueError(f"non-finite value at (row {r}, column {c})")
 
 
+def _class_count(y: np.ndarray, label_names=None) -> int:
+    """The class count C of integer labels y that fill every class 0..C-1 with
+    C >= 2, and match label_names when given; ClassCountError or DatasetError
+    otherwise. A Dataset's labels pass it, and so must the labels of any rows
+    that are scored on their own."""
+    if y.min() < 0:
+        raise ClassCountError("labels must be non-negative integers")
+    n_classes = int(y.max()) + 1
+    if n_classes < 2:
+        raise ClassCountError("expected at least two classes, found 1")
+    # T samples fill at most classes 0..T-1, so labels past T are counted
+    # together in slot T: the first empty class is found in O(T) memory
+    empty = np.flatnonzero(np.bincount(np.minimum(y, len(y))) == 0)
+    if empty.size:
+        raise ClassCountError(f"class {empty[0]} has zero samples")
+    if label_names is not None and len(label_names) != n_classes:
+        raise DatasetError("label_names length does not match class count")
+    return n_classes
+
+
+def _row_indices(rows, n_samples: int) -> np.ndarray:
+    """A new read-only intp copy of rows, indices into n_samples rows (all of
+    them, in order, when rows is None). ValueError unless rows is a non-empty
+    1-D integer array with every entry in 0..n_samples-1: a boolean mask, a
+    float or a negative index would otherwise select other rows without a word."""
+    if rows is None:
+        out = np.arange(n_samples)
+    else:
+        out = np.array(rows)
+        if out.ndim != 1 or out.size == 0 or out.dtype.kind not in "iu":
+            raise ValueError("rows must be a non-empty 1-D array of integer row indices")
+        if out.min() < 0 or out.max() >= n_samples:
+            raise ValueError(f"row indices must be in 0..{n_samples - 1}")
+        out = out.astype(np.intp, copy=False)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable samples-by-features matrix with integer class labels.
@@ -61,9 +99,8 @@ class Dataset:
     the source header and the original label values in mapping order.
 
     The constructor copies X, so the caller's array stays its own and stays
-    writable. The loaders and score_features instead hand over the array they
-    have just built (Dataset._own), so a matrix is held once. Either way X and y
-    are read-only.
+    writable. The loaders instead hand over the array they have just built
+    (Dataset._own), so a matrix is held once. Either way X and y are read-only.
     """
 
     X: np.ndarray
@@ -78,6 +115,7 @@ class Dataset:
     def _own(cls, X: np.ndarray, y, feature_names=None, label_names=None) -> "Dataset":
         """A Dataset that takes X itself, with no copy, and makes it read-only:
         for an array its caller has just built and holds no other reference to,
+        such as a loaded matrix or a classifier's normalized training columns,
         or one that is read-only already. It runs the constructor's checks."""
         d = object.__new__(cls)
         object.__setattr__(d, "y", y)
@@ -107,20 +145,9 @@ class Dataset:
                 raise DatasetError(f"label at row {r} is not an integer: {float(labels[r])}")
         y = np.array(labels, dtype=int)
         _check_finite(X)
-        if y.min() < 0:
-            raise ClassCountError("labels must be non-negative integers")
-        n_classes = int(y.max()) + 1
-        if n_classes < 2:
-            raise ClassCountError("expected at least two classes, found 1")
-        # T samples fill at most classes 0..T-1, so labels past T are counted
-        # together in slot T: the first empty class is found in O(T) memory
-        empty = np.flatnonzero(np.bincount(np.minimum(y, len(y))) == 0)
-        if empty.size:
-            raise ClassCountError(f"class {empty[0]} has zero samples")
         if self.feature_names is not None and len(self.feature_names) != X.shape[1]:
             raise DatasetError("feature_names length does not match feature count")
-        if self.label_names is not None and len(self.label_names) != n_classes:
-            raise DatasetError("label_names length does not match class count")
+        _class_count(y, self.label_names)
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -194,6 +221,8 @@ class NormalizationStats:
     """Per-column shift/scale fitted on one matrix, applicable to another.
 
     Columns flagged degenerate (constant in the fitted data) map to all zeros.
+    score_features allocates the three arrays for all columns and fits them
+    one block of columns at a time (_fit_transform).
     """
 
     shift: np.ndarray
@@ -203,47 +232,61 @@ class NormalizationStats:
     def transform(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(X + shift) / scale, with degenerate columns zeroed, into out (X itself
         may be passed) or a new array; the only full-size array made is the result.
+        DatasetError naming the first column where (X + shift) / scale overflows
+        float64, as a value far above the fitted range, or one over a tiny fitted
+        scale, does; degenerate columns included.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.shift.shape[0]:
             raise ValueError("matrix width does not match fitted statistics")
-        out = np.add(X, self.shift, out=out)
-        out /= self.scale
-        out[:, self.degenerate] = 0.0
+        return self._transform(X, slice(None), out)
+
+    def _transform(self, X: np.ndarray, cols, out: np.ndarray | None = None) -> np.ndarray:
+        """transform of X, some rows of the fitted matrix in its columns cols (a
+        slice or an index array); an error names the column by its fitted index."""
+        with np.errstate(over="ignore"):
+            out = np.add(X, self.shift[cols], out=out)
+            out /= self.scale[cols]
+        # checked before degenerate columns are zeroed: a value that the fitted
+        # shift carries past float64 is rejected in every column alike
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=0))
+        if bad.size:
+            column = np.arange(self.shift.shape[0])[cols][bad[0]]
+            raise DatasetError(
+                f"column {column} overflows float64 when normalized with the fitted statistics"
+            )
+        out[:, self.degenerate[cols]] = 0.0
         return out
+
+    def _fit_transform(self, block: np.ndarray, cols: slice) -> None:
+        """Fit the columns cols on block, those columns of the rows being fitted,
+        store their statistics in place, and normalize block in place.
+
+        A column is shifted only when it contains negative entries and divided
+        by the sum of its shifted values; constant columns are flagged
+        degenerate. DatasetError if a column's shifted values or their sum
+        overflow float64, as a column of values near 1e308 does.
+        """
+        mins = block.min(axis=0)
+        maxs = block.max(axis=0)
+        degenerate = mins == maxs
+        shift = np.where(mins < 0, -mins, 0.0)
+        with np.errstate(over="ignore"):
+            sums = np.sum(block + shift, axis=0)
+        overflowed = np.flatnonzero(~np.isfinite(sums))
+        if overflowed.size:
+            raise DatasetError(
+                f"column {cols.start + overflowed[0]} overflows float64 when its values are "
+                "shifted and summed for normalization"
+            )
+        self.shift[cols] = shift
+        self.scale[cols] = np.where(degenerate | (sums == 0), 1.0, sums)
+        self.degenerate[cols] = degenerate
+        self._transform(block, cols, out=block)
 
     @property
     def degenerate_columns(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.degenerate)]
-
-
-def fit_normalization(X: np.ndarray) -> NormalizationStats:
-    """Fit the shift-by-min / divide-by-sum statistics on each column.
-
-    A column is shifted only when it contains negative entries; constant
-    columns are flagged degenerate and will transform to zeros. The shifted
-    columns are summed in blocks (column_blocks), each column's rows in the
-    same order as one sum over the whole shifted matrix.
-    DatasetError if a finite column's shifted values or their sum overflow
-    float64, as a column of values near 1e308 does.
-    """
-    X = np.asarray(X, dtype=float)
-    mins = X.min(axis=0)
-    maxs = X.max(axis=0)
-    degenerate = mins == maxs
-    shift = np.where(mins < 0, -mins, 0.0)
-    sums = np.empty_like(shift)
-    with np.errstate(over="ignore"):
-        for cols in column_blocks(X.shape[1], X.shape[0]):
-            np.sum(X[:, cols] + shift[cols], axis=0, out=sums[cols])
-    overflowed = np.flatnonzero(~np.isfinite(sums))
-    if overflowed.size:
-        raise DatasetError(
-            f"column {overflowed[0]} overflows float64 when its values are shifted and summed "
-            "for normalization"
-        )
-    scale = np.where(degenerate | (sums == 0), 1.0, sums)
-    return NormalizationStats(shift=shift, scale=scale, degenerate=degenerate)
 
 
 def _map_labels(raw: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import METHODS, FeatureScores, score_features
-from .data import Dataset, FeatureRanking, NormalizationStats
+from .data import Dataset, FeatureRanking, _row_indices
 
 DEFAULT_ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0)
@@ -268,18 +268,20 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return twice / (2 * len(pos) * len(neg))
 
 
-def _held_group(scores: FeatureScores, jobs: list, d: Dataset, held: np.ndarray) -> tuple:
-    """The (trn, jobs, X, y) group of _heldout_aucs for d's held-out rows `held`:
-    trn is scores' normalized training rows, and trn, X and every job are cut to
-    the columns some job selects, X read from d in those columns alone and
-    normalized by scores' statistics. Groups are held until one training call,
-    and a remapped job trains and scores bit for bit as before."""
+def _held_group(scores: FeatureScores, jobs: list, held: np.ndarray) -> tuple:
+    """The (trn, jobs, X, y) group of _heldout_aucs for the held-out rows `held`
+    of the dataset scores were taken on: trn is the scored training rows and X
+    the held-out rows, both read from that dataset only in the columns some job
+    selects and normalized with scores' statistics, and every job is cut to
+    those columns. Groups are held until one training call, and a remapped job
+    trains and scores bit for bit as on the full width."""
     cols = np.unique(np.concatenate([sel for sel, _, _ in jobs]))
     jobs = [(np.searchsorted(cols, sel), c, seed) for sel, c, seed in jobs]
-    trn, stats = scores.data, scores.stats
-    cut = NormalizationStats(stats.shift[cols], stats.scale[cols], stats.degenerate[cols])
-    X = cut.transform(d.X[np.ix_(held, cols)])
-    return Dataset._own(trn.X[:, cols], trn.y), jobs, X, d.y[held]
+    d, stats = scores.source, scores.stats
+    trn, X = d.X[np.ix_(scores.rows, cols)], d.X[np.ix_(held, cols)]
+    for part in (trn, X):
+        stats._transform(part, cols, out=part)
+    return Dataset._own(trn, scores.y), jobs, X, d.y[held]
 
 
 def _heldout_aucs(groups: list, epochs: int) -> list[list[float]]:
@@ -304,6 +306,7 @@ def cross_validate(
 ) -> tuple[float, float]:
     """Pick (alpha, C) by stratified k-fold AUC on training rows of d only: the
     indices `rows`, in the order given (all rows when None), as a copy of them would.
+    ValueError unless rows is a non-empty 1-D integer array of indices into d.
 
     Each fold is normalized and scored once; every alpha's ec_fs ranking derives
     from those scores and selects the top `cardinality` features (capped at the
@@ -311,7 +314,9 @@ def cross_validate(
     call (_heldout_aucs), the Cs of one fold and alpha sharing a Gram matrix,
     and each is scored on its held-out fold. Exact mean-AUC ties break toward
     the smaller alpha, then the smaller C.
-    ValueError, before any fold is scored, unless d has exactly two classes.
+    ValueError, before any fold is scored, unless d has exactly two classes;
+    DatasetError if a validation row overflows float64 when normalized with its
+    fold's training statistics.
     """
     if d.n_classes != 2:
         raise ValueError(
@@ -328,7 +333,7 @@ def cross_validate(
     if cardinality < 1:
         raise ValueError("cardinality must be positive")
     cardinality = min(cardinality, d.n_features)
-    rows = np.arange(d.n_samples) if rows is None else np.asarray(rows, dtype=int)
+    rows = _row_indices(rows, d.n_samples)
     y = d.y[rows]
     fold_parts = stratified_fold_indices(y, folds, seed)
     groups = []
@@ -341,7 +346,7 @@ def cross_validate(
         sels = [scores.ranking("ec_fs", a).top(cardinality) for a in alphas]
         jobs = [(sel, c, derive_seed(seed, j, ai, ci))
                 for ai, sel in enumerate(sels) for ci, c in enumerate(Cs)]
-        groups.append(_held_group(scores, jobs, d, rows[va_idx]))
+        groups.append(_held_group(scores, jobs, rows[va_idx]))
     table = np.zeros((len(alphas), len(Cs)))
     for aucs in _heldout_aucs(groups, epochs):
         table += np.reshape(aucs, table.shape)
@@ -587,7 +592,7 @@ def _repeat_body(
     (alpha, C) on the training rows when alpha is None and ec_fs (the one method
     reading the pair) is requested, then normalize and score the training rows
     alone in one score_features pass and rank every method from it; return the
-    record and the scores, which hold the normalized rows and their statistics."""
+    record and the scores, which hold the training rows' indices and statistics."""
 
     def body(r: int) -> tuple[_Repeat, FeatureScores]:
         train = splits[r][0]
@@ -689,7 +694,7 @@ def run_evaluation(
             c_r = fixed_c if rep.C is None else rep.C
             jobs = [(rep.tops[m][:k], c_r if m == "ec_fs" else fixed_c,
                      derive_seed(plan.seed, r, _METHOD_SEED[m], k)) for m in methods for k in ks]
-            groups.append(_held_group(scores, jobs, d, splits[r][1]))
+            groups.append(_held_group(scores, jobs, splits[r][1]))
             reps.append(rep)
             cs.append(c_r)
         aucs = [{m: flat[mi * len(ks):(mi + 1) * len(ks)] for mi, m in enumerate(methods)}

@@ -32,21 +32,27 @@ def fisher_scores(d: Dataset) -> np.ndarray:
     numerator over a 1e-12 floor. Columns are scored in blocks (column_blocks),
     to the same bits as one pass over the whole matrix. The result is read-only.
     """
-    X, y = d.X, d.y
-    members = [y == c for c in range(d.n_classes)]
+    members = [d.y == c for c in range(d.n_classes)]
     num = np.empty(d.n_features)
     den = np.empty(d.n_features)
     for cols in column_blocks(d.n_features, d.n_samples):
-        block = X[:, cols]
-        means = np.stack([block[rows].mean(axis=0) for rows in members])
-        variances = np.stack([block[rows].var(axis=0) for rows in members])
-        if d.n_classes == 2:
-            num[cols] = (means[0] - means[1]) ** 2
-            den[cols] = variances[0] + variances[1]
-        else:
-            num[cols] = ((means - block.mean(axis=0)) ** 2).sum(axis=0)
-            den[cols] = variances.sum(axis=0)
-    out = np.zeros(d.n_features)
+        num[cols], den[cols] = _fisher_terms(d.X[:, cols], members)
+    return _fisher_ratio(num, den)
+
+
+def _fisher_terms(block: np.ndarray, members: list[np.ndarray]) -> tuple:
+    """The Fisher numerator and denominator of each column of a block of rows,
+    with members[c] the mask of class c's rows."""
+    means = np.stack([block[rows].mean(axis=0) for rows in members])
+    variances = np.stack([block[rows].var(axis=0) for rows in members])
+    if len(members) == 2:
+        return (means[0] - means[1]) ** 2, variances[0] + variances[1]
+    return ((means - block.mean(axis=0)) ** 2).sum(axis=0), variances.sum(axis=0)
+
+
+def _fisher_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The read-only Fisher scores num / den, floored as fisher_scores says."""
+    out = np.zeros(num.shape[0])
     ok = den > 0
     out[ok] = num[ok] / den[ok]
     floored = ~ok & (num > 0)
@@ -74,11 +80,12 @@ def _occupied_bins(z: np.ndarray) -> np.ndarray:
 
 
 def _chunk_scores(block, y, C, bins, slots, L, t_hy) -> np.ndarray:
-    """MI scores of a block of columns from one bincount of its joint tables."""
+    """MI scores of a block of columns from one bincount of its joint tables.
+    The block is binned in place, so it must be an array of the caller's own."""
     T, m = block.shape
     lo, hi = block.min(axis=0), block.max(axis=0)
     live = lo < hi
-    z = block - lo
+    z = np.subtract(block, lo, out=block)
     z /= np.where(live, hi - lo, 1.0)
     z *= bins
     np.floor(z, out=z)
@@ -117,6 +124,14 @@ def mutual_information_scores(d: Dataset, bins: int | None = None) -> np.ndarray
     """
     if bins is None:
         bins = default_bin_count(d.n_samples)
+    return _mutual_information(lambda cols: np.array(d.X[:, cols]), d.n_features, d.y,
+                               d.n_classes, bins)
+
+
+def _mutual_information(read, n: int, y: np.ndarray, n_classes: int, bins) -> np.ndarray:
+    """mutual_information_scores of n columns with labels y, each block of
+    columns cols read as read(cols): a new len(y) x (columns in cols) array,
+    which the scoring overwrites."""
     if bins < 2:
         raise ValueError(f"bins must be at least 2, got {bins}")
     try:
@@ -125,16 +140,14 @@ def mutual_information_scores(d: Dataset, bins: int | None = None) -> np.ndarray
         finite = False
     if not finite:
         raise ValueError(f"bins must convert to a finite float, got {bins}")
-    X, y = d.X, d.y
-    T, n = X.shape
-    C = d.n_classes
+    T, C = len(y), n_classes
     k = np.arange(1, T + 1)
     L = np.concatenate(([0.0], k * np.log(k)))
     t_hy = L[T] - _ascending_sums(np.bincount(y)[None], L)[0]
     slots = min(bins, T)
     out = np.zeros(n)
     for cols in column_blocks(n, max(T, slots * C)):
-        out[cols] = _chunk_scores(X[:, cols], y, C, bins, slots, L, t_hy)
+        out[cols] = _chunk_scores(read(cols), y, C, bins, slots, L, t_hy)
     out.setflags(write=False)
     return out
 
@@ -145,8 +158,13 @@ def feature_spreads(d: Dataset) -> np.ndarray:
     Taken in blocks of columns (column_blocks), to the bits of one pass."""
     out = np.empty(d.n_features)
     for cols in column_blocks(d.n_features, d.n_samples):
-        out[cols] = d.X[:, cols].std(axis=0)
+        out[cols] = _spreads(d.X[:, cols])
     return out
+
+
+def _spreads(block: np.ndarray) -> np.ndarray:
+    """feature_spreads of a block of columns."""
+    return block.std(axis=0)
 
 
 def _minmax_rescale(values: np.ndarray) -> tuple[np.ndarray, bool]:

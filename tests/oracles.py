@@ -3,11 +3,12 @@
 None runs in the ecfs pipeline: matrix_power_oracle cross-checks
 power_iteration, kuncheva_index cross-checks stability_curve pair by pair, and
 the one-pass formulas (normalization_oracle, fisher_oracle, spreads_oracle)
-cross-check the passes that ecfs runs over blocks of columns. subset and
-normalize_features copy rows and normalize them as separate steps, the
-reference for score_features(d, rows=...), which gathers and normalizes one
-copy. ranking_of_order builds the FeatureRanking a given order comes from, for
-stability tests.
+cross-check the passes that ecfs runs over blocks of columns. subset,
+fit_normalization and normalize_features copy rows, fit their statistics and
+normalize them as separate steps over whole matrices, the reference for
+score_features(d, rows=...), which gathers, fits and normalizes one block of
+columns at a time. ranking_of_order builds the FeatureRanking a given order
+comes from, for stability tests.
 """
 
 import numpy as np
@@ -19,7 +20,6 @@ from ecfs import (
     FeatureRanking,
     NormalizationStats,
     PowerIterationError,
-    fit_normalization,
 )
 
 
@@ -28,6 +28,12 @@ def subset(d: Dataset, rows) -> Dataset:
     d's names; the constructor's checks reject a subset missing a class."""
     rows = np.asarray(rows, dtype=int)
     return Dataset(d.X[rows], d.y[rows], d.feature_names, d.label_names)
+
+
+def fit_normalization(X: np.ndarray) -> NormalizationStats:
+    """The shift-by-min / divide-by-sum statistics of each column of X, each from
+    one reduction over the whole matrix (normalization_oracle)."""
+    return NormalizationStats(*normalization_oracle(np.asarray(X, dtype=float)))
 
 
 def normalize_features(d: Dataset) -> tuple[Dataset, NormalizationStats]:

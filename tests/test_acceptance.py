@@ -244,3 +244,18 @@ def test_acceptance_8_cli_determinism(tmp_path):
     b0, b1, b2 = (p.read_bytes() for p in outs)
     ok = b0 == b1 == b2 and json.loads(b0)["schema_version"] == 1
     _verdict(8, "cli-determinism", ok)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the example reads matrix.txt and labels.txt; ecfs synth data alternates
+    # its labels, which a row pattern such as every second row would split by class
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = text.split("### Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    d, _ = generate_synthetic(SyntheticSpec(40, 60, 5, 2.0, 1.0, seed=0))
+    np.savetxt(tmp_path / "matrix.txt", d.X)
+    np.savetxt(tmp_path / "labels.txt", d.y, fmt="%d")
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["train"].rows.tolist() == namespace["train_rows"].tolist()
+    assert len(namespace["ranking"].top(50)) == 50

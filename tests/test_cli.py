@@ -325,6 +325,19 @@ class TestValidationFailures:
         assert capsys.readouterr().err.startswith("error: column 0 overflows float64")
         assert not (tmp_path / "r.json").exists()
 
+    def test_held_out_value_that_overflows_exits_one(self, tmp_path, capsys):
+        # seed 5 holds row 0 out; its column-0 value passes float64 once shifted
+        # by the training rows' minimum, which once warned and exited 0
+        data = tmp_path / "over.csv"
+        data.write_text("a,b,c,label\n" + "".join(
+            f"{'1.79e308' if r == 0 else '-1e307'},1.0,2.0,{r % 2}\n" for r in range(30)))
+        assert main(["evaluate", "--data", str(data), "--repeats", "1", "--methods", "fisher",
+                     "--cardinalities", "1,2", "--seed", "5",
+                     "--output", str(tmp_path / "e.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: column 0 overflows float64 when normalized")
+        assert not (tmp_path / "e.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["--dump-scores", "-"],
         ["--dump-adjacency", "-"],

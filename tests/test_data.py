@@ -19,13 +19,18 @@ from ecfs import (
     SyntheticSpec,
     feature_spreads,
     fisher_scores,
-    fit_normalization,
     generate_synthetic,
     load_dataset,
     score_features,
 )
 from ecfs.data import _map_labels, _read_csv_fast, _read_matrix_fast, column_blocks
-from oracles import fisher_oracle, normalization_oracle, spreads_oracle
+from oracles import (
+    fisher_oracle,
+    fit_normalization,
+    normalization_oracle,
+    normalize_features,
+    spreads_oracle,
+)
 
 
 def write_csv(path, text):
@@ -342,66 +347,54 @@ class TestLoaderMatchesCellReference:
         assert out.stdout.split() == ["2", "False"]
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def _wide_dataset() -> Dataset:
-    rng = np.random.default_rng(13)
-    return Dataset(rng.normal(size=(30, 200_000)), np.arange(30) % 2)
-
-
 def _ds(X, y):
     return Dataset(np.asarray(X, dtype=float), np.asarray(y, dtype=int))
+
+
+def _normalized(d: Dataset) -> np.ndarray:
+    """d's rows under the statistics score_features fits on them."""
+    return score_features(d).stats.transform(d.X)
 
 
 class TestNormalize:
     def test_positive_column_divided_by_sum(self):
         d = _ds([[1], [1], [2]], [0, 1, 0])
-        scores = score_features(d)
-        assert scores.data.X[:, 0].tolist() == [0.25, 0.25, 0.5]
-        assert scores.stats.degenerate_columns == []
+        assert _normalized(d)[:, 0].tolist() == [0.25, 0.25, 0.5]
+        assert score_features(d).stats.degenerate_columns == []
 
     def test_negative_column_shifted_first(self):
         d = _ds([[-1], [0], [1]], [0, 1, 0])
-        dn = score_features(d).data
-        np.testing.assert_allclose(dn.X[:, 0], [0.0, 1.0 / 3.0, 2.0 / 3.0])
+        np.testing.assert_allclose(_normalized(d)[:, 0], [0.0, 1.0 / 3.0, 2.0 / 3.0])
 
     def test_constant_column_zeroed_and_flagged(self):
         d = _ds([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]], [0, 1, 0])
-        scores = score_features(d)
-        assert scores.data.X[:, 0].tolist() == [0.0, 0.0, 0.0]
-        assert scores.stats.degenerate_columns == [0]
-        np.testing.assert_allclose(scores.data.X[:, 1].sum(), 1.0)
+        Xn = _normalized(d)
+        assert Xn[:, 0].tolist() == [0.0, 0.0, 0.0]
+        assert score_features(d).stats.degenerate_columns == [0]
+        np.testing.assert_allclose(Xn[:, 1].sum(), 1.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(42)
         X = rng.normal(size=(20, 7))  # mixed-sign columns
         d = _ds(X, np.arange(20) % 2)
-        d1 = score_features(d).data
-        d2 = score_features(d1).data
-        assert np.abs(d2.X - d1.X).max() <= 1e-12
+        X1 = _normalized(d)
+        X2 = _normalized(_ds(X1, d.y))
+        assert np.abs(X2 - X1).max() <= 1e-12
 
     def test_columns_sum_to_one(self):
         rng = np.random.default_rng(7)
         d = _ds(rng.normal(size=(15, 6)), np.arange(15) % 2)
-        dn = score_features(d).data
-        np.testing.assert_allclose(dn.X.sum(axis=0), np.ones(6), atol=1e-12)
-        assert dn.X.min() >= 0.0
+        Xn = _normalized(d)
+        np.testing.assert_allclose(Xn.sum(axis=0), np.ones(6), atol=1e-12)
+        assert Xn.min() >= 0.0
 
     def test_shape_and_labels_preserved(self):
         d = Dataset(np.arange(12, dtype=float).reshape(4, 3), np.array([0, 1, 0, 1]),
                     ("a", "b", "c"), ("x", "y"))
-        dn = score_features(d).data
-        assert dn.X.shape == d.X.shape
-        assert dn.y.tolist() == d.y.tolist()
-        assert dn.feature_names == d.feature_names
-        assert dn.label_names == d.label_names
+        scores = score_features(d)
+        assert scores.source is d
+        assert scores.rows.tolist() == [0, 1, 2, 3] and scores.y.tolist() == d.y.tolist()
+        assert _normalized(d).shape == d.X.shape
 
     @pytest.mark.parametrize("first", [1e308, -1e308])
     def test_shifted_sum_overflow_names_the_column(self, tmp_path, first):
@@ -429,17 +422,23 @@ class TestNormalize:
         out = stats.transform(np.array([[9.0, 1.0], [7.0, 1.0]]))
         assert out[:, 0].tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("train, held, column", [
+        ([[-1e307, 1.0], [-1e307, 2.0]], [1.79e308, 1.5], 0),  # shifted past float64
+        ([[0.0, 1.0], [1e-300, 2.0]], [1e10, 1.5], 0),  # over a tiny scale
+        ([[1.0, 1e-300], [2.0, 0.0]], [1.5, -1e10], 1),  # the same, negative
+    ])
+    def test_transform_rejects_a_value_that_overflows(self, train, held, column):
+        # the first case's column is constant in training, so degenerate; it
+        # used to warn and come out as zeros
+        stats = fit_normalization(np.array(train))
+        with pytest.raises(DatasetError, match=f"^column {column} overflows float64 when "
+                                               "normalized with the fitted statistics"):
+            stats.transform(np.array([held, [1.0, 1.0]]))
+
     def test_transform_width_mismatch(self):
         stats = fit_normalization(np.ones((3, 2)) * [[1.0, 2.0], [2.0, 1.0], [3.0, 4.0]])
         with pytest.raises(ValueError, match="width"):
             stats.transform(np.ones((2, 3)))
-
-    def test_memory_holds_one_normalized_copy(self):
-        # the gathered rows, 8 B a cell, normalized in place, and no full-size
-        # temporary: the two of the transform and the Dataset copy of its
-        # result once took 2.2x
-        d = _wide_dataset()
-        assert _traced_peak(lambda: score_features(d)) < 1.3 * d.X.nbytes
 
 
 def _column_pass_case(T: int, n: int, C: int, seed: int) -> np.ndarray:
@@ -472,11 +471,15 @@ class TestColumnBlocks:
         X = _column_pass_case(T, n, C, seed=T + n)
         y = np.arange(T) % C
         assert len(column_blocks(n, T)) > 1
-        stats = fit_normalization(X)
+        scores = score_features(Dataset(X, y))
+        stats = scores.stats
         for got, want in zip((stats.shift, stats.scale, stats.degenerate),
                              normalization_oracle(X)):
             assert got.tobytes() == want.tobytes()
-        for d in (Dataset(X, y), score_features(Dataset(X, y)).data):
+        Xn = normalize_features(Dataset(X, y))[0].X
+        assert scores.fisher.tobytes() == fisher_oracle(Xn, y).tobytes()
+        assert scores.spreads.tobytes() == spreads_oracle(Xn).tobytes()
+        for d in (Dataset(X, y), Dataset(Xn, y)):
             assert fisher_scores(d).tobytes() == fisher_oracle(d.X, y).tobytes()
             assert feature_spreads(d).tobytes() == spreads_oracle(d.X).tobytes()
 
@@ -570,20 +573,19 @@ class TestDatasetInvariants:
         X[0, 0] = 99.0
         assert d.X[0, 0] == 0.0 and not d.X.flags.writeable
 
-    def test_scoring_rows_holds_one_copy_of_them(self):
-        # the rows are gathered once and normalized in place; a row subset
-        # copied and then normalized into a second copy once took 2.11x
-        d = _wide_dataset()
-        rows = np.arange(30)[::-1][:20]
-        assert _traced_peak(lambda: score_features(d, rows=rows)) < 1.4 * d.X[rows].nbytes
-
     def test_scoring_rows_keeps_names_and_checks_classes(self):
         d = Dataset(np.arange(8, dtype=float).reshape(4, 2), np.array([0, 1, 0, 1]),
                     ("u", "v"), ("n", "p"))
-        s = score_features(d, rows=np.array([0, 1])).data
+        s = score_features(d, rows=np.array([0, 1])).source
         assert s.feature_names == ("u", "v") and s.label_names == ("n", "p")
-        with pytest.raises(ClassCountError):
+        with pytest.raises(ClassCountError, match="expected at least two classes, found 1"):
             score_features(d, rows=np.array([0, 2]))  # drops class 1
+        with pytest.raises(ClassCountError, match="class 0 has zero samples"):
+            score_features(d, rows=np.array([1, 3]))
+        three = Dataset(np.arange(12, dtype=float).reshape(6, 2), np.arange(6) % 3,
+                        label_names=("a", "b", "c"))
+        with pytest.raises(DatasetError, match="label_names length does not match class count"):
+            score_features(three, rows=np.array([0, 1, 3, 4]))  # drops the last class
 
     def test_feature_name_fallback(self):
         d = _ds([[1.0, 2.0], [3.0, 4.0]], [0, 1])

@@ -21,6 +21,7 @@ import ecfs.graph
 from ecfs import (
     AdjacencyMatrix,
     Dataset,
+    DatasetError,
     FeatureRanking,
     PowerIterationError,
     SplitError,
@@ -30,7 +31,6 @@ from ecfs import (
     derive_seed,
     feature_spreads,
     fisher_scores,
-    fit_normalization,
     generate_synthetic,
     mutual_information_scores,
     power_iteration,
@@ -43,7 +43,13 @@ from ecfs import (
     train_linear_classifiers,
     two_sample_ttest,
 )
-from oracles import kuncheva_index, normalize_features, ranking_of_order, subset
+from oracles import (
+    fit_normalization,
+    kuncheva_index,
+    normalize_features,
+    ranking_of_order,
+    subset,
+)
 
 
 def _ds(X, y):
@@ -90,10 +96,13 @@ def _assert_scored_training_rows_only(d, plan, seen) -> None:
         assert ds is d
         assert np.intersect1d(rows, te_idx).size == 0
         np.testing.assert_array_equal(rows, tr_idx)
-        assert scores.data.n_samples == len(tr_idx) < d.n_samples
-        want = fit_normalization(d.X[tr_idx]).transform(d.X[tr_idx])
-        np.testing.assert_array_equal(scores.data.X, want)
-        np.testing.assert_array_equal(scores.data.y, d.y[tr_idx])
+        assert scores.source is d
+        assert len(scores.rows) == len(tr_idx) < d.n_samples
+        np.testing.assert_array_equal(scores.rows, tr_idx)
+        want = fit_normalization(d.X[tr_idx])
+        for name in ("shift", "scale", "degenerate"):
+            np.testing.assert_array_equal(getattr(scores.stats, name), getattr(want, name))
+        np.testing.assert_array_equal(scores.y, d.y[tr_idx])
 
 
 class TestSplits:
@@ -455,6 +464,23 @@ class TestCrossValidate:
             cross_validate(d, (0.5,), (1.0,), folds=5, cardinality=2, seed=0, epochs=2)
         assert seen == []
 
+    def test_validation_row_that_overflows_is_rejected(self):
+        # column 0 is 0 or 1e-300 on every row but row 0 (1e10): a fold that
+        # holds row 0 out divides it by a scale near 1e-299
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.arange(30) % 2 * 1e-300, rng.normal(size=30)])
+        X[0, 0] = 1e10
+        d = _ds(X, np.arange(30) % 2)
+        with pytest.raises(DatasetError, match="^column 0 overflows float64 when normalized"):
+            cross_validate(d, (0.5,), (1.0,), folds=5, cardinality=2, seed=0, epochs=2)
+
+    @pytest.mark.parametrize("rows", [np.arange(24) % 2 == 0, np.arange(12) - 1,
+                                      np.arange(12) + 0.5, np.array([0, 5, 24])])
+    def test_rows_must_be_indices_into_d(self, rows):
+        with pytest.raises(ValueError, match="row indices"):
+            cross_validate(self._fixture(), (0.5,), (1.0,), folds=3, cardinality=2, seed=0,
+                           epochs=2, rows=rows)
+
     def test_fold_with_single_class_rejected(self):
         y = np.array([0] * 3 + [1] * 12)
         rng = np.random.default_rng(2)
@@ -501,12 +527,13 @@ class TestCrossValidate:
         held = held[::-1]
         scores = ev.score_features(d, rows=train)
         jobs = [(np.array([7, 5, 3]), 1.0, 0), (np.array([3, 11]), 0.5, 1)]
-        trn, remapped, Xh, yh = ev._held_group(scores, jobs, d, held)
+        trn, remapped, Xh, yh = ev._held_group(scores, jobs, held)
         cols = [3, 5, 7, 11]
         assert Xh.tobytes() == scores.stats.transform(d.X[held])[:, cols].tobytes()
         assert Xh[:, 1].tolist() == [0.0] * len(held)
         assert yh.tolist() == d.y[held].tolist()
-        assert trn.X.tobytes() == scores.data.X[:, cols].tobytes()
+        assert trn.X.tobytes() == scores.stats.transform(d.X[train])[:, cols].tobytes()
+        assert trn.y.tolist() == d.y[train].tolist()
         assert [sel.tolist() for sel, _, _ in remapped] == [[2, 1, 0], [0, 3]]
 
 
@@ -757,6 +784,17 @@ class TestRunEvaluation:
                    for v in cell["samples"]]
         assert len(set(samples)) > 3
 
+    def test_held_out_value_that_overflows_is_rejected(self):
+        # column 0 is -1e307 on every row but row 0, which seed 5 holds out;
+        # shifted by 1e307 it passed float64 with only a warning, and AUC 0.5
+        X = np.column_stack([np.full(30, -1e307), np.ones(30), np.full(30, 2.0)])
+        X[0, 0] = 1.79e308
+        d = _ds(X, np.arange(30) % 2)
+        plan = SplitPlan(n_repeats=1, seed=5)
+        assert 0 in split_indices(d.y, plan)[0][1]
+        with pytest.raises(DatasetError, match="^column 0 overflows float64 when normalized"):
+            run_evaluation(d, plan, methods=("fisher",), cardinalities=(1, 2), epochs=2)
+
     def test_rankings_never_see_test_rows(self, monkeypatch):
         d = self._fixture()
         plan = SplitPlan(n_repeats=3, seed=7)
@@ -767,7 +805,7 @@ class TestRunEvaluation:
     def test_scores_once_per_repeat_and_skips_unneeded_scores(self, monkeypatch):
         d = self._fixture()
         seen = _spy_scoring(monkeypatch)
-        mi_calls = _count_calls(monkeypatch, "mutual_information_scores")
+        mi_calls = _count_calls(monkeypatch, "_mutual_information")
         run_evaluation(d, SplitPlan(n_repeats=3, seed=0), methods=("fisher",),
                        cardinalities=(3,), epochs=4)
         assert len(seen) == 3
@@ -880,7 +918,7 @@ class TestRunStability:
         d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
         plan = SplitPlan(n_repeats=3, seed=7)
         seen = _spy_scoring(monkeypatch)
-        mi_calls = _count_calls(monkeypatch, "mutual_information_scores")
+        mi_calls = _count_calls(monkeypatch, "_mutual_information")
         run_stability(d, plan, methods=("fisher", "ec_fs"), cardinalities=(2, 4))
         _assert_scored_training_rows_only(d, plan, seen)
         assert len(mi_calls) == 3  # only ec_fs needs MI, once per repeat

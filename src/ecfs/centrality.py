@@ -17,6 +17,7 @@ from .data import (
 )
 from .graph import (
     AdjacencyMatrix,
+    _dot,
     _fisher_ratio,
     _fisher_terms,
     _mutual_information,
@@ -79,6 +80,11 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
     A is validated non-negative and a sweep only multiplies, adds and divides
     non-negative numbers, so v0 has no negative entry and is returned unclamped.
 
+    The norms and the Rayleigh quotient are numpy pairwise sums, in an order
+    fixed by this code rather than by the BLAS thread count; with an
+    AdjacencyMatrix, whose product does the same, the result's bits do not
+    depend on that count. A dense A is multiplied by BLAS.
+
     Raises:
         PowerIterationError: residual still above tol after max_iter sweeps;
             the exception carries the last residual.
@@ -101,15 +107,16 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
                 return EigenResult(0.0, v, 0, 0.0, degenerate=True)
             residual = np.inf
             for it in range(1, max_iter + 1):
-                nrm = float(np.linalg.norm(w))
+                nrm = float(np.sqrt(_dot(w, w)))
                 if nrm == 0.0:
                     # the current direction is annihilated; every eigenvalue on this
                     # path is 0, so report the last direction with lambda0 = 0
                     return EigenResult(0.0, v, it, 0.0, degenerate=True)
                 v = w / nrm
                 w = M @ v
-                lam = float(v @ w)
-                residual = float(np.linalg.norm(w - lam * v))
+                lam = _dot(v, w)
+                r = w - lam * v
+                residual = float(np.sqrt(_dot(r, r)))
                 if residual <= tol:
                     return EigenResult(lam, v, it, residual)
     except FloatingPointError as e:

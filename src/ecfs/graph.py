@@ -167,6 +167,12 @@ def _spreads(block: np.ndarray) -> np.ndarray:
     return block.std(axis=0)
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y of two float vectors as numpy's pairwise sum of x * y, whose order
+    is fixed in code; BLAS's dot sums in an order set by its thread count."""
+    return float(np.add.reduce(x * y))
+
+
 def _minmax_rescale(values: np.ndarray) -> tuple[np.ndarray, bool]:
     lo, hi = values.min(), values.max()
     if lo == hi:
@@ -224,10 +230,16 @@ class AdjacencyMatrix:
         return (len(self.s), len(self.s))
 
     def __matmul__(self, v) -> np.ndarray:
-        """A v; (Sigma v)_i = s_i * sum(v_j : s_j <= s_i) + sum(s_j v_j : s_j > s_i)."""
-        rank1 = self.alpha * float(self.ms @ v) * self.fs
+        """A v; (Sigma v)_i = s_i * sum(v_j : s_j <= s_i) + sum(s_j v_j : s_j > s_i).
+        Every sum runs in an order this code fixes, never in BLAS, so the bits
+        do not depend on the BLAS thread count. ValueError unless v is a vector
+        of one entry per feature."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != self.s.shape:
+            raise ValueError(f"A is {self.shape}, v has shape {v.shape}")
+        rank1 = self.alpha * _dot(self.ms, v) * self.fs
         order, s_sorted, at_most = self._sorted
-        vs = np.asarray(v, dtype=float)[order]
+        vs = v[order]
         # in sorted position k: s_k times the sum of v up to k, plus s_j v_j summed
         # from the largest spread down to position k + 1; then read at each
         # feature's last position among equal spreads

@@ -3,18 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    FeatureRanking,
-    NormalizationStats,
-    _class_count,
-    _row_indices,
-    column_blocks,
-)
+from .data import Dataset, FeatureRanking, NormalizationStats, _class_count, _row_indices
 from .graph import (
     AdjacencyMatrix,
     _dot,
@@ -136,11 +128,9 @@ class FeatureScores:
     indices into it and `y` their labels; `stats` are the normalization
     statistics fitted on those rows, which map any of source's rows into the
     representation the scores were taken in. No normalized matrix is held:
-    fisher and spreads come from score_features' one pass over the columns,
-    and mutual_information, on first use, from a second pass that gathers and
-    normalizes each block of columns again. So Fisher-only callers never pay
-    for MI, and every ranking taken from one instance (`ranking` or
-    `centrality`, for any method and any alpha) shares one scoring pass.
+    all three vectors come from score_features' one pass over the columns, and
+    every ranking taken from one instance (`ranking` or `centrality`, for any
+    method and any alpha) shares that pass.
     """
 
     source: Dataset
@@ -149,16 +139,8 @@ class FeatureScores:
     stats: NormalizationStats
     bins: int
     fisher: np.ndarray
+    mutual_information: np.ndarray
     spreads: np.ndarray
-
-    @cached_property
-    def mutual_information(self) -> np.ndarray:
-        def normalized(cols: slice) -> np.ndarray:
-            block = self.source.X[self.rows, cols]
-            return self.stats._transform(block, cols, out=block)
-
-        return _mutual_information(normalized, self.source.n_features, self.y,
-                                   int(self.y.max()) + 1, self.bins)
 
     def centrality(
         self, alpha: float, tol: float = 1e-10, max_iter: int = 10000
@@ -190,28 +172,36 @@ def score_features(d: Dataset, bins: int | None = None, rows=None) -> FeatureSco
     normalized on their own statistics, once for every ranking taken from the
     result.
 
-    One pass over the columns, in blocks (column_blocks), gathers each block
-    of those rows from d.X, fits the block's statistics, normalizes it in
-    place and takes its Fisher terms and spreads; no copy of all the rows is
-    made. ValueError unless rows is a non-empty 1-D integer array of indices
-    into d; a class left with no row raises ClassCountError, as a Dataset of
-    those rows would.
+    One pass over the columns, in MI's blocks (column_blocks), gathers each
+    block of those rows from d.X, fits the block's statistics, normalizes it
+    in place, takes its Fisher terms and spreads, then bins it in place for
+    its MI scores; no copy of all the rows is made. ValueError unless rows is
+    a non-empty 1-D integer array of indices into d; a class left with no row
+    raises ClassCountError, as a Dataset of those rows would.
 
-    bins defaults to max(2, floor(sqrt(T))) of the row count T.
+    bins defaults to max(2, floor(sqrt(T))) of the row count T. ValueError,
+    before any column is read, unless bins is an integer of at least 2 that
+    converts to a finite float.
     """
     rows = _row_indices(rows, d.n_samples)
     y = d.y[rows]
-    members = [y == c for c in range(_class_count(y, d.label_names))]
+    n_classes = _class_count(y, d.label_names)
+    members = [y == c for c in range(n_classes)]
     n = d.n_features
     stats = NormalizationStats(np.empty(n), np.empty(n), np.empty(n, dtype=bool))
     num, den, spreads = np.empty(n), np.empty(n), np.empty(n)
-    for cols in column_blocks(n, len(rows)):
+
+    def read(cols: slice) -> np.ndarray:
+        # Fisher and the spreads are taken before MI bins the block in place
         block = d.X[rows, cols]
         stats._fit_transform(block, cols)
         num[cols], den[cols] = _fisher_terms(block, members)
         spreads[cols] = _spreads(block)
+        return block
+
     if bins is None:
         bins = default_bin_count(len(rows))
+    mi = _mutual_information(read, n, y, n_classes, bins)
     y.setflags(write=False)
     spreads.setflags(write=False)
-    return FeatureScores(d, rows, y, stats, bins, _fisher_ratio(num, den), spreads)
+    return FeatureScores(d, rows, y, stats, bins, _fisher_ratio(num, den), mi, spreads)

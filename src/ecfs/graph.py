@@ -8,6 +8,7 @@ blend a rank-1 relevance product with a pairwise dispersion matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +121,8 @@ def mutual_information_scores(d: Dataset, bins: int | None = None) -> np.ndarray
     renumbered when bins > T), so memory does not grow with n or bins.
     Constant features score 0; round-off can push a score a hair below zero,
     so scores are clamped at 0. The result is read-only.
-    ValueError if bins is below 2 or does not convert to a finite float.
+    ValueError, before any column is read, unless bins is an integer of at
+    least 2 that converts to a finite float.
     """
     if bins is None:
         bins = default_bin_count(d.n_samples)
@@ -132,14 +134,14 @@ def _mutual_information(read, n: int, y: np.ndarray, n_classes: int, bins) -> np
     """mutual_information_scores of n columns with labels y, each block of
     columns cols read as read(cols): a new len(y) x (columns in cols) array,
     which the scoring overwrites."""
-    if bins < 2:
-        raise ValueError(f"bins must be at least 2, got {bins}")
     try:
         finite = math.isfinite(bins)
     except OverflowError:  # an int too large for a float
         finite = False
     if not finite:
         raise ValueError(f"bins must convert to a finite float, got {bins}")
+    if not isinstance(bins, numbers.Integral) or bins < 2:
+        raise ValueError(f"bins must be an integer of at least 2, got {bins!r}")
     T, C = len(y), n_classes
     k = np.arange(1, T + 1)
     L = np.concatenate(([0.0], k * np.log(k)))

@@ -18,6 +18,8 @@ from ecfs import (
     power_iteration,
     score_features,
 )
+from ecfs.data import NormalizationStats, column_blocks
+from ecfs.evaluation import _held_group
 from oracles import matrix_power_oracle, normalize_features, subset
 
 
@@ -463,7 +465,6 @@ class TestScoreRows:
     def test_holds_no_array_of_the_rows_by_the_columns(self):
         d = _rows_case(30, 400, 2, 10)
         scores = score_features(d, rows=np.arange(3, 30))
-        scores.mutual_information
         held = [v for k, v in vars(scores).items() if k != "source"] + list(vars(scores.stats).values())
         sizes = {v.size for v in held if isinstance(v, np.ndarray)}
         assert sizes == {27, 400}
@@ -471,13 +472,36 @@ class TestScoreRows:
                                                    scores.spreads, scores.mutual_information))
 
     def test_keeps_its_own_copy_of_the_rows(self):
+        # the held-out step reads the training rows again through scores.rows
         d = _rows_case(30, 50, 2, 11)
         rows = np.arange(2, 26)
         scores = score_features(d, rows=rows)
-        rows[:] = 0  # after scoring, before the first MI read
-        want = score_features(d, rows=np.arange(2, 26)).mutual_information
-        assert scores.mutual_information.tobytes() == want.tobytes()
+        rows[:] = 0
         assert scores.rows.tolist() == list(range(2, 26))
+        sel = np.array([0, 3, 7, 40])
+        trn = _held_group(scores, [(sel, 1.0, 0)], np.arange(26, 30))[0]
+        want = scores.stats.transform(d.X[2:26])[:, sel]
+        assert trn.X.tobytes() == want.tobytes()
+        assert trn.y.tolist() == d.y[2:26].tolist()
+
+    @pytest.mark.parametrize("T, n, C, seed, kind, bins", CASES)
+    def test_normalizes_each_column_block_once(self, monkeypatch, T, n, C, seed, kind, bins):
+        # one gather and one normalization per block of MI's width yields all three vectors
+        calls = []
+        real = NormalizationStats._transform
+
+        def counted(self, X, cols, out=None):
+            calls.append(cols)
+            return real(self, X, cols, out)
+
+        monkeypatch.setattr(NormalizationStats, "_transform", counted)
+        d = _rows_case(T, n, C, seed)
+        rows = np.random.default_rng(seed).choice(T, size=2 * T // 3, replace=kind == "repeated")
+        scores = score_features(d, bins, rows)
+        for vector in (scores.fisher, scores.mutual_information, scores.spreads):
+            assert vector.shape == (n,)
+        slots = min(scores.bins, len(rows))
+        assert calls == column_blocks(n, max(len(rows), slots * C))
 
     @pytest.mark.parametrize("rows, message", [
         (np.ones(12, dtype=bool), "integer row indices"),

@@ -802,17 +802,16 @@ class TestRunEvaluation:
         run_evaluation(d, plan, cardinalities=(2, 4), epochs=4)
         _assert_scored_training_rows_only(d, plan, seen)
 
-    def test_scores_once_per_repeat_and_skips_unneeded_scores(self, monkeypatch):
+    def test_scores_once_per_repeat_in_one_mi_pass(self, monkeypatch):
+        # score_features takes all three vectors in one pass, whatever the methods
         d = self._fixture()
         seen = _spy_scoring(monkeypatch)
         mi_calls = _count_calls(monkeypatch, "_mutual_information")
         run_evaluation(d, SplitPlan(n_repeats=3, seed=0), methods=("fisher",),
                        cardinalities=(3,), epochs=4)
-        assert len(seen) == 3
-        assert mi_calls == []
+        assert len(seen) == len(mi_calls) == 3
         run_evaluation(d, SplitPlan(n_repeats=3, seed=0), cardinalities=(3,), epochs=4)
-        assert len(seen) == 6
-        assert len(mi_calls) == 3  # ec_fs and mi share one MI pass per repeat
+        assert len(seen) == len(mi_calls) == 6
 
     def test_cv_runs_only_for_ec_fs(self, monkeypatch):
         # no other method reads the cross-validated (alpha, C) pair
@@ -909,6 +908,11 @@ class TestRunStability:
             for row in rows:
                 assert -1.0 <= row["kuncheva"] <= 1.0
 
+    def test_rejects_a_float_bin_count(self):
+        d = generate_synthetic(SyntheticSpec(24, 8, 2, 2.0, 1.0, seed=0))[0]
+        with pytest.raises(ValueError, match="bins must be an integer"):
+            run_stability(d, SplitPlan(n_repeats=2, seed=0), cardinalities=(2,), bins=3.0)
+
     def test_needs_two_repeats(self):
         d, _ = generate_synthetic(SyntheticSpec(12, 6, 2, 2.0, 1.0, seed=0))
         with pytest.raises(ValueError, match="2 repeats"):
@@ -921,7 +925,7 @@ class TestRunStability:
         mi_calls = _count_calls(monkeypatch, "_mutual_information")
         run_stability(d, plan, methods=("fisher", "ec_fs"), cardinalities=(2, 4))
         _assert_scored_training_rows_only(d, plan, seen)
-        assert len(mi_calls) == 3  # only ec_fs needs MI, once per repeat
+        assert len(mi_calls) == len(seen) == 3  # one MI pass per scoring
 
 
 class TestChunks:

@@ -13,6 +13,7 @@ from ecfs import (
     fisher_scores,
     mutual_information_scores,
     power_iteration,
+    score_features,
 )
 from oracles import normalize_features
 
@@ -192,10 +193,15 @@ class TestMutualInformation:
         assert default_bin_count(3) == 2
         assert default_bin_count(100) == 10
 
-    def test_bins_below_two_rejected(self):
-        d = _ds([[0.0], [1.0]], [0, 1])
-        with pytest.raises(ValueError, match="bins"):
-            mutual_information_scores(d, bins=1)
+    def test_bins_below_two_or_not_an_integer_rejected(self):
+        # a float count, even a whole one, must not reach np.bincount's integer codes
+        d = _ds([[0.0], [1.0], [3.0], [2.0]], [0, 1, 0, 1])
+        for bins in (1, 3.0, np.float64(3), 2.5):
+            for score in (mutual_information_scores, score_features):
+                with pytest.raises(ValueError, match="bins must be an integer of at least 2"):
+                    score(d, bins=bins)
+        want = mutual_information_scores(d, bins=3).tobytes()
+        assert mutual_information_scores(d, bins=np.int64(3)).tobytes() == want
 
     def test_bins_that_overflow_a_float_rejected(self):
         d = _ds([[0.0], [1.0], [3.0], [2.0]], [0, 1, 0, 1])

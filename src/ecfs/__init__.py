@@ -1,6 +1,10 @@
 """Feature selection by eigenvector centrality on a feature graph, with an
 evaluation harness (repeated-split AUC, selection stability, significance).
 
+The public names load on first use: `import ecfs` imports numpy and no ecfs
+module, and reading `ecfs.load_dataset` imports ecfs.data alone, so a program
+compiles and runs only the modules whose names it reads.
+
 When ecfs is the first to import numpy, and none of OpenBLAS's thread
 variables is set, numpy loads OpenBLAS with one thread: ecfs's BLAS calls are
 dot products and Grams of a few hundred rows, where a thread pool only costs
@@ -9,6 +13,7 @@ environment and any subprocess see the caller's settings. No report depends
 on the thread count either way.
 """
 
+import importlib as _importlib
 import os as _os
 import sys as _sys
 
@@ -22,93 +27,62 @@ if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREA
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .baselines import rank_by_fisher, rank_by_mi
-from .centrality import (
-    EigenResult,
-    FeatureScores,
-    PowerIterationError,
-    power_iteration,
-    score_features,
-)
-from .data import (
-    ClassCountError,
-    Dataset,
-    DatasetError,
-    FeatureRanking,
-    NonFiniteValueError,
-    NonNumericValueError,
-    NormalizationStats,
-    SyntheticSpec,
-    generate_synthetic,
-    load_dataset,
-)
-from .evaluation import (
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_C_GRID,
-    DEFAULT_CARDINALITIES,
-    METHODS,
-    LinearModel,
-    SplitError,
-    SplitPlan,
-    cross_validate,
-    derive_seed,
-    roc_auc,
-    run_evaluation,
-    run_stability,
-    split_indices,
-    stability_curve,
-    stratified_fold_indices,
-    train_linear_classifiers,
-    two_sample_ttest,
-)
-from .graph import (
-    AdjacencyMatrix,
-    default_bin_count,
-    feature_spreads,
-    fisher_scores,
-    mutual_information_scores,
-)
+# each public name and the module that defines it, imported when the name is
+# first read (PEP 562)
+_EXPORTS = {
+    "AdjacencyMatrix": "graph",
+    "ClassCountError": "data",
+    "Dataset": "data",
+    "DatasetError": "data",
+    "DEFAULT_ALPHA_GRID": "evaluation",
+    "DEFAULT_C_GRID": "evaluation",
+    "DEFAULT_CARDINALITIES": "evaluation",
+    "EigenResult": "centrality",
+    "FeatureRanking": "data",
+    "FeatureScores": "centrality",
+    "LinearModel": "evaluation",
+    "METHODS": "centrality",
+    "NonFiniteValueError": "data",
+    "NonNumericValueError": "data",
+    "NormalizationStats": "data",
+    "PowerIterationError": "centrality",
+    "SplitError": "evaluation",
+    "SplitPlan": "evaluation",
+    "SyntheticSpec": "data",
+    "cross_validate": "evaluation",
+    "default_bin_count": "graph",
+    "derive_seed": "evaluation",
+    "feature_spreads": "graph",
+    "fisher_scores": "graph",
+    "generate_synthetic": "data",
+    "load_dataset": "data",
+    "mutual_information_scores": "graph",
+    "power_iteration": "centrality",
+    "rank_by_fisher": "baselines",
+    "rank_by_mi": "baselines",
+    "roc_auc": "evaluation",
+    "run_evaluation": "evaluation",
+    "run_stability": "evaluation",
+    "score_features": "centrality",
+    "split_indices": "evaluation",
+    "stability_curve": "evaluation",
+    "stratified_fold_indices": "evaluation",
+    "train_linear_classifiers": "evaluation",
+    "two_sample_ttest": "evaluation",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjacencyMatrix",
-    "ClassCountError",
-    "Dataset",
-    "DatasetError",
-    "DEFAULT_ALPHA_GRID",
-    "DEFAULT_C_GRID",
-    "DEFAULT_CARDINALITIES",
-    "EigenResult",
-    "FeatureRanking",
-    "FeatureScores",
-    "LinearModel",
-    "METHODS",
-    "NonFiniteValueError",
-    "NonNumericValueError",
-    "NormalizationStats",
-    "PowerIterationError",
-    "SplitError",
-    "SplitPlan",
-    "SyntheticSpec",
-    "cross_validate",
-    "default_bin_count",
-    "derive_seed",
-    "feature_spreads",
-    "fisher_scores",
-    "generate_synthetic",
-    "load_dataset",
-    "mutual_information_scores",
-    "power_iteration",
-    "rank_by_fisher",
-    "rank_by_mi",
-    "roc_auc",
-    "run_evaluation",
-    "run_stability",
-    "score_features",
-    "split_indices",
-    "stability_curve",
-    "stratified_fold_indices",
-    "train_linear_classifiers",
-    "two_sample_ttest",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(_importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

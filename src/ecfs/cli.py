@@ -15,14 +15,13 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .centrality import PowerIterationError, score_features
+from .centrality import METHODS, PowerIterationError, score_features
 from .data import (
     Dataset,
     DatasetError,
@@ -30,16 +29,6 @@ from .data import (
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
-)
-from .evaluation import (
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_C_GRID,
-    METHODS,
-    SplitError,
-    SplitPlan,
-    cross_validate,
-    run_evaluation,
-    run_stability,
 )
 
 ENV_SEED = "ECFS_SEED"
@@ -183,8 +172,8 @@ def _validate_common(args, errors: list[str]) -> dict:
     if not 0 <= seed < 2**63:
         errors.append(f"seed must be a non-negative 63-bit integer, got {seed}")
     resolved["seed"] = seed
-    resolved["alpha_grid"] = DEFAULT_ALPHA_GRID
-    resolved["c_grid"] = DEFAULT_C_GRID
+    # None stands for evaluation's default grid (_cv_grids)
+    resolved["alpha_grid"] = resolved["c_grid"] = None
     if args.alpha_grid is not None:
         try:
             grid = _parse_number_list(args.alpha_grid, float)
@@ -239,13 +228,24 @@ def _validate_resample(args, errors: list[str]) -> dict:
     return resolved
 
 
+def _cv_grids(common: dict) -> tuple:
+    """(alpha grid, C grid) for cross-validation: the flags' lists, else evaluation's
+    defaults."""
+    from .evaluation import DEFAULT_ALPHA_GRID, DEFAULT_C_GRID
+
+    alphas, cs = common["alpha_grid"], common["c_grid"]
+    return (DEFAULT_ALPHA_GRID if alphas is None else alphas,
+            DEFAULT_C_GRID if cs is None else cs)
+
+
 def _protocol_kwargs(args, common: dict, resample: dict) -> dict:
     """Keyword arguments run_evaluation and run_stability share."""
+    alpha_grid, c_grid = _cv_grids(common)
     return dict(
         methods=resample["methods"], cardinalities=resample["cardinalities"],
-        alpha=common["alpha"], bins=args.bins, alpha_grid=common["alpha_grid"],
-        c_grid=common["c_grid"], folds=args.folds, cv_cardinality=args.cv_cardinality,
-        epochs=args.epochs, workers=args.workers,
+        alpha=common["alpha"], bins=args.bins, alpha_grid=alpha_grid, c_grid=c_grid,
+        folds=args.folds, cv_cardinality=args.cv_cardinality, epochs=args.epochs,
+        workers=args.workers,
     )
 
 
@@ -368,8 +368,10 @@ def _cmd_rank(args) -> int:
     alpha = common["alpha"]
     chosen_c = None
     if alpha == "cv":
+        from .evaluation import cross_validate
+
         alpha, chosen_c = cross_validate(
-            d, common["alpha_grid"], common["c_grid"], folds=args.folds,
+            d, *_cv_grids(common), folds=args.folds,
             cardinality=args.cv_cardinality, seed=common["seed"], bins=args.bins,
             epochs=args.epochs,
         )
@@ -458,6 +460,8 @@ def _cmd_evaluate(args) -> int:
         ])
     if args.positive_class is not None:
         d = _binarize(d, args.positive_class)
+    from .evaluation import SplitPlan, run_evaluation
+
     plan = SplitPlan(train_fraction=args.train_fraction, n_repeats=args.repeats,
                      seed=common["seed"])
     t0 = time.perf_counter()
@@ -480,6 +484,8 @@ def _cmd_stability(args) -> int:
     if errors:
         return _fail(errors)
     d = _load(args)
+    from .evaluation import SplitPlan, run_stability
+
     plan = SplitPlan(train_fraction=args.train_fraction, n_repeats=args.repeats,
                      seed=common["seed"])
     report = run_stability(d, plan, **_protocol_kwargs(args, common, resample))
@@ -529,6 +535,13 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _broken_executor() -> tuple:
+    """The BrokenExecutor class, if concurrent.futures is loaded: only a --workers
+    pool, which imports it, raises one, so a serial command never imports it."""
+    futures = sys.modules.get("concurrent.futures")
+    return () if futures is None else (futures.BrokenExecutor,)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -546,14 +559,11 @@ def main(argv=None) -> int:
     except PowerIterationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except BrokenExecutor as e:
+    except _broken_executor() as e:
         # a --workers process died, for example killed when memory ran out
         print(f"error: worker process failed: {e}", file=sys.stderr)
         return 1
-    except (DatasetError, SplitError, FileNotFoundError, ValueError, OSError) as e:
+    except (DatasetError, FileNotFoundError, ValueError, OSError) as e:
+        # evaluation's SplitError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -34,9 +34,9 @@ _EXPORTS = {
     "ClassCountError": "data",
     "Dataset": "data",
     "DatasetError": "data",
-    "DEFAULT_ALPHA_GRID": "evaluation",
-    "DEFAULT_C_GRID": "evaluation",
-    "DEFAULT_CARDINALITIES": "evaluation",
+    "DEFAULT_ALPHA_GRID": "protocol",
+    "DEFAULT_C_GRID": "protocol",
+    "DEFAULT_CARDINALITIES": "protocol",
     "EigenResult": "centrality",
     "FeatureRanking": "data",
     "FeatureScores": "centrality",
@@ -46,8 +46,8 @@ _EXPORTS = {
     "NonNumericValueError": "data",
     "NormalizationStats": "data",
     "PowerIterationError": "centrality",
+    "Protocol": "protocol",
     "SplitError": "evaluation",
-    "SplitPlan": "evaluation",
     "SyntheticSpec": "data",
     "cross_validate": "evaluation",
     "default_bin_count": "graph",

@@ -16,12 +16,13 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .centrality import METHODS, PowerIterationError, score_features
+from .centrality import PowerIterationError, score_features
 from .data import (
     Dataset,
     DatasetError,
@@ -30,6 +31,7 @@ from .data import (
     generate_synthetic,
     load_dataset,
 )
+from .protocol import Protocol, ProtocolError
 
 ENV_SEED = "ECFS_SEED"
 
@@ -142,111 +144,56 @@ def _resolve_seed(args, errors: list[str]) -> int:
 
 
 def _parse_alpha(text: str):
-    if text == "cv":
-        return "cv"
-    return float(text)
-
-
-def _parse_number_list(text: str, cast) -> list:
-    return [cast(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _validate_common(args, errors: list[str]) -> dict:
-    """Resolve and range-check flags shared by rank/evaluate/stability."""
-    resolved: dict = {}
+    """The number the text spells; else the text itself, such as 'cv', for
+    Protocol to accept or reject."""
     try:
-        alpha = _parse_alpha(args.alpha)
-        if alpha != "cv" and not 0.0 <= alpha <= 1.0:
-            errors.append(f"--alpha must be in [0, 1] or 'cv', got {args.alpha}")
-        resolved["alpha"] = alpha
+        return float(text)
     except ValueError:
-        errors.append(f"--alpha must be a number or 'cv', got {args.alpha!r}")
-    if args.bins is not None and args.bins < 2:
-        errors.append(f"--bins must be at least 2, got {args.bins}")
-    elif args.bins is not None:
+        return text
+
+
+# the Protocol fields given as comma-separated lists, and their element type
+_LIST_FIELDS = {"cardinalities": int, "alpha_grid": float, "c_grid": float}
+
+
+def _flag(field: str) -> str:
+    """The command-line name of a Protocol field: its flag, or plain seed, which
+    also comes from ECFS_SEED."""
+    return field if field == "seed" else "--" + field.replace("_", "-")
+
+
+def _check_flags(args) -> tuple[Protocol | None, list[str]]:
+    """The Protocol the command's flags spell (the rest at their defaults), and
+    the flag errors: each text that does not parse, each broken Protocol rule
+    under its flag, and the checks of the command line alone. The Protocol is
+    None when a rule is broken."""
+    errors: list[str] = []
+    values = {f.name: getattr(args, f.name) for f in fields(Protocol) if hasattr(args, f.name)}
+    values["seed"] = _resolve_seed(args, errors)
+    values["alpha"] = _parse_alpha(args.alpha)
+    if "methods" in values:
+        values["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
+    for field, cast in _LIST_FIELDS.items():
+        text = values.pop(field, None)
+        if text is None:
+            continue
         try:
-            float(args.bins)
-        except OverflowError:
-            errors.append(f"--bins must convert to a finite float, got {args.bins}")
-    seed = _resolve_seed(args, errors)
-    if not 0 <= seed < 2**63:
-        errors.append(f"seed must be a non-negative 63-bit integer, got {seed}")
-    resolved["seed"] = seed
-    # None stands for evaluation's default grid (_cv_grids)
-    resolved["alpha_grid"] = resolved["c_grid"] = None
-    if args.alpha_grid is not None:
-        try:
-            grid = _parse_number_list(args.alpha_grid, float)
-            if not grid or any(not 0.0 <= a <= 1.0 for a in grid):
-                errors.append("--alpha-grid values must lie in [0, 1]")
-            resolved["alpha_grid"] = grid
+            values[field] = [cast(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
-            errors.append(f"--alpha-grid is not a comma-separated number list: {args.alpha_grid!r}")
-    if args.c_grid is not None:
-        try:
-            grid = _parse_number_list(args.c_grid, float)
-            if not grid or any(not 0 < c < math.inf for c in grid):
-                errors.append("--c-grid values must be positive and finite")
-            resolved["c_grid"] = grid
-        except ValueError:
-            errors.append(f"--c-grid is not a comma-separated number list: {args.c_grid!r}")
-    if args.folds < 2:
-        errors.append(f"--folds must be at least 2, got {args.folds}")
-    if args.cv_cardinality < 1:
-        errors.append(f"--cv-cardinality must be positive, got {args.cv_cardinality}")
-    if args.epochs < 1:
-        errors.append(f"--epochs must be positive, got {args.epochs}")
+            kind = "integer" if cast is int else "number"
+            errors.append(f"{_flag(field)} is not a comma-separated {kind} list: {text!r}")
+    try:
+        protocol = Protocol(**values)
+    except ProtocolError as e:
+        protocol = None
+        errors.extend(e.messages(_flag))
+    if getattr(args, "workers", 1) < 1:
+        errors.append(f"--workers must be at least 1, got {args.workers}")
     if args.format == "matrix" and args.labels is None:
         errors.append("--format matrix requires --labels")
     if args.format == "csv" and args.labels is not None:
         errors.append("--labels only applies to --format matrix")
-    return resolved
-
-
-def _validate_resample(args, errors: list[str]) -> dict:
-    resolved: dict = {}
-    if not 0.0 < args.train_fraction < 1.0:
-        errors.append(f"--train-fraction must be in (0, 1), got {args.train_fraction}")
-    if args.repeats < 1:
-        errors.append(f"--repeats must be positive, got {args.repeats}")
-    if args.workers < 1:
-        errors.append(f"--workers must be at least 1, got {args.workers}")
-    try:
-        ks = _parse_number_list(args.cardinalities, int)
-        if not ks or any(k < 1 for k in ks):
-            errors.append("--cardinalities must be positive integers")
-        resolved["cardinalities"] = ks
-    except ValueError:
-        errors.append(f"--cardinalities is not a comma-separated integer list: {args.cardinalities!r}")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    bad = [m for m in methods if m not in METHODS]
-    if not methods:
-        errors.append("--methods must name at least one method")
-    if bad:
-        errors.append(f"unknown methods {bad}; choose from {list(METHODS)}")
-    resolved["methods"] = methods
-    return resolved
-
-
-def _cv_grids(common: dict) -> tuple:
-    """(alpha grid, C grid) for cross-validation: the flags' lists, else evaluation's
-    defaults."""
-    from .evaluation import DEFAULT_ALPHA_GRID, DEFAULT_C_GRID
-
-    alphas, cs = common["alpha_grid"], common["c_grid"]
-    return (DEFAULT_ALPHA_GRID if alphas is None else alphas,
-            DEFAULT_C_GRID if cs is None else cs)
-
-
-def _protocol_kwargs(args, common: dict, resample: dict) -> dict:
-    """Keyword arguments run_evaluation and run_stability share."""
-    alpha_grid, c_grid = _cv_grids(common)
-    return dict(
-        methods=resample["methods"], cardinalities=resample["cardinalities"],
-        alpha=common["alpha"], bins=args.bins, alpha_grid=alpha_grid, c_grid=c_grid,
-        folds=args.folds, cv_cardinality=args.cv_cardinality, epochs=args.epochs,
-        workers=args.workers,
-    )
+    return protocol, errors
 
 
 def _fail(errors: list[str]) -> int:
@@ -350,8 +297,7 @@ def _scores_json(vectors: dict) -> str:
 
 
 def _cmd_rank(args) -> int:
-    errors: list[str] = []
-    common = _validate_common(args, errors)
+    protocol, errors = _check_flags(args)
     if not 0 < args.tol < math.inf:
         errors.append(f"--tol must be positive and finite, got {args.tol}")
     if args.max_iter < 1:
@@ -365,18 +311,13 @@ def _cmd_rank(args) -> int:
     if errors:
         return _fail(errors)
     d = _load(args)
-    alpha = common["alpha"]
-    chosen_c = None
+    alpha, chosen_c = protocol.alpha, None
     if alpha == "cv":
         from .evaluation import cross_validate
 
-        alpha, chosen_c = cross_validate(
-            d, *_cv_grids(common), folds=args.folds,
-            cardinality=args.cv_cardinality, seed=common["seed"], bins=args.bins,
-            epochs=args.epochs,
-        )
+        alpha, chosen_c = cross_validate(d, protocol, protocol.seed)
     t0 = time.perf_counter()
-    scores = score_features(d, args.bins)
+    scores = score_features(d, protocol.bins)
     ranking, eigen, adjacency = scores.centrality(alpha, tol=args.tol, max_iter=args.max_iter)
     print(f"ranking time: {time.perf_counter() - t0:.3f}s (ranking only)", file=sys.stderr)
     if args.dump_adjacency:
@@ -398,7 +339,7 @@ def _cmd_rank(args) -> int:
         "config": {
             "alpha": "cv" if chosen_c is not None else alpha,
             "bins": scores.bins,
-            "seed": common["seed"],
+            "seed": protocol.seed,
             "tol": args.tol,
             "max_iter": args.max_iter,
         },
@@ -446,11 +387,7 @@ def _stability_csv(report: dict) -> str:
 
 
 def _cmd_evaluate(args) -> int:
-    errors: list[str] = []
-    common = _validate_common(args, errors)
-    resample = _validate_resample(args, errors)
-    if not 0 < args.fixed_c < math.inf:
-        errors.append(f"--fixed-c must be positive and finite, got {args.fixed_c}")
+    protocol, errors = _check_flags(args)
     if errors:
         return _fail(errors)
     d = _load(args)
@@ -460,13 +397,10 @@ def _cmd_evaluate(args) -> int:
         ])
     if args.positive_class is not None:
         d = _binarize(d, args.positive_class)
-    from .evaluation import SplitPlan, run_evaluation
+    from .evaluation import run_evaluation
 
-    plan = SplitPlan(train_fraction=args.train_fraction, n_repeats=args.repeats,
-                     seed=common["seed"])
     t0 = time.perf_counter()
-    report = run_evaluation(d, plan, fixed_c=args.fixed_c,
-                            **_protocol_kwargs(args, common, resample))
+    report = run_evaluation(d, protocol, args.workers)
     print(f"wall time: {time.perf_counter() - t0:.3f}s (ranking + training + scoring)",
           file=sys.stderr)
     if args.positive_class is not None:
@@ -476,19 +410,15 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    errors: list[str] = []
-    common = _validate_common(args, errors)
-    resample = _validate_resample(args, errors)
+    protocol, errors = _check_flags(args)
     if args.repeats < 2:
         errors.append("--repeats must be at least 2 for stability")
     if errors:
         return _fail(errors)
     d = _load(args)
-    from .evaluation import SplitPlan, run_stability
+    from .evaluation import run_stability
 
-    plan = SplitPlan(train_fraction=args.train_fraction, n_repeats=args.repeats,
-                     seed=common["seed"])
-    report = run_stability(d, plan, **_protocol_kwargs(args, common, resample))
+    report = run_stability(d, protocol, args.workers)
     _write(_dump_json(report) if args.output_format == "json" else _stability_csv(report),
            args.output)
     return 0

@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import METHODS, FeatureScores, score_features
+from .centrality import FeatureScores, score_features
 from .data import Dataset, FeatureRanking, _row_indices
-
-DEFAULT_ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0)
-DEFAULT_CARDINALITIES = (50, 100, 150, 200)
+from .protocol import Protocol
 
 # fixed per-method constants for seed derivation, independent of method order
 _METHOD_SEED = {"ec_fs": 0, "fisher": 1, "mi": 2}
@@ -26,23 +23,6 @@ _METHOD_SEED = {"ec_fs": 0, "fisher": 1, "mi": 2}
 
 class SplitError(ValueError):
     """A requested partition cannot respect the class structure."""
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """How to resample the data: train fraction, repeat count, master seed."""
-
-    train_fraction: float = 2.0 / 3.0
-    n_repeats: int = 100
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be strictly between 0 and 1")
-        if self.n_repeats < 1:
-            raise ValueError("n_repeats must be positive")
-        if not 0 <= self.seed < 2**63:
-            raise ValueError("seed must be a non-negative 63-bit integer")
 
 
 def derive_seed(*parts: int) -> int:
@@ -65,8 +45,9 @@ def _train_count(count: int, fraction: float) -> int:
     return min(max(n, 1), count - 1)
 
 
-def split_indices(y: np.ndarray, plan: SplitPlan) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Index pairs (train, test) for each repeat; together they cover all rows.
+def split_indices(y: np.ndarray, protocol: Protocol) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Index pairs (train, test) for each of the protocol's repeats; together
+    they cover all rows.
 
     Each repeat splits within each class, keeping class proportions to within
     one sample and at least one sample of every class on both sides.
@@ -74,8 +55,8 @@ def split_indices(y: np.ndarray, plan: SplitPlan) -> list[tuple[np.ndarray, np.n
     y = np.asarray(y, dtype=int)
     out = []
     classes = _distinct(y)
-    for r in range(plan.n_repeats):
-        rng = np.random.default_rng([plan.seed, r])
+    for r in range(protocol.repeats):
+        rng = np.random.default_rng([protocol.seed, r])
         train_parts, test_parts = [], []
         for c in classes:
             idx = np.flatnonzero(y == c)
@@ -84,7 +65,7 @@ def split_indices(y: np.ndarray, plan: SplitPlan) -> list[tuple[np.ndarray, np.n
                     f"class {c} has {len(idx)} sample(s); need at least 2 to stratify"
                 )
             perm = rng.permutation(idx)
-            k = _train_count(len(idx), plan.train_fraction)
+            k = _train_count(len(idx), protocol.train_fraction)
             train_parts.append(perm[:k])
             test_parts.append(perm[k:])
         out.append((np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))))
@@ -307,27 +288,20 @@ def _heldout_aucs(groups: list, epochs: int) -> list[list[float]]:
             for models, (_, jobs, X, y) in zip(fits, groups)]
 
 
-def cross_validate(
-    d: Dataset,
-    alpha_grid=DEFAULT_ALPHA_GRID,
-    C_grid=DEFAULT_C_GRID,
-    folds: int = 5,
-    cardinality: int = 100,
-    seed: int = 0,
-    bins: int | None = None,
-    epochs: int = 50,
-    rows=None,
-) -> tuple[float, float]:
-    """Pick (alpha, C) by stratified k-fold AUC on training rows of d only: the
-    indices `rows`, in the order given (all rows when None), as a copy of them would.
-    ValueError unless rows is a non-empty 1-D integer array of indices into d.
+def cross_validate(d: Dataset, protocol: Protocol, seed: int, rows=None) -> tuple[float, float]:
+    """Pick (alpha, C) from the protocol's alpha_grid x c_grid by stratified
+    k-fold AUC (k = protocol.folds, cut by seed) on training rows of d only: the
+    indices `rows`, in the order given (all rows when None), as a copy of them
+    would. ValueError unless rows is a non-empty 1-D integer array of indices
+    into d.
 
-    Each fold is normalized and scored once; every alpha's ec_fs ranking derives
-    from those scores and selects the top `cardinality` features (capped at the
-    feature count). The folds x alphas x Cs classifiers train together in one
-    call (_heldout_aucs), the Cs of one fold and alpha sharing a Gram matrix,
-    and each is scored on its held-out fold. Exact mean-AUC ties break toward
-    the smaller alpha, then the smaller C.
+    Each fold is normalized and scored once (at protocol.bins); every alpha's
+    ec_fs ranking derives from those scores and selects the top
+    protocol.cv_cardinality features (capped at the feature count). The folds x
+    alphas x Cs classifiers train together in one call (_heldout_aucs, for
+    protocol.epochs), the Cs of one fold and alpha sharing a Gram matrix, and
+    each is scored on its held-out fold. Exact mean-AUC ties break toward the
+    smaller alpha, then the smaller C.
     ValueError, before any fold is scored, unless d has exactly two classes;
     DatasetError if a validation row overflows float64 when normalized with its
     fold's training statistics.
@@ -336,17 +310,10 @@ def cross_validate(
         raise ValueError(
             f"cross-validation trains binary classifiers; the data has {d.n_classes} classes"
         )
-    alphas = sorted(set(float(a) for a in alpha_grid))
-    Cs = sorted(set(float(c) for c in C_grid))
-    if not alphas or not Cs:
-        raise ValueError("alpha_grid and C_grid must be non-empty")
-    if alphas[0] < 0 or alphas[-1] > 1:
-        raise ValueError("alpha grid values must lie in [0, 1]")
-    if not all(0 < c < math.inf for c in Cs):
-        raise ValueError("C grid values must be positive and finite")
-    if cardinality < 1:
-        raise ValueError("cardinality must be positive")
-    cardinality = min(cardinality, d.n_features)
+    alphas = sorted(set(float(a) for a in protocol.alpha_grid))
+    Cs = sorted(set(float(c) for c in protocol.c_grid))
+    cardinality = min(protocol.cv_cardinality, d.n_features)
+    folds = protocol.folds
     rows = _row_indices(rows, d.n_samples)
     y = d.y[rows]
     fold_parts = stratified_fold_indices(y, folds, seed)
@@ -356,13 +323,13 @@ def cross_validate(
         for part, name in ((tr_idx, "training side"), (va_idx, "validation side")):
             if len(_distinct(y[part])) != d.n_classes:
                 raise SplitError(f"fold {j} leaves a single class on its {name}")
-        scores = score_features(d, bins, rows[tr_idx])
+        scores = score_features(d, protocol.bins, rows[tr_idx])
         sels = [scores.ranking("ec_fs", a).top(cardinality) for a in alphas]
         jobs = [(sel, c, derive_seed(seed, j, ai, ci))
                 for ai, sel in enumerate(sels) for ci, c in enumerate(Cs)]
         groups.append(_held_group(scores, jobs, rows[va_idx]))
     table = np.zeros((len(alphas), len(Cs)))
-    for aucs in _heldout_aucs(groups, epochs):
+    for aucs in _heldout_aucs(groups, protocol.epochs):
         table += np.reshape(aucs, table.shape)
     table /= folds
     # argmax returns the first maximum in row-major order: smallest alpha, then C
@@ -482,39 +449,15 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
 
 
-def _as_cardinalities(cardinalities, n_features: int) -> list[int]:
-    ks = sorted(set(int(k) for k in cardinalities))
-    if not ks:
-        raise ValueError("need at least one cardinality")
-    if ks[0] < 1 or ks[-1] >= n_features:
+def _as_cardinalities(protocol: Protocol, n_features: int) -> list[int]:
+    """The protocol's distinct cardinalities, ascending; ValueError unless each
+    is below the feature count."""
+    ks = sorted(set(int(k) for k in protocol.cardinalities))
+    if ks[-1] >= n_features:
         raise ValueError(
             f"cardinalities must be in 1..{n_features - 1} for a {n_features}-feature dataset"
         )
     return ks
-
-
-def _check_methods(methods) -> list[str]:
-    ms = list(methods)
-    if not ms:
-        raise ValueError("need at least one method")
-    for m in ms:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
-    if len(set(ms)) != len(ms):
-        raise ValueError("duplicate method names")
-    return ms
-
-
-def _resolve_alpha(alpha) -> float | None:
-    # None stands for "cv": pick alpha per repeat by cross-validation
-    if isinstance(alpha, str):
-        if alpha != "cv":
-            raise ValueError(f"alpha must be a number in [0, 1] or 'cv', got {alpha!r}")
-        return None
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {a}")
-    return a
 
 
 def _sd(values: list[float]) -> float:
@@ -598,32 +541,30 @@ class _Repeat:
     tops: dict[str, np.ndarray]  # per method, the top k_max features, best first
 
 
-def _repeat_body(
-    d: Dataset, splits: list[tuple[np.ndarray, np.ndarray]], seed: int, methods: list[str],
-    alpha: float | None, bins: int | None, cv_args: dict, k_max: int,
-):
+def _repeat_body(d: Dataset, splits: list[tuple[np.ndarray, np.ndarray]], protocol: Protocol,
+                 k_max: int):
     """Repeat r as run_evaluation and run_stability share it: cross-validate
-    (alpha, C) on the training rows when alpha is None and ec_fs (the one method
+    (alpha, C) on the training rows under alpha "cv" when ec_fs (the one method
     reading the pair) is requested, then normalize and score the training rows
     alone in one score_features pass and rank every method from it; return the
     record and the scores, which hold the training rows' indices and statistics."""
+    cv = protocol.alpha == "cv"
+    alpha = None if cv else float(protocol.alpha)
 
     def body(r: int) -> tuple[_Repeat, FeatureScores]:
         train = splits[r][0]
         alpha_r, c_r = alpha, None
-        if alpha is None and "ec_fs" in methods:
-            alpha_r, c_r = cross_validate(
-                d, seed=derive_seed(seed, r, 101), bins=bins, rows=train, **cv_args
-            )
-        scores = score_features(d, bins, train)
+        if cv and "ec_fs" in protocol.methods:
+            alpha_r, c_r = cross_validate(d, protocol, derive_seed(protocol.seed, r, 101), train)
+        scores = score_features(d, protocol.bins, train)
         # a copy, so the record does not pin the full ranking
-        tops = {m: scores.ranking(m, alpha_r).top(k_max).copy() for m in methods}
+        tops = {m: scores.ranking(m, alpha_r).top(k_max).copy() for m in protocol.methods}
         return _Repeat(alpha_r, c_r, tops), scores
 
     return body
 
 
-def _stability_block(results: list[_Repeat], methods: list[str], ks: list[int], n: int) -> dict:
+def _stability_block(results: list[_Repeat], methods, ks: list[int], n: int) -> dict:
     block = {}
     for method in methods:
         curve = _kuncheva_curve(np.stack([res.tops[method] for res in results]), n, ks)
@@ -631,10 +572,8 @@ def _stability_block(results: list[_Repeat], methods: list[str], ks: list[int], 
     return block
 
 
-def _report(
-    command: str, d: Dataset, plan: SplitPlan, methods: list[str], ks: list[int],
-    alpha: float | None, bins: int | None, results: list[_Repeat], stability: dict,
-) -> dict:
+def _report(command: str, d: Dataset, protocol: Protocol, ks: list[int],
+            results: list[_Repeat], stability: dict) -> dict:
     report = {
         "schema_version": 1,
         "command": command,
@@ -642,40 +581,26 @@ def _report(
         "n_features": d.n_features,
         "label_mapping": list(d.label_names) if d.label_names else None,
         "config": {
-            "methods": methods,
+            "methods": list(protocol.methods),
             "cardinalities": ks,
-            "alpha": "cv" if alpha is None else alpha,
-            "bins": bins,
-            "train_fraction": plan.train_fraction,
-            "n_repeats": plan.n_repeats,
-            "seed": plan.seed,
+            "alpha": protocol.alpha if protocol.alpha == "cv" else float(protocol.alpha),
+            "bins": protocol.bins,
+            "train_fraction": protocol.train_fraction,
+            "n_repeats": protocol.repeats,
+            "seed": protocol.seed,
             "stratified": True,
         },
         "stability": stability,
     }
-    if "ec_fs" in methods:
+    if "ec_fs" in protocol.methods:
         report["alpha_per_repeat"] = [float(res.alpha) for res in results]
     return report
 
 
-def run_evaluation(
-    d: Dataset,
-    plan: SplitPlan,
-    *,
-    methods=METHODS,
-    cardinalities=DEFAULT_CARDINALITIES,
-    alpha=0.5,
-    fixed_c: float = 1.0,
-    bins: int | None = None,
-    alpha_grid=DEFAULT_ALPHA_GRID,
-    c_grid=DEFAULT_C_GRID,
-    folds: int = 5,
-    cv_cardinality: int = 100,
-    epochs: int = 50,
-    workers: int = 1,
-) -> dict:
-    """Full protocol: repeated stratified splits, classifier AUC on the held-out
-    side, stability and pairwise significance across repeats.
+def run_evaluation(d: Dataset, protocol: Protocol, workers: int = 1) -> dict:
+    """The full protocol (a Protocol): repeated stratified splits, classifier
+    AUC on the held-out side, stability and pairwise significance across
+    repeats.
 
     Each repeat runs run_stability's body (one score_features pass over the raw
     training rows, every ranking from FeatureScores.ranking), then trains the
@@ -684,22 +609,17 @@ def run_evaluation(
     test rows under the statistics the scores hold. A (method, k) AUC does not
     depend on which other methods or cardinalities are requested.
 
-    alpha may be a number or "cv", in which case each repeat picks (alpha, C)
-    on its own training split. Baselines always train at fixed_c. The returned
-    report is a plain JSON-ready dict, byte-stable across worker counts.
+    Under alpha "cv" each repeat picks (alpha, C) on its own training split
+    (cross_validate). Baselines always train at protocol.fixed_c. Repeats run
+    in chunks over `workers` processes. The returned report is a plain
+    JSON-ready dict, byte-stable across worker counts.
     """
     if d.n_classes != 2:
         raise ValueError("evaluation requires binary labels; binarize one-vs-rest first")
-    methods = _check_methods(methods)
-    ks = _as_cardinalities(cardinalities, d.n_features)
-    fixed_alpha = _resolve_alpha(alpha)
-    cv_mode = fixed_alpha is None
-    if not 0 < fixed_c < math.inf:
-        raise ValueError(f"fixed_c must be positive and finite, got {fixed_c}")
-    cv_args = dict(alpha_grid=alpha_grid, C_grid=c_grid, folds=folds,
-                   cardinality=cv_cardinality, epochs=epochs)
-    splits = split_indices(d.y, plan)
-    body = _repeat_body(d, splits, plan.seed, methods, fixed_alpha, bins, cv_args, ks[-1])
+    methods, fixed_c, seed = protocol.methods, protocol.fixed_c, protocol.seed
+    ks = _as_cardinalities(protocol, d.n_features)
+    splits = split_indices(d.y, protocol)
+    body = _repeat_body(d, splits, protocol, ks[-1])
 
     def one_chunk(chunk: range) -> list[tuple[_Repeat, float, dict[str, list[float]]]]:
         reps, cs, groups = [], [], []
@@ -707,15 +627,15 @@ def run_evaluation(
             rep, scores = body(r)
             c_r = fixed_c if rep.C is None else rep.C
             jobs = [(rep.tops[m][:k], c_r if m == "ec_fs" else fixed_c,
-                     derive_seed(plan.seed, r, _METHOD_SEED[m], k)) for m in methods for k in ks]
+                     derive_seed(seed, r, _METHOD_SEED[m], k)) for m in methods for k in ks]
             groups.append(_held_group(scores, jobs, splits[r][1]))
             reps.append(rep)
             cs.append(c_r)
         aucs = [{m: flat[mi * len(ks):(mi + 1) * len(ks)] for mi, m in enumerate(methods)}
-                for flat in _heldout_aucs(groups, epochs)]
+                for flat in _heldout_aucs(groups, protocol.epochs)]
         return list(zip(reps, cs, aucs))
 
-    results, cs, aucs = zip(*_map_chunks(one_chunk, plan.n_repeats, workers))
+    results, cs, aucs = zip(*_map_chunks(one_chunk, protocol.repeats, workers))
 
     auc_block: dict = {}
     for method in methods:
@@ -728,7 +648,7 @@ def run_evaluation(
         auc_block[method] = {"per_cardinality": per_card, "average": average}
 
     significance = {}
-    if "ec_fs" in methods and plan.n_repeats >= 2:
+    if "ec_fs" in methods and protocol.repeats >= 2:
         for method in (m for m in methods if m != "ec_fs"):
             significance[f"ec_fs_vs_{method}"] = {
                 str(k): two_sample_ttest([row["ec_fs"][ki] for row in aucs],
@@ -737,16 +657,17 @@ def run_evaluation(
             }
 
     stability = {}
-    if plan.n_repeats >= 2:
+    if protocol.repeats >= 2:
         stability = _stability_block(results, methods, ks, d.n_features)
-    report = _report("evaluate", d, plan, methods, ks, fixed_alpha, bins, results, stability)
+    report = _report("evaluate", d, protocol, ks, results, stability)
+    cv = protocol.alpha == "cv"
     report["config"].update({
         "fixed_c": fixed_c,
-        "epochs": epochs,
-        "alpha_grid": [float(a) for a in alpha_grid] if cv_mode else None,
-        "c_grid": [float(c) for c in c_grid] if cv_mode else None,
-        "folds": folds if cv_mode else None,
-        "cv_cardinality": cv_cardinality if cv_mode else None,
+        "epochs": protocol.epochs,
+        "alpha_grid": [float(a) for a in protocol.alpha_grid] if cv else None,
+        "c_grid": [float(c) for c in protocol.c_grid] if cv else None,
+        "folds": protocol.folds if cv else None,
+        "cv_cardinality": protocol.cv_cardinality if cv else None,
     })
     report["auc"] = auc_block
     report["significance"] = significance
@@ -755,37 +676,20 @@ def run_evaluation(
     return report
 
 
-def run_stability(
-    d: Dataset,
-    plan: SplitPlan,
-    *,
-    methods=METHODS,
-    cardinalities=DEFAULT_CARDINALITIES,
-    alpha=0.5,
-    bins: int | None = None,
-    alpha_grid=DEFAULT_ALPHA_GRID,
-    c_grid=DEFAULT_C_GRID,
-    folds: int = 5,
-    cv_cardinality: int = 100,
-    epochs: int = 50,
-    workers: int = 1,
-) -> dict:
-    """Selection stability across repeated training splits, no classifier.
+def run_stability(d: Dataset, protocol: Protocol, workers: int = 1) -> dict:
+    """Selection stability across the protocol's repeated training splits (a
+    Protocol with at least 2 repeats), no classifier.
 
     Each repeat normalizes its training rows on their own statistics, scores
     them once and derives every method's ranking from those scores, exactly as
     in run_evaluation; the report holds the mean pairwise Kuncheva overlap of
     the top-k sets per method and cardinality.
     """
-    methods = _check_methods(methods)
-    ks = _as_cardinalities(cardinalities, d.n_features)
-    fixed_alpha = _resolve_alpha(alpha)
-    if plan.n_repeats < 2:
+    ks = _as_cardinalities(protocol, d.n_features)
+    if protocol.repeats < 2:
         raise ValueError("stability needs at least 2 repeats")
-    cv_args = dict(alpha_grid=alpha_grid, C_grid=c_grid, folds=folds,
-                   cardinality=cv_cardinality, epochs=epochs)
-    splits = split_indices(d.y, plan)
-    body = _repeat_body(d, splits, plan.seed, methods, fixed_alpha, bins, cv_args, ks[-1])
-    results = _map_chunks(lambda chunk: [body(r)[0] for r in chunk], plan.n_repeats, workers)
-    stability = _stability_block(results, methods, ks, d.n_features)
-    return _report("stability", d, plan, methods, ks, fixed_alpha, bins, results, stability)
+    splits = split_indices(d.y, protocol)
+    body = _repeat_body(d, splits, protocol, ks[-1])
+    results = _map_chunks(lambda chunk: [body(r)[0] for r in chunk], protocol.repeats, workers)
+    stability = _stability_block(results, protocol.methods, ks, d.n_features)
+    return _report("stability", d, protocol, ks, results, stability)

@@ -20,7 +20,7 @@ import pytest
 
 from ecfs import (
     AdjacencyMatrix,
-    SplitPlan,
+    Protocol,
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
@@ -122,11 +122,8 @@ def test_acceptance_4_microarray_benchmark():
     assert counts == [22, 40]
     report = run_evaluation(
         d,
-        SplitPlan(train_fraction=2 / 3, n_repeats=100, seed=0),
-        methods=("ec_fs",),
-        cardinalities=(50,),
-        alpha=0.5,
-        fixed_c=1.0,
+        Protocol(methods=("ec_fs",), cardinalities=(50,), alpha=0.5, fixed_c=1.0,
+                 train_fraction=2 / 3, repeats=100, seed=0),
         workers=4,
     )
     elapsed = time.perf_counter() - t0

@@ -13,8 +13,8 @@ import ecfs.cli
 import ecfs.evaluation as ev
 from ecfs import (
     PowerIterationError,
+    Protocol,
     SplitError,
-    SplitPlan,
     fisher_scores,
     load_dataset,
     mutual_information_scores,
@@ -486,7 +486,7 @@ class TestWorkerFailures:
 
     def _run(self, tmp_path, monkeypatch, capsys, fail) -> tuple[int, str]:
         data, _ = _synth_csv(tmp_path)
-        _fail_in_worker(monkeypatch, data, SplitPlan(n_repeats=4, seed=2), 3, fail)
+        _fail_in_worker(monkeypatch, data, Protocol(repeats=4, seed=2), 3, fail)
         capsys.readouterr()
         rc = main(self.ARGS + ["--data", str(data), "--output", str(tmp_path / "s.json")])
         return rc, capsys.readouterr().err

@@ -82,9 +82,9 @@ class TestImportFootprint:
 
 # the modules that define the public names with no __module__ of their own
 CONSTANTS = {
-    "DEFAULT_ALPHA_GRID": "ecfs.evaluation",
-    "DEFAULT_C_GRID": "ecfs.evaluation",
-    "DEFAULT_CARDINALITIES": "ecfs.evaluation",
+    "DEFAULT_ALPHA_GRID": "ecfs.protocol",
+    "DEFAULT_C_GRID": "ecfs.protocol",
+    "DEFAULT_CARDINALITIES": "ecfs.protocol",
     "METHODS": "ecfs.centrality",
 }
 

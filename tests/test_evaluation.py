@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -24,8 +25,8 @@ from ecfs import (
     DatasetError,
     FeatureRanking,
     PowerIterationError,
+    Protocol,
     SplitError,
-    SplitPlan,
     SyntheticSpec,
     cross_validate,
     derive_seed,
@@ -108,7 +109,7 @@ def _assert_scored_training_rows_only(d, plan, seen) -> None:
 class TestSplits:
     def test_balanced_six_samples_two_thirds(self):
         y = np.array([0, 1, 0, 1, 0, 1])
-        plan = SplitPlan(train_fraction=2 / 3, n_repeats=5, seed=0)
+        plan = Protocol(train_fraction=2 / 3, repeats=5, seed=0)
         for tr, te in split_indices(y, plan):
             assert len(tr) == 4 and len(te) == 2
             assert np.bincount(y[tr]).tolist() == [2, 2]
@@ -117,7 +118,7 @@ class TestSplits:
     def test_unbalanced_62_sample_partitions(self):
         # 40/22 class split at 2/3 train: 42/20 partition, each class within 1
         y = np.array([0] * 40 + [1] * 22)
-        plan = SplitPlan(train_fraction=2 / 3, n_repeats=100, seed=1)
+        plan = Protocol(train_fraction=2 / 3, repeats=100, seed=1)
         seen = set()
         for tr, te in split_indices(y, plan):
             assert abs(len(tr) - 41) <= 1 and abs(len(te) - 21) <= 1
@@ -128,28 +129,28 @@ class TestSplits:
 
     def test_disjoint_and_covering(self):
         y = np.arange(30) % 3
-        plan = SplitPlan(n_repeats=10, seed=2)
+        plan = Protocol(repeats=10, seed=2)
         for tr, te in split_indices(y, plan):
             assert len(np.intersect1d(tr, te)) == 0
             assert np.array_equal(np.sort(np.concatenate([tr, te])), np.arange(30))
 
     def test_same_seed_reproduces(self):
         y = np.arange(20) % 2
-        a = split_indices(y, SplitPlan(n_repeats=3, seed=5))
-        b = split_indices(y, SplitPlan(n_repeats=3, seed=5))
+        a = split_indices(y, Protocol(repeats=3, seed=5))
+        b = split_indices(y, Protocol(repeats=3, seed=5))
         for (t1, e1), (t2, e2) in zip(a, b):
             assert np.array_equal(t1, t2) and np.array_equal(e1, e2)
 
     def test_class_too_small(self):
         y = np.array([0, 0, 0, 1])
         with pytest.raises(SplitError, match="stratify"):
-            split_indices(y, SplitPlan(n_repeats=1, seed=0))
+            split_indices(y, Protocol(repeats=1, seed=0))
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
-            SplitPlan(train_fraction=1.0)
+            Protocol(train_fraction=1.0)
         with pytest.raises(ValueError):
-            SplitPlan(n_repeats=0)
+            Protocol(repeats=0)
 
     def test_fold_indices_partition(self):
         y = np.arange(23) % 2
@@ -386,12 +387,16 @@ class TestRocAuc:
 
 
 class TestCrossValidate:
+    # one (alpha, C) candidate over 5 folds, 2 features, 2 epochs
+    _one_pair = Protocol(alpha_grid=(0.5,), c_grid=(1.0,), folds=5, cv_cardinality=2, epochs=2)
+
     def _fixture(self):
         return generate_synthetic(SyntheticSpec(24, 10, 3, 2.5, 1.0, seed=6))[0]
 
     def test_single_candidate_grid(self):
         d = self._fixture()
-        a, c = cross_validate(d, (0.3,), (2.0,), folds=3, cardinality=4, seed=0, epochs=5)
+        a, c = cross_validate(d, Protocol(alpha_grid=(0.3,), c_grid=(2.0,), folds=3,
+                                         cv_cardinality=4, epochs=5), 0)
         assert (a, c) == (0.3, 2.0)
 
     def test_exact_ties_break_to_smallest_alpha(self):
@@ -400,16 +405,16 @@ class TestCrossValidate:
         col = rng.normal(size=18)
         X = np.tile(col[:, None], (1, 4))
         d = _ds(X, np.arange(18) % 2)
-        a, c = cross_validate(d, (0.0, 0.4, 0.8), (1.0,), folds=3, cardinality=2,
-                              seed=1, epochs=5)
+        a, c = cross_validate(d, Protocol(alpha_grid=(0.0, 0.4, 0.8), c_grid=(1.0,), folds=3,
+                                          cv_cardinality=2, epochs=5), 1)
         assert (a, c) == (0.0, 1.0)
 
     def test_chosen_pair_matches_exhaustive_replay(self):
         d = self._fixture()
         alphas, cs = (0.0, 0.5, 1.0), (0.1, 1.0)
         folds, cardinality, seed, epochs = 3, 4, 11, 8
-        got = cross_validate(d, alphas, cs, folds=folds, cardinality=cardinality,
-                             seed=seed, epochs=epochs)
+        got = cross_validate(d, Protocol(alpha_grid=alphas, c_grid=cs, folds=folds,
+                                         cv_cardinality=cardinality, epochs=epochs), seed)
 
         # independent replay with plain loops over the same primitives; each
         # alpha's ranking comes from the dense n x n blend, so this is also the
@@ -452,8 +457,8 @@ class TestCrossValidate:
         d = self._fixture()
         seen = _spy_scoring(monkeypatch)
         folds = 3
-        cross_validate(d, (0.0, 0.25, 0.5, 0.75, 1.0), (0.1, 1.0), folds=folds,
-                       cardinality=4, seed=2, epochs=3)
+        cross_validate(d, Protocol(alpha_grid=(0.0, 0.25, 0.5, 0.75, 1.0), c_grid=(0.1, 1.0),
+                                   folds=folds, cv_cardinality=4, epochs=3), 2)
         assert len(seen) == folds
 
     def test_more_than_two_classes_rejected_before_scoring(self, monkeypatch):
@@ -461,7 +466,7 @@ class TestCrossValidate:
         seen = _spy_scoring(monkeypatch)
         d = _ds(np.random.default_rng(3).normal(size=(30, 6)), np.arange(30) % 3)
         with pytest.raises(ValueError, match="the data has 3 classes"):
-            cross_validate(d, (0.5,), (1.0,), folds=5, cardinality=2, seed=0, epochs=2)
+            cross_validate(d, self._one_pair, 0)
         assert seen == []
 
     def test_validation_row_that_overflows_is_rejected(self):
@@ -472,50 +477,47 @@ class TestCrossValidate:
         X[0, 0] = 1e10
         d = _ds(X, np.arange(30) % 2)
         with pytest.raises(DatasetError, match="^column 0 overflows float64 when normalized"):
-            cross_validate(d, (0.5,), (1.0,), folds=5, cardinality=2, seed=0, epochs=2)
+            cross_validate(d, self._one_pair, 0)
 
     @pytest.mark.parametrize("rows", [np.arange(24) % 2 == 0, np.arange(12) - 1,
                                       np.arange(12) + 0.5, np.array([0, 5, 24])])
     def test_rows_must_be_indices_into_d(self, rows):
         with pytest.raises(ValueError, match="row indices"):
-            cross_validate(self._fixture(), (0.5,), (1.0,), folds=3, cardinality=2, seed=0,
-                           epochs=2, rows=rows)
+            cross_validate(self._fixture(), replace(self._one_pair, folds=3), 0, rows)
 
     def test_fold_with_single_class_rejected(self):
         y = np.array([0] * 3 + [1] * 12)
         rng = np.random.default_rng(2)
         d = _ds(rng.normal(size=(15, 4)), y)
         with pytest.raises(SplitError, match="single class"):
-            cross_validate(d, (0.5,), (1.0,), folds=5, cardinality=2, seed=0, epochs=2)
+            cross_validate(d, self._one_pair, 0)
 
     def test_grid_validation(self):
-        d = self._fixture()
-        with pytest.raises(ValueError, match="non-empty"):
-            cross_validate(d, (), (1.0,))
-        with pytest.raises(ValueError, match="alpha"):
-            cross_validate(d, (0.5, 1.2), (1.0,))
-        with pytest.raises(ValueError, match="positive"):
-            cross_validate(d, (0.5,), (0.0,))
+        with pytest.raises(ValueError, match=r"^alpha_grid values must lie in \[0, 1\]$"):
+            Protocol(alpha_grid=())
+        with pytest.raises(ValueError, match=r"^alpha_grid values must lie in \[0, 1\]$"):
+            Protocol(alpha_grid=(0.5, 1.2))
+        with pytest.raises(ValueError, match="^c_grid values must be positive and finite$"):
+            Protocol(c_grid=(0.0,))
         for c in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="positive and finite"):
-                cross_validate(d, (0.5,), (1.0, c))
+            with pytest.raises(ValueError, match="^c_grid values must be positive and finite$"):
+                Protocol(c_grid=(1.0, c))
 
     def test_rows_give_the_pair_of_a_copy_of_the_rows(self):
         # folds are cut from the given rows' labels in the given order, so rows of
         # d, sorted or not, choose as a dataset of those rows would
         d = generate_synthetic(SyntheticSpec(45, 16, 3, 0.8, 1.0, seed=12))[0]
-        grid = dict(alpha_grid=(0.0, 0.3, 0.6, 1.0), C_grid=(0.1, 1.0, 10.0), folds=3,
-                    cardinality=3, epochs=6)
+        grid = Protocol(alpha_grid=(0.0, 0.3, 0.6, 1.0), c_grid=(0.1, 1.0, 10.0), folds=3,
+                        cv_cardinality=3, epochs=6)
         pairs = set()
         for seed in range(4):
             rows = np.random.default_rng(seed).choice(45, size=30, replace=False)
             for r in (rows, np.sort(rows)):
-                want = cross_validate(_ds(d.X[r], d.y[r]), seed=seed, **grid)
-                assert cross_validate(d, seed=seed, rows=r, **grid) == want
+                want = cross_validate(_ds(d.X[r], d.y[r]), grid, seed)
+                assert cross_validate(d, grid, seed, rows=r) == want
                 pairs.add(want)
         assert len(pairs) > 1
-        assert cross_validate(d, seed=0, rows=np.arange(45), **grid) == cross_validate(
-            d, seed=0, **grid)
+        assert cross_validate(d, grid, 0, rows=np.arange(45)) == cross_validate(d, grid, 0)
 
     def test_held_group_reads_only_the_selected_columns_of_held_rows(self):
         rng = np.random.default_rng(4)
@@ -523,7 +525,7 @@ class TestCrossValidate:
         X[:, 3::4] -= 500.0  # shifted on the training rows' minimum
         X[:, 5] = 7.0  # degenerate: held rows map to zeros
         d = _ds(X, np.arange(30) % 2)
-        train, held = split_indices(d.y, SplitPlan(n_repeats=1, seed=2))[0]
+        train, held = split_indices(d.y, Protocol(repeats=1, seed=2))[0]
         held = held[::-1]
         scores = ev.score_features(d, rows=train)
         jobs = [(np.array([7, 5, 3]), 1.0, 0), (np.array([3, 11]), 0.5, 1)]
@@ -680,8 +682,8 @@ class TestTwoSampleTTest:
             "import sys, ecfs\n"
             "print('scipy.special' in sys.modules)\n"
             "d, _ = ecfs.generate_synthetic(ecfs.SyntheticSpec(30, 12, 3, 0.5, 1.0, seed=1))\n"
-            "rep = ecfs.run_evaluation(d, ecfs.SplitPlan(n_repeats=3, seed=0),\n"
-            "                          cardinalities=(3,), epochs=4)\n"
+            "rep = ecfs.run_evaluation(d, ecfs.Protocol(repeats=3, seed=0, cardinalities=(3,),\n"
+            "                                           epochs=4))\n"
             "print(sorted(p for s in rep['significance'].values() for p in s.values()))\n"
             "print('scipy.special' in sys.modules)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
@@ -701,8 +703,7 @@ class TestRunEvaluation:
 
     def test_report_shape(self):
         d = self._fixture()
-        rep = run_evaluation(d, SplitPlan(n_repeats=5, seed=0), cardinalities=(3, 6),
-                             epochs=8)
+        rep = run_evaluation(d, Protocol(repeats=5, seed=0, cardinalities=(3, 6), epochs=8))
         assert rep["schema_version"] == 1
         for method in ("ec_fs", "fisher", "mi"):
             block = rep["auc"][method]["per_cardinality"]
@@ -715,21 +716,21 @@ class TestRunEvaluation:
 
     def test_byte_deterministic_and_worker_invariant(self):
         d = self._fixture()
-        kw = dict(cardinalities=(3, 6), epochs=8)
-        r1 = run_evaluation(d, SplitPlan(n_repeats=4, seed=3), **kw)
-        r2 = run_evaluation(d, SplitPlan(n_repeats=4, seed=3), **kw)
-        r3 = run_evaluation(d, SplitPlan(n_repeats=4, seed=3), workers=3, **kw)
+        protocol = Protocol(repeats=4, seed=3, cardinalities=(3, 6), epochs=8)
+        r1 = run_evaluation(d, protocol)
+        r2 = run_evaluation(d, protocol)
+        r3 = run_evaluation(d, protocol, workers=3)
         s1, s2, s3 = (json.dumps(r, sort_keys=True) for r in (r1, r2, r3))
         assert s1 == s2 == s3
 
     def test_cv_mode_and_stability_are_worker_invariant(self):
         d = generate_synthetic(SyntheticSpec(24, 12, 3, 2.5, 1.0, seed=4))[0]
-        plan = SplitPlan(n_repeats=3, seed=5)
-        kw = dict(alpha="cv", cardinalities=(3,), alpha_grid=(0.0, 0.5, 1.0), c_grid=(1.0,),
-                  folds=2, cv_cardinality=3, epochs=4)
+        protocol = Protocol(repeats=3, seed=5, alpha="cv", cardinalities=(3,),
+                            alpha_grid=(0.0, 0.5, 1.0), c_grid=(1.0,), folds=2,
+                            cv_cardinality=3, epochs=4)
         for run in (run_evaluation, run_stability):
-            one = json.dumps(run(d, plan, workers=1, **kw), sort_keys=True)
-            three = json.dumps(run(d, plan, workers=3, **kw), sort_keys=True)
+            one = json.dumps(run(d, protocol, workers=1), sort_keys=True)
+            three = json.dumps(run(d, protocol, workers=3), sort_keys=True)
             assert one == three
 
     @pytest.mark.parametrize("alpha", [0.5, "cv"])
@@ -737,15 +738,15 @@ class TestRunEvaluation:
         # overlapping classes: the AUC samples move with the ranking, the test-row
         # transform, C and the classifier seed (the usual fixture reads 1.0 throughout)
         d = generate_synthetic(SyntheticSpec(36, 12, 3, 1.0, 1.0, seed=10))[0]
-        plan = SplitPlan(n_repeats=3, seed=13)
         ks, fixed_c, epochs = (3, 6), 2.0, 6
         # in cv mode the one C candidate differs from fixed_c, so the replay also
         # checks that only ec_fs trains at the cross-validated C
-        rep = run_evaluation(d, plan, cardinalities=ks, alpha=alpha, fixed_c=fixed_c,
-                             epochs=epochs, alpha_grid=(0.0, 1.0), c_grid=(0.05,), folds=2,
-                             cv_cardinality=3)
+        plan = Protocol(repeats=3, seed=13, cardinalities=ks, alpha=alpha, fixed_c=fixed_c,
+                        epochs=epochs, alpha_grid=(0.0, 1.0), c_grid=(0.05,), folds=2,
+                        cv_cardinality=3)
+        rep = run_evaluation(d, plan)
         want_c = fixed_c if alpha == 0.5 else 0.05
-        assert rep["c_per_repeat"] == [want_c] * plan.n_repeats
+        assert rep["c_per_repeat"] == [want_c] * plan.repeats
 
         # independent replay with plain loops over the public primitives: every
         # statistic from the training rows alone, the test rows transformed by
@@ -772,11 +773,10 @@ class TestRunEvaluation:
         # overlapping classes, so the AUC samples vary; the widest cardinality once
         # zero-padded the narrower ones, and a margin could then round differently
         d = generate_synthetic(SyntheticSpec(40, 30, 4, 0.8, 1.0, seed=2))[0]
-        plan = SplitPlan(n_repeats=4, seed=9)
-        kw = dict(epochs=12, fixed_c=0.5)
-        full = run_evaluation(d, plan, cardinalities=(2, 5, 29), **kw)["auc"]
+        plan = Protocol(repeats=4, seed=9, epochs=12, fixed_c=0.5)
+        full = run_evaluation(d, replace(plan, cardinalities=(2, 5, 29)))["auc"]
         for k in (2, 5, 29):
-            alone = run_evaluation(d, plan, cardinalities=(k,), **kw)["auc"]
+            alone = run_evaluation(d, replace(plan, cardinalities=(k,)))["auc"]
             for method in ("ec_fs", "fisher", "mi"):
                 cell = alone[method]["per_cardinality"][str(k)]
                 assert cell == full[method]["per_cardinality"][str(k)]
@@ -790,16 +790,16 @@ class TestRunEvaluation:
         X = np.column_stack([np.full(30, -1e307), np.ones(30), np.full(30, 2.0)])
         X[0, 0] = 1.79e308
         d = _ds(X, np.arange(30) % 2)
-        plan = SplitPlan(n_repeats=1, seed=5)
+        plan = Protocol(repeats=1, seed=5, methods=("fisher",), cardinalities=(1, 2), epochs=2)
         assert 0 in split_indices(d.y, plan)[0][1]
         with pytest.raises(DatasetError, match="^column 0 overflows float64 when normalized"):
-            run_evaluation(d, plan, methods=("fisher",), cardinalities=(1, 2), epochs=2)
+            run_evaluation(d, plan)
 
     def test_rankings_never_see_test_rows(self, monkeypatch):
         d = self._fixture()
-        plan = SplitPlan(n_repeats=3, seed=7)
+        plan = Protocol(repeats=3, seed=7, cardinalities=(2, 4), epochs=4)
         seen = _spy_scoring(monkeypatch)
-        run_evaluation(d, plan, cardinalities=(2, 4), epochs=4)
+        run_evaluation(d, plan)
         _assert_scored_training_rows_only(d, plan, seen)
 
     def test_scores_once_per_repeat_in_one_mi_pass(self, monkeypatch):
@@ -807,10 +807,10 @@ class TestRunEvaluation:
         d = self._fixture()
         seen = _spy_scoring(monkeypatch)
         mi_calls = _count_calls(monkeypatch, "_mutual_information")
-        run_evaluation(d, SplitPlan(n_repeats=3, seed=0), methods=("fisher",),
-                       cardinalities=(3,), epochs=4)
+        run_evaluation(d, Protocol(repeats=3, seed=0, methods=("fisher",), cardinalities=(3,),
+                                   epochs=4))
         assert len(seen) == len(mi_calls) == 3
-        run_evaluation(d, SplitPlan(n_repeats=3, seed=0), cardinalities=(3,), epochs=4)
+        run_evaluation(d, Protocol(repeats=3, seed=0, cardinalities=(3,), epochs=4))
         assert len(seen) == len(mi_calls) == 6
 
     def test_cv_runs_only_for_ec_fs(self, monkeypatch):
@@ -824,22 +824,22 @@ class TestRunEvaluation:
 
         monkeypatch.setattr(ev, "cross_validate", spy)
         d = self._fixture()
-        cv = dict(alpha="cv", alpha_grid=(0.0, 1.0), c_grid=(1.0,), folds=2,
-                  cv_cardinality=3, epochs=4)
-        plan = SplitPlan(n_repeats=2, seed=1)
-        rep = run_evaluation(d, plan, methods=("fisher", "mi"), cardinalities=(3,), **cv)
-        run_stability(d, plan, methods=("fisher", "mi"), cardinalities=(3,), **cv)
+        plan = Protocol(repeats=2, seed=1, methods=("fisher", "mi"), cardinalities=(3,),
+                        alpha="cv", alpha_grid=(0.0, 1.0), c_grid=(1.0,), folds=2,
+                        cv_cardinality=3, epochs=4)
+        rep = run_evaluation(d, plan)
+        run_stability(d, plan)
         assert calls == []
         assert "alpha_per_repeat" not in rep and "c_per_repeat" not in rep
-        run_evaluation(d, plan, methods=("ec_fs",), cardinalities=(3,), **cv)
-        assert len(calls) == plan.n_repeats
+        run_evaluation(d, replace(plan, methods=("ec_fs",)))
+        assert len(calls) == plan.repeats
 
     def test_cv_mode_records_grid_choices(self):
         d = self._fixture()
-        rep = run_evaluation(
-            d, SplitPlan(n_repeats=2, seed=1), cardinalities=(3,), alpha="cv",
+        rep = run_evaluation(d, Protocol(
+            repeats=2, seed=1, cardinalities=(3,), alpha="cv",
             alpha_grid=(0.0, 1.0), c_grid=(1.0,), folds=2, cv_cardinality=3, epochs=4,
-        )
+        ))
         assert all(a in (0.0, 1.0) for a in rep["alpha_per_repeat"])
         assert rep["c_per_repeat"] == [1.0, 1.0]
         assert rep["config"]["alpha"] == "cv"
@@ -848,43 +848,39 @@ class TestRunEvaluation:
         rng = np.random.default_rng(0)
         d = _ds(rng.normal(size=(18, 4)), np.arange(18) % 3)
         with pytest.raises(ValueError, match="binary"):
-            run_evaluation(d, SplitPlan(n_repeats=2, seed=0), cardinalities=(2,))
+            run_evaluation(d, Protocol(repeats=2, seed=0, cardinalities=(2,)))
 
     @pytest.mark.parametrize("fixed_c", [0.0, np.inf, np.nan])
     def test_fixed_c_must_be_positive_and_finite(self, fixed_c):
         # an infinite C once gave every AUC as 0.5 after divide-by-zero warnings
-        with pytest.raises(ValueError, match="fixed_c must be positive and finite"):
-            run_evaluation(self._fixture(), SplitPlan(n_repeats=2, seed=0),
-                           cardinalities=(3,), fixed_c=fixed_c)
+        with pytest.raises(ValueError, match="^fixed_c must be positive and finite"):
+            Protocol(repeats=2, seed=0, cardinalities=(3,), fixed_c=fixed_c)
 
     def test_cardinality_validation(self):
         d = self._fixture()
         with pytest.raises(ValueError, match="cardinalit"):
-            run_evaluation(d, SplitPlan(n_repeats=2, seed=0), cardinalities=(12,))
-        with pytest.raises(ValueError, match="cardinalit"):
-            run_evaluation(d, SplitPlan(n_repeats=2, seed=0), cardinalities=())
+            run_evaluation(d, Protocol(repeats=2, seed=0, cardinalities=(12,)))
+        with pytest.raises(ValueError, match="^cardinalities must be positive integers$"):
+            Protocol(repeats=2, seed=0, cardinalities=())
 
     def test_single_repeat_skips_aggregates(self):
         d = self._fixture()
-        rep = run_evaluation(d, SplitPlan(n_repeats=1, seed=0), cardinalities=(3,),
-                             epochs=4)
+        rep = run_evaluation(d, Protocol(repeats=1, seed=0, cardinalities=(3,), epochs=4))
         assert rep["stability"] == {}
         assert rep["significance"] == {}
         assert rep["auc"]["ec_fs"]["per_cardinality"]["3"]["sd"] == 0.0
 
     def test_method_subset(self):
         d = self._fixture()
-        rep = run_evaluation(d, SplitPlan(n_repeats=3, seed=0), methods=("fisher",),
-                             cardinalities=(3,), epochs=4)
+        rep = run_evaluation(d, Protocol(repeats=3, seed=0, methods=("fisher",),
+                                         cardinalities=(3,), epochs=4))
         assert list(rep["auc"]) == ["fisher"]
         assert rep["significance"] == {}
         assert "alpha_per_repeat" not in rep
 
     def test_unknown_method_rejected(self):
-        d = self._fixture()
-        with pytest.raises(ValueError, match="unknown method"):
-            run_evaluation(d, SplitPlan(n_repeats=2, seed=0), methods=("relief",),
-                           cardinalities=(3,))
+        with pytest.raises(ValueError, match=r"^unknown methods \['relief'\]"):
+            Protocol(repeats=2, seed=0, methods=("relief",), cardinalities=(3,))
 
 
 class TestRunStability:
@@ -896,14 +892,14 @@ class TestRunStability:
         X = np.ones((T, 5))
         X[:, 0] = y
         d = _ds(X, y)
-        rep = run_stability(d, SplitPlan(n_repeats=4, seed=0), cardinalities=(1, 2, 3))
+        rep = run_stability(d, Protocol(repeats=4, seed=0, cardinalities=(1, 2, 3)))
         for method in ("ec_fs", "fisher", "mi"):
             assert [row["kuncheva"] for row in rep["stability"][method]] == [1.0, 1.0, 1.0]
 
     def test_values_in_range_on_noise(self):
         rng = np.random.default_rng(14)
         d = _ds(rng.normal(size=(30, 10)), np.arange(30) % 2)
-        rep = run_stability(d, SplitPlan(n_repeats=4, seed=2), cardinalities=(2, 5))
+        rep = run_stability(d, Protocol(repeats=4, seed=2, cardinalities=(2, 5)))
         for rows in rep["stability"].values():
             for row in rows:
                 assert -1.0 <= row["kuncheva"] <= 1.0
@@ -911,19 +907,19 @@ class TestRunStability:
     def test_rejects_a_float_bin_count(self):
         d = generate_synthetic(SyntheticSpec(24, 8, 2, 2.0, 1.0, seed=0))[0]
         with pytest.raises(ValueError, match="bins must be an integer"):
-            run_stability(d, SplitPlan(n_repeats=2, seed=0), cardinalities=(2,), bins=3.0)
+            run_stability(d, Protocol(repeats=2, seed=0, cardinalities=(2,), bins=3.0))
 
     def test_needs_two_repeats(self):
         d, _ = generate_synthetic(SyntheticSpec(12, 6, 2, 2.0, 1.0, seed=0))
         with pytest.raises(ValueError, match="2 repeats"):
-            run_stability(d, SplitPlan(n_repeats=1, seed=0), cardinalities=(2,))
+            run_stability(d, Protocol(repeats=1, seed=0, cardinalities=(2,)))
 
     def test_rankings_never_see_test_rows(self, monkeypatch):
         d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
-        plan = SplitPlan(n_repeats=3, seed=7)
+        plan = Protocol(repeats=3, seed=7, methods=("fisher", "ec_fs"), cardinalities=(2, 4))
         seen = _spy_scoring(monkeypatch)
         mi_calls = _count_calls(monkeypatch, "_mutual_information")
-        run_stability(d, plan, methods=("fisher", "ec_fs"), cardinalities=(2, 4))
+        run_stability(d, plan)
         _assert_scored_training_rows_only(d, plan, seen)
         assert len(mi_calls) == len(seen) == 3  # one MI pass per scoring
 
@@ -951,11 +947,11 @@ class TestChunks:
         monkeypatch.setattr(ev, "train_linear_classifiers", spy)
         d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
         kw = dict(cardinalities=(3, 6), epochs=2)
-        run_evaluation(d, SplitPlan(n_repeats=8, seed=0), **kw)
+        run_evaluation(d, Protocol(repeats=8, seed=0, **kw))
         assert calls == [8]
         calls.clear()
         n = 2 * ev._CHUNK_REPEATS + 1
-        run_evaluation(d, SplitPlan(n_repeats=n, seed=0), **kw)
+        run_evaluation(d, Protocol(repeats=n, seed=0, **kw))
         assert len(calls) == math.ceil(n / ev._CHUNK_REPEATS) and sum(calls) == n
 
     def test_memory_does_not_grow_with_repeats_past_one_chunk(self):
@@ -966,8 +962,8 @@ class TestChunks:
         def peak(n_repeats: int) -> int:
             tracemalloc.start()
             try:
-                run_evaluation(d, SplitPlan(n_repeats=n_repeats, seed=0),
-                               cardinalities=(100, 200, 300), epochs=2)
+                run_evaluation(d, Protocol(repeats=n_repeats, seed=0,
+                                           cardinalities=(100, 200, 300), epochs=2))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -980,7 +976,7 @@ class TestChunks:
     def test_worker_error_reaches_the_caller_whole(self, monkeypatch):
         # forked workers inherit the patch; only a worker, never this process, fails
         d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
-        plan = SplitPlan(n_repeats=4, seed=3)
+        plan = Protocol(repeats=4, seed=3, cardinalities=(3,))
         target = split_indices(d.y, plan)[3][0]
         parent, real = os.getpid(), ev.score_features
 
@@ -991,7 +987,7 @@ class TestChunks:
 
         monkeypatch.setattr(ev, "score_features", failing)
         with pytest.raises(PowerIterationError) as exc:
-            run_stability(d, plan, cardinalities=(3,), workers=2)
+            run_stability(d, plan, workers=2)
         assert str(exc.value) == "no convergence after 9 iterations"
         assert (exc.value.residual, exc.value.iterations) == (1e-3, 9)
 
@@ -1004,11 +1000,10 @@ class TestChunks:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
-        plan = SplitPlan(n_repeats=4, seed=3)
-        kw = dict(cardinalities=(3, 6), epochs=4)
+        plan = Protocol(repeats=4, seed=3, cardinalities=(3, 6), epochs=4)
         for run, workers in ((run_stability, 2), (run_evaluation, 3)):
-            one = json.dumps(run(d, plan, workers=1, **kw), sort_keys=True)
-            assert json.dumps(run(d, plan, workers=workers, **kw), sort_keys=True) == one
+            one = json.dumps(run(d, plan, workers=1), sort_keys=True)
+            assert json.dumps(run(d, plan, workers=workers), sort_keys=True) == one
 
 
 class TestSeedDerivation:

@@ -52,11 +52,8 @@ _EXPORTS = {
     "cross_validate": "evaluation",
     "default_bin_count": "graph",
     "derive_seed": "evaluation",
-    "feature_spreads": "graph",
-    "fisher_scores": "graph",
     "generate_synthetic": "data",
     "load_dataset": "data",
-    "mutual_information_scores": "graph",
     "power_iteration": "centrality",
     "rank_by_fisher": "baselines",
     "rank_by_mi": "baselines",
@@ -65,7 +62,6 @@ _EXPORTS = {
     "run_stability": "evaluation",
     "score_features": "centrality",
     "split_indices": "evaluation",
-    "stability_curve": "evaluation",
     "stratified_fold_indices": "evaluation",
     "train_linear_classifiers": "evaluation",
     "two_sample_ttest": "evaluation",

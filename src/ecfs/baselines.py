@@ -1,4 +1,11 @@
-"""Single-score reference rankings for comparison against the graph method."""
+"""Single-score reference rankings for comparison against the graph method.
+
+No command calls these: each is one call of score_features(d).ranking(...).
+The module stays because the benchmark's tracer (perfbench/tracer.py) imports
+every module in its LAYERS, this one included, so `perfbench/run.py --trace 1`
+fails without it. The tracer also reads power_iteration's first argument by
+its name, A.
+"""
 
 from __future__ import annotations
 

@@ -13,7 +13,6 @@ from .graph import (
     _fisher_ratio,
     _fisher_terms,
     _mutual_information,
-    _spreads,
     default_bin_count,
 )
 
@@ -52,50 +51,41 @@ class EigenResult:
     degenerate: bool = False
 
 
-def _as_matrix(A) -> np.ndarray:
-    M = np.asarray(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix entries must be finite")
-    if M.min() < 0:
-        raise ValueError("matrix entries must be non-negative")
-    return M
-
-
 def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult:
-    """Dominant right eigenpair by normalized power iteration.
+    """Dominant right eigenpair of the feature graph A, an AdjacencyMatrix, by
+    normalized power iteration.
 
     Starts from the all-ones direction and repeats v <- A v / ||A v|| until
     ||A v - lambda v|| <= tol with lambda the Rayleigh quotient v.(A v).
 
-    A is validated non-negative and a sweep only multiplies, adds and divides
-    non-negative numbers, so v0 has no negative entry and is returned unclamped.
+    A's constructor proved its vectors finite and non-negative, and a sweep
+    only multiplies, adds and divides non-negative numbers, so v0 has no
+    negative entry and is returned unclamped.
 
-    The norms and the Rayleigh quotient are numpy pairwise sums, in an order
-    fixed by this code rather than by the BLAS thread count; with an
-    AdjacencyMatrix, whose product does the same, the result's bits do not
-    depend on that count. A dense A is multiplied by BLAS.
+    The product, the norms and the Rayleigh quotient are numpy sums in an
+    order fixed by this code rather than by the BLAS thread count, so the
+    result's bits do not depend on that count.
 
     Raises:
         PowerIterationError: residual still above tol after max_iter sweeps;
             the exception carries the last residual.
+        TypeError: A is not an AdjacencyMatrix.
         ValueError: a sweep overflowed float64, as entries near 1e200 do.
     """
-    # an AdjacencyMatrix's constructor proved its vectors finite and non-negative
-    M = A if isinstance(A, AdjacencyMatrix) else _as_matrix(A)
+    if not isinstance(A, AdjacencyMatrix):
+        raise TypeError(f"A must be an AdjacencyMatrix, got {type(A).__name__}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    n = M.shape[0]
+    n = A.shape[0]
     v = np.ones(n) / np.sqrt(n)
     try:
         # an overflow would turn v into zeros, whose residual of 0 would pass
         with np.errstate(over="raise"):
-            w = M @ v
+            w = A @ v
             if not w.any():
-                # M is non-negative and v positive, so M v = 0 only when M = 0
+                # A is non-negative and v positive, so A v = 0 only when A = 0
                 return EigenResult(0.0, v, 0, 0.0, degenerate=True)
             residual = np.inf
             for it in range(1, max_iter + 1):
@@ -105,7 +95,7 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
                     # path is 0, so report the last direction with lambda0 = 0
                     return EigenResult(0.0, v, it, 0.0, degenerate=True)
                 v = w / nrm
-                w = M @ v
+                w = A @ v
                 lam = _dot(v, w)
                 r = w - lam * v
                 residual = float(np.sqrt(_dot(r, r)))
@@ -196,7 +186,7 @@ def score_features(d: Dataset, bins: int | None = None, rows=None) -> FeatureSco
         block = d.X[rows, cols]
         stats._fit_transform(block, cols)
         num[cols], den[cols] = _fisher_terms(block, members)
-        spreads[cols] = _spreads(block)
+        spreads[cols] = block.std(axis=0)
         return block
 
     if bins is None:

@@ -222,28 +222,23 @@ class NormalizationStats:
 
     Columns flagged degenerate (constant in the fitted data) map to all zeros.
     score_features allocates the three arrays for all columns and fits them
-    one block of columns at a time (_fit_transform).
+    one block of columns at a time (_fit_transform); the held-out step maps
+    other rows with them (_transform).
     """
 
     shift: np.ndarray
     scale: np.ndarray
     degenerate: np.ndarray
 
-    def transform(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(X + shift) / scale, with degenerate columns zeroed, into out (X itself
-        may be passed) or a new array; the only full-size array made is the result.
-        DatasetError naming the first column where (X + shift) / scale overflows
-        float64, as a value far above the fitted range, or one over a tiny fitted
-        scale, does; degenerate columns included.
-        """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.shift.shape[0]:
-            raise ValueError("matrix width does not match fitted statistics")
-        return self._transform(X, slice(None), out)
-
     def _transform(self, X: np.ndarray, cols, out: np.ndarray | None = None) -> np.ndarray:
-        """transform of X, some rows of the fitted matrix in its columns cols (a
-        slice or an index array); an error names the column by its fitted index."""
+        """(X + shift) / scale in the columns cols (a slice or an index array)
+        of the fitted matrix, with degenerate columns zeroed, for X some rows
+        of those columns; into out (X itself may be passed) or a new array.
+        DatasetError naming the first column, by its fitted index, where
+        (X + shift) / scale overflows float64, as a value far above the fitted
+        range, or one over a tiny fitted scale, does; degenerate columns
+        included.
+        """
         with np.errstate(over="ignore"):
             out = np.add(X, self.shift[cols], out=out)
             out /= self.scale[cols]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import FeatureScores, score_features
-from .data import Dataset, FeatureRanking, _row_indices
+from .data import Dataset, _row_indices
 from .protocol import Protocol
 
 # fixed per-method constants for seed derivation, independent of method order
@@ -337,25 +337,10 @@ def cross_validate(d: Dataset, protocol: Protocol, seed: int, rows=None) -> tupl
     return alphas[ai], Cs[ci]
 
 
-def stability_curve(
-    rankings: list[FeatureRanking], cardinalities
-) -> list[tuple[int, float]]:
-    """Mean pairwise Kuncheva overlap of the top-k sets, per cardinality."""
-    if len(rankings) < 2:
-        raise ValueError("need at least two rankings")
-    n = rankings[0].n_features
-    if any(r.n_features != n for r in rankings):
-        raise ValueError("rankings must cover the same feature count")
-    ks = [int(k) for k in cardinalities]
-    if not ks:
-        raise ValueError("need at least one cardinality")
-    if any(not 0 < k < n for k in ks):
-        raise ValueError(f"cardinalities must be in 1..{n - 1}")
-    return _kuncheva_curve(np.stack([r.top(max(ks)) for r in rankings]), n, ks)
-
-
 def _kuncheva_curve(tops: np.ndarray, n: int, ks: list[int]) -> list[tuple[int, float]]:
-    """stability_curve from each ranking's top max(ks) indices, one row per ranking."""
+    """Mean pairwise Kuncheva overlap of the top-k sets, for each k in ks, of
+    rankings of n features given as their top max(ks) indices, one row per
+    ranking: a list of (k, mean)."""
     R = len(tops)
     pairs = np.triu_indices(R, 1)  # row-major: itertools.combinations order
     out = []

@@ -2,7 +2,9 @@
 
 Each feature becomes a graph node. Node relevance comes from two supervised
 scores (Fisher separation and a histogram mutual information estimate); edges
-blend a rank-1 relevance product with a pairwise dispersion matrix.
+blend a rank-1 relevance product with a pairwise dispersion matrix. The
+scores are taken by centrality.score_features, one block of columns at a
+time, from the helpers here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, column_blocks
+from .data import column_blocks
 
 # denominator floor for zero-variance Fisher scores
 VARIANCE_FLOOR = 1e-12
@@ -23,27 +25,25 @@ def default_bin_count(n_samples: int) -> int:
     return max(2, int(math.floor(math.sqrt(n_samples))))
 
 
-def fisher_scores(d: Dataset) -> np.ndarray:
-    """Fisher separation score per feature.
-
-    Two classes: squared mean gap over the summed class variances. More
-    classes: sum of squared class-mean offsets from the overall mean, over the
-    summed class variances. Variances are population (divide by class size).
-    A zero denominator yields 0 when the numerator is 0, otherwise the
-    numerator over a 1e-12 floor. Columns are scored in blocks (column_blocks),
-    to the same bits as one pass over the whole matrix. The result is read-only.
-    """
-    members = [d.y == c for c in range(d.n_classes)]
-    num = np.empty(d.n_features)
-    den = np.empty(d.n_features)
-    for cols in column_blocks(d.n_features, d.n_samples):
-        num[cols], den[cols] = _fisher_terms(d.X[:, cols], members)
-    return _fisher_ratio(num, den)
+def _finite(x) -> bool:
+    """Whether x converts to a finite float; an integer past float64 does not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _fisher_terms(block: np.ndarray, members: list[np.ndarray]) -> tuple:
     """The Fisher numerator and denominator of each column of a block of rows,
-    with members[c] the mask of class c's rows."""
+    with members[c] the mask of class c's rows.
+
+    Two classes: the squared gap between the class means, over the summed
+    class variances. More classes: the summed squared offsets of the class
+    means from the overall mean, over the summed class variances. Variances
+    are population variances (divided by the class size). Each is an axis-0
+    reduction, so a block of two or more columns has the bits of one pass
+    over the whole matrix.
+    """
     means = np.stack([block[rows].mean(axis=0) for rows in members])
     variances = np.stack([block[rows].var(axis=0) for rows in members])
     if len(members) == 2:
@@ -52,7 +52,9 @@ def _fisher_terms(block: np.ndarray, members: list[np.ndarray]) -> tuple:
 
 
 def _fisher_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """The read-only Fisher scores num / den, floored as fisher_scores says."""
+    """The read-only Fisher scores num / den. A zero denominator gives 0 when
+    the numerator is 0 too, and otherwise the numerator over VARIANCE_FLOOR
+    (1e-12)."""
     out = np.zeros(num.shape[0])
     ok = den > 0
     out[ok] = num[ok] / den[ok]
@@ -103,10 +105,12 @@ def _chunk_scores(block, y, C, bins, slots, L, t_hy) -> np.ndarray:
     return np.where(live, np.maximum(score, 0.0), 0.0)
 
 
-def mutual_information_scores(d: Dataset, bins: int | None = None) -> np.ndarray:
-    """Mutual information between each discretized feature and the labels.
+def _mutual_information(read, n: int, y: np.ndarray, n_classes: int, bins) -> np.ndarray:
+    """Mutual information between each of n columns and the labels y, each
+    block of columns cols read as read(cols): a new len(y) x (columns in cols)
+    array, which the scoring overwrites. The result is read-only.
 
-    Each feature is cut into equal-width bins over its own [min, max], bin
+    Each column is cut into equal-width bins over its own [min, max], bin
     floor((x - lo) / (hi - lo) * bins) with the top edge in the last bin. With
     n_bc the joint bin/label counts, n_b and n_c their margins and
     L[k] = k log k (L[0] = 0), the natural-log MI is
@@ -115,30 +119,16 @@ def mutual_information_scores(d: Dataset, bins: int | None = None) -> np.ndarray
 
     Each sum runs left to right over the sorted counts, so tables that are
     equal up to a permutation of bins or of classes give bit-equal scores,
-    and features tie exactly when their tables do. Columns are scored in
+    and columns tie exactly when their tables do. Columns are scored in
     blocks of about CHUNK_CELLS table or sample cells (column_blocks), and a
     column's table has min(bins, T) bin slots (its occupied bins are
     renumbered when bins > T), so memory does not grow with n or bins.
-    Constant features score 0; round-off can push a score a hair below zero,
-    so scores are clamped at 0. The result is read-only.
+    Constant columns score 0; round-off can push a score a hair below zero,
+    so scores are clamped at 0.
     ValueError, before any column is read, unless bins is an integer of at
     least 2 that converts to a finite float.
     """
-    if bins is None:
-        bins = default_bin_count(d.n_samples)
-    return _mutual_information(lambda cols: np.array(d.X[:, cols]), d.n_features, d.y,
-                               d.n_classes, bins)
-
-
-def _mutual_information(read, n: int, y: np.ndarray, n_classes: int, bins) -> np.ndarray:
-    """mutual_information_scores of n columns with labels y, each block of
-    columns cols read as read(cols): a new len(y) x (columns in cols) array,
-    which the scoring overwrites."""
-    try:
-        finite = math.isfinite(bins)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
+    if not _finite(bins):
         raise ValueError(f"bins must convert to a finite float, got {bins}")
     if not isinstance(bins, numbers.Integral) or bins < 2:
         raise ValueError(f"bins must be an integer of at least 2, got {bins!r}")
@@ -152,21 +142,6 @@ def _mutual_information(read, n: int, y: np.ndarray, n_classes: int, bins) -> np
         out[cols] = _chunk_scores(read(cols), y, C, bins, slots, L, t_hy)
     out.setflags(write=False)
     return out
-
-
-def feature_spreads(d: Dataset) -> np.ndarray:
-    """Population standard deviation s_i of each feature. The feature graph's
-    dispersion edge (i, j) weighs max(s_i, s_j), in [0, 1] on normalized input.
-    Taken in blocks of columns (column_blocks), to the bits of one pass."""
-    out = np.empty(d.n_features)
-    for cols in column_blocks(d.n_features, d.n_samples):
-        out[cols] = _spreads(d.X[:, cols])
-    return out
-
-
-def _spreads(block: np.ndarray) -> np.ndarray:
-    """feature_spreads of a block of columns."""
-    return block.std(axis=0)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:

@@ -14,6 +14,7 @@ import numbers
 from dataclasses import dataclass
 
 from .centrality import METHODS
+from .graph import _finite
 
 DEFAULT_ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0)
@@ -46,9 +47,10 @@ class Protocol:
     `repeats` stratified splits with train_fraction of each class on the
     training side, all drawn from `seed`.
 
-    ProtocolError (a ValueError) names every rule the values break. The rules
-    that need the data stay with it: each k below the feature count, binary
-    labels, enough samples per class and fold.
+    The counts (each cardinality, bins, folds, cv_cardinality, epochs, repeats
+    and seed) must be integers. ProtocolError (a ValueError) names every rule
+    the values break. The rules that need the data stay with it: each k below
+    the feature count, binary labels, enough samples per class and fold.
     """
 
     methods: tuple = METHODS
@@ -82,7 +84,8 @@ class Protocol:
             yield "methods", f"unknown methods {unknown}; choose from {list(METHODS)}"
         if len(set(methods)) != len(methods):
             yield "methods", f"{{name}} must name each method once, got {methods}"
-        if not self.cardinalities or any(k < 1 for k in self.cardinalities):
+        if not self.cardinalities or not all(isinstance(k, numbers.Integral) and k >= 1
+                                             for k in self.cardinalities):
             yield "cardinalities", "{name} must be positive integers"
         if not isinstance(self.alpha, numbers.Real):
             if self.alpha != "cv":
@@ -92,31 +95,31 @@ class Protocol:
         if not 0 < self.fixed_c < math.inf:
             yield "fixed_c", f"{{name}} must be positive and finite, got {self.fixed_c}"
         if self.bins is not None:
-            if self.bins < 2:
-                yield "bins", f"{{name}} must be at least 2, got {self.bins}"
+            if message := _count_rule(self.bins, 2, "at least 2"):
+                yield "bins", message
             elif not _finite(self.bins):
                 yield "bins", f"{{name}} must convert to a finite float, got {self.bins}"
         if not self.alpha_grid or not all(0.0 <= a <= 1.0 for a in self.alpha_grid):
             yield "alpha_grid", "{name} values must lie in [0, 1]"
         if not self.c_grid or not all(0 < c < math.inf for c in self.c_grid):
             yield "c_grid", "{name} values must be positive and finite"
-        if self.folds < 2:
-            yield "folds", f"{{name}} must be at least 2, got {self.folds}"
-        if self.cv_cardinality < 1:
-            yield "cv_cardinality", f"{{name}} must be positive, got {self.cv_cardinality}"
-        if self.epochs < 1:
-            yield "epochs", f"{{name}} must be positive, got {self.epochs}"
+        for name, least, bound in (("folds", 2, "at least 2"), ("cv_cardinality", 1, "positive"),
+                                   ("epochs", 1, "positive")):
+            if message := _count_rule(getattr(self, name), least, bound):
+                yield name, message
         if not 0.0 < self.train_fraction < 1.0:
             yield "train_fraction", f"{{name}} must be in (0, 1), got {self.train_fraction}"
-        if self.repeats < 1:
-            yield "repeats", f"{{name}} must be positive, got {self.repeats}"
-        if not 0 <= self.seed < 2**63:
+        if message := _count_rule(self.repeats, 1, "positive"):
+            yield "repeats", message
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**63):
             yield "seed", f"{{name}} must be a non-negative 63-bit integer, got {self.seed}"
 
 
-def _finite(x) -> bool:
-    """Whether x converts to a finite float; an integer past float64 does not."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
+def _count_rule(value, least: int, bound: str) -> str | None:
+    """The message for a count field whose value is not an integer of at least
+    least (bound says so in words), or None when it is one."""
+    if not isinstance(value, numbers.Integral):
+        return f"{{name}} must be an integer, got {value!r}"
+    if value < least:
+        return f"{{name}} must be {bound}, got {value}"
+    return None

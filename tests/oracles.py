@@ -1,15 +1,23 @@
 """Slow, literal reference implementations that the tests check ecfs against.
 
-None runs in the ecfs pipeline: matrix_power_oracle cross-checks
-power_iteration, kuncheva_index cross-checks stability_curve pair by pair, and
-the one-pass formulas (normalization_oracle, fisher_oracle, spreads_oracle)
-cross-check the passes that ecfs runs over blocks of columns. subset,
-fit_normalization and normalize_features copy rows, fit their statistics and
-normalize them as separate steps over whole matrices, the reference for
-score_features(d, rows=...), which gathers, fits and normalizes one block of
-columns at a time. ranking_of_order builds the FeatureRanking a given order
-comes from, for stability tests.
+None runs in the ecfs pipeline, and each checks the one implementation that
+every command runs:
+- matrix_power_oracle, the literal limit A^l e, checks power_iteration on a
+  feature graph (it reads the graph's dense rows);
+- kuncheva_index checks the stability curve pair by pair;
+- normalization_oracle, fisher_oracle, spreads_oracle and mi_oracle take each
+  statistic and score from one pass over a whole matrix (MI one column at a
+  time), the reference for score_features, which takes them one block of
+  columns at a time;
+- subset, fit_normalization and normalize_features copy rows, fit their
+  statistics and normalize them as separate steps over whole matrices, the
+  reference for score_features(d, rows=...), which gathers, fits and
+  normalizes one block of columns at a time.
+ranking_of_order builds the FeatureRanking a given order comes from, for
+stability tests.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -20,6 +28,7 @@ from ecfs import (
     FeatureRanking,
     NormalizationStats,
     PowerIterationError,
+    default_bin_count,
 )
 
 
@@ -39,7 +48,8 @@ def fit_normalization(X: np.ndarray) -> NormalizationStats:
 def normalize_features(d: Dataset) -> tuple[Dataset, NormalizationStats]:
     """d normalized on its own statistics, as a new Dataset, and the statistics."""
     stats = fit_normalization(d.X)
-    return Dataset(stats.transform(d.X), d.y, d.feature_names, d.label_names), stats
+    Xn = stats._transform(d.X, slice(None))
+    return Dataset(Xn, d.y, d.feature_names, d.label_names), stats
 
 
 def ranking_of_order(order) -> FeatureRanking:
@@ -138,8 +148,9 @@ def normalization_oracle(X: np.ndarray):
 
 
 def fisher_oracle(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """fisher_scores' values, each class mean and variance from one reduction over
-    the whole matrix."""
+    """The Fisher score of each column of X against labels y (as
+    graph._fisher_terms and _fisher_ratio define it), each class mean and
+    variance from one reduction over the whole matrix."""
     classes = range(int(y.max()) + 1)
     means = np.stack([X[y == c].mean(axis=0) for c in classes])
     variances = np.stack([X[y == c].var(axis=0) for c in classes])
@@ -158,5 +169,43 @@ def fisher_oracle(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def spreads_oracle(X: np.ndarray) -> np.ndarray:
-    """feature_spreads' values from one reduction over the whole matrix."""
+    """The population standard deviation of each column of X, from one
+    reduction over the whole matrix."""
     return X.std(axis=0)
+
+
+def mi_oracle(X: np.ndarray, y: np.ndarray, bins: int | None = None) -> np.ndarray:
+    """The histogram mutual information of each column of X with labels y, as
+    graph._mutual_information defines it (bins defaults to default_bin_count),
+    from each column's joint bin/label table counted on its own.
+
+    Each sum of L[count] runs left to right over the table's counts in
+    ascending order, as ecfs sums them, so a score has the bits that
+    score_features gives the same normalized column.
+    """
+    X = np.asarray(X, dtype=float)
+    T = len(y)
+    if bins is None:
+        bins = default_bin_count(T)
+    k = np.arange(1, T + 1)
+    L = np.concatenate(([0.0], k * np.log(k)))
+
+    def ascending_sum(counts) -> float:
+        total = 0.0
+        for c in sorted(counts):
+            total += L[c]
+        return total
+
+    labels = [int(c) for c in y]
+    t_hy = L[T] - ascending_sum(Counter(labels).values())
+    out = np.zeros(X.shape[1])
+    for i, col in enumerate(X.T):
+        lo, hi = col.min(), col.max()
+        if lo == hi:
+            continue
+        # the top edge joins the last bin; NaN, from a span that overflows, bin 0
+        z = np.fmin(np.fmax(np.floor((col - lo) / (hi - lo) * bins), 0.0), bins - 1).tolist()
+        joint, margin = Counter(zip(z, labels)), Counter(z)
+        score = (ascending_sum(joint.values()) - ascending_sum(margin.values()) + t_hy) / T
+        out[i] = np.maximum(score, 0.0)
+    return out

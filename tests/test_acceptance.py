@@ -28,8 +28,8 @@ from ecfs import (
     roc_auc,
     run_evaluation,
     score_features,
-    stability_curve,
 )
+from ecfs.evaluation import _kuncheva_curve
 from oracles import matrix_power_oracle, ranking_of_order
 
 
@@ -38,13 +38,19 @@ def _verdict(num: int, name: str, ok: bool) -> None:
     assert ok, f"acceptance criterion {num} ({name}) failed"
 
 
+def _random_graph(rng, n: int) -> AdjacencyMatrix:
+    """A feature graph of n random Fisher, MI and spread values at a random alpha."""
+    f, m, s = rng.random((3, n))
+    return AdjacencyMatrix(f, m, s, rng.random())
+
+
 def test_acceptance_1_eigensolver_agreement():
     t0 = time.perf_counter()
     ok = True
     for i in range(100):
         n = 2 + (i % 49)
         rng = np.random.default_rng(1000 + i)
-        A = rng.random((n, n))
+        A = _random_graph(rng, n)
         fast = power_iteration(A)
         slow = matrix_power_oracle(A)
         vdiff = float(np.max(np.abs(fast.v0 - slow.v0)))
@@ -62,12 +68,13 @@ def test_acceptance_2_path_count_convergence():
     for i in range(12):
         rng = np.random.default_rng(3000 + i)
         n = 5 + 4 * i
-        A = rng.random((n, n))
+        graph = _random_graph(rng, n)
+        A = np.array(list(graph.rows()))
         mags = np.sort(np.abs(np.linalg.eigvals(A)))
         if mags[-1] - mags[-2] < 1e-3:
             continue
         checked += 1
-        v0 = power_iteration(A).v0
+        v0 = power_iteration(graph).v0
         B = A / A.max()
         l = 1
         converged = False
@@ -132,19 +139,23 @@ def test_acceptance_4_microarray_benchmark():
              0.8640 <= mean_auc <= 0.9640 and elapsed < 600.0)
 
 
+def _stability(rankings, k: int) -> list[tuple[int, float]]:
+    """The stability curve at k of rankings, as the stability command takes it."""
+    return _kuncheva_curve(np.stack([r.top(k) for r in rankings]), rankings[0].n_features, [k])
+
+
 def test_acceptance_5_stability_index():
     # identical sets give 1, disjoint halves -1, and the chance overlap k^2/N 0
     same = ranking_of_order(np.arange(400))
-    ok = stability_curve([same, same], [100]) == [(100, 1.0)]
+    ok = _stability([same, same], 100) == [(100, 1.0)]
     first16 = ranking_of_order(np.arange(16))
-    ok = ok and stability_curve([first16, ranking_of_order(np.arange(16)[::-1])],
-                                [8]) == [(8, -1.0)]
+    ok = ok and _stability([first16, ranking_of_order(np.arange(16)[::-1])], 8) == [(8, -1.0)]
     chance = ranking_of_order([3, 7, 8, 9] + [i for i in range(16) if i not in (3, 7, 8, 9)])
-    ok = ok and stability_curve([first16, chance], [4]) == [(4, 0.0)]
+    ok = ok and _stability([first16, chance], 4) == [(4, 0.0)]
     rng = np.random.default_rng(42)
     N, k = 400, 100
     rankings = [ranking_of_order(rng.permutation(N)) for _ in range(50)]
-    (_, chance), = stability_curve(rankings, [k])
+    (_, chance), = _stability(rankings, k)
     _verdict(5, "stability-index", ok and abs(chance) <= 0.05)
 
 

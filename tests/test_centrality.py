@@ -11,47 +11,67 @@ from ecfs import (
     FeatureRanking,
     PowerIterationError,
     SyntheticSpec,
-    feature_spreads,
-    fisher_scores,
     generate_synthetic,
-    mutual_information_scores,
     power_iteration,
     score_features,
 )
 from ecfs.data import NormalizationStats, column_blocks
 from ecfs.evaluation import _held_group
-from oracles import matrix_power_oracle, normalize_features, subset
+from oracles import (
+    fisher_oracle,
+    matrix_power_oracle,
+    mi_oracle,
+    normalize_features,
+    spreads_oracle,
+    subset,
+)
+
+
+def _graph(rng, n: int) -> AdjacencyMatrix:
+    """A feature graph of n random scores and spreads at a random alpha."""
+    f, m, s = rng.random((3, n))
+    return AdjacencyMatrix(f, m, s, rng.random())
+
+
+def _dense(adj: AdjacencyMatrix) -> np.ndarray:
+    return np.array(list(adj.rows()))
 
 
 class TestPowerIteration:
     def test_all_ones_matrix(self):
+        # at alpha 0, spreads of 1 make every entry 1
         n = 6
-        res = power_iteration(np.ones((n, n)))
+        res = power_iteration(AdjacencyMatrix(np.zeros(n), np.zeros(n), np.ones(n), 0.0))
         assert res.lambda0 == pytest.approx(n, rel=1e-12)
         np.testing.assert_allclose(res.v0, np.ones(n) / np.sqrt(n), atol=1e-12)
 
     def test_symmetric_two_by_two(self):
-        res = power_iteration(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert res.lambda0 == pytest.approx(3.0, rel=1e-12)
-        np.testing.assert_allclose(res.v0, [1 / np.sqrt(2)] * 2, atol=1e-12)
+        # f = m = [0, 1] and equal spreads: A = [[0.5, 0.5], [0.5, 1.0]],
+        # trace 1.5, determinant 0.25
+        res = power_iteration(AdjacencyMatrix([0.0, 1.0], [0.0, 1.0], [1.0, 1.0], 0.5))
+        lam = (1.5 + np.sqrt(1.5**2 - 4 * 0.25)) / 2
+        assert res.lambda0 == pytest.approx(lam, rel=1e-9)
+        v = np.array([0.5, lam - 0.5])
+        np.testing.assert_allclose(res.v0, v / np.linalg.norm(v), atol=1e-9)
         assert res.residual <= 1e-10
 
     def test_zero_matrix_degenerate(self):
-        res = power_iteration(np.zeros((4, 4)))
+        # constant scores rescale to zeros, and zero spreads leave nothing
+        res = power_iteration(AdjacencyMatrix(np.ones(4), np.ones(4), np.zeros(4), 0.5))
         assert res.degenerate
         assert res.lambda0 == 0.0
         np.testing.assert_allclose(res.v0, np.full(4, 0.5))
 
     def test_nilpotent_matrix(self):
-        res = power_iteration(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # at alpha 1 with zero spreads, A = outer([1, 0], [0, 1]) = [[0, 1], [0, 0]]
+        res = power_iteration(AdjacencyMatrix([1.0, 0.0], [0.0, 1.0], [0.0, 0.0], 1.0))
         assert res.lambda0 == 0.0
         assert res.residual <= 1e-10
 
     def test_unit_norm_and_nonnegative_entries(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            A = rng.random((17, 17))
-            res = power_iteration(A)
+            res = power_iteration(_graph(rng, 17))
             assert abs(np.linalg.norm(res.v0) - 1.0) <= 1e-12
             assert res.v0.min() >= 0.0
             assert res.residual <= 1e-10
@@ -59,31 +79,33 @@ class TestPowerIteration:
     def test_lambda_matches_full_spectrum(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
-            A = rng.random((20, 20))
+            A = _graph(rng, 20)
             res = power_iteration(A)
-            top = np.abs(np.linalg.eigvals(A)).max()
+            top = np.abs(np.linalg.eigvals(_dense(A))).max()
             assert res.lambda0 == pytest.approx(top, rel=1e-9)
 
     def test_scaling_multiplies_lambda_and_keeps_v0(self):
+        # at alpha 0 the graph is Sigma alone, so scaling the spreads scales A;
         # scaling A scales the stopping residual too, so the iterate counts
-        # differ; v0 agrees to solver accuracy rather than bitwise
+        # differ, and v0 agrees to solver accuracy rather than bitwise
         rng = np.random.default_rng(5)
-        A = rng.random((12, 12))
-        base = power_iteration(A)
-        scaled = power_iteration(4.0 * A)
+        f, m, s = rng.random((3, 12))
+        base = power_iteration(AdjacencyMatrix(f, m, s, 0.0))
+        scaled = power_iteration(AdjacencyMatrix(f, m, 4.0 * s, 0.0))
         np.testing.assert_allclose(scaled.v0, base.v0, atol=1e-9)
         assert scaled.lambda0 == pytest.approx(4.0 * base.lambda0, rel=1e-10)
         np.testing.assert_array_equal(np.argsort(-scaled.v0), np.argsort(-base.v0))
 
     def test_scale_invariance_of_ranking(self):
         rng = np.random.default_rng(6)
-        A = rng.random((15, 15))
-        base = FeatureRanking(power_iteration(A).v0)
-        scaled = FeatureRanking(power_iteration(3.7 * A).v0)
+        f, m, s = rng.random((3, 15))
+        base = FeatureRanking(power_iteration(AdjacencyMatrix(f, m, s, 0.0)).v0)
+        scaled = FeatureRanking(power_iteration(AdjacencyMatrix(f, m, 3.7 * s, 0.0)).v0)
         np.testing.assert_array_equal(base.order, scaled.order)
 
     def test_non_convergence_raises_with_residual(self):
-        A = np.diag([1.0, 1.0 - 1e-9])  # two dominant directions, no gap to speak of
+        # A = [[0, 1], [1e-8, 1e-8]]: eigenvalues +-1.0e-4, two dominant directions
+        A = AdjacencyMatrix([1.0, 0.0], [0.0, 1.0], [0.0, 1.0], 1 - 1e-8)
         with pytest.raises(PowerIterationError) as exc:
             power_iteration(A, max_iter=50)
         assert exc.value.residual > 0
@@ -93,11 +115,10 @@ class TestPowerIteration:
         # an overflowed norm once made v all zeros, whose residual of 0 passed
         f = np.array([0.0, 1.0, 2.0])
         m = np.array([1.0, 0.0, 3.0])
-        for A in (np.full((3, 3), 1e200), AdjacencyMatrix(f, m, np.full(3, 1e200), 0.5)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="overflow"):
-                    power_iteration(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                power_iteration(AdjacencyMatrix(f, m, np.full(3, 1e200), 0.5))
 
     def test_error_survives_a_pickle_round_trip(self):
         # a worker process hands its errors to the parent pickled
@@ -107,52 +128,50 @@ class TestPowerIteration:
         assert (str(err), err.residual, err.iterations) == ("stalled", 0.25, 7)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError, match="square"):
-            power_iteration(np.ones((2, 3)))
-        with pytest.raises(ValueError, match="non-negative"):
-            power_iteration(np.array([[1.0, -0.5], [0.0, 1.0]]))
+        # a dense matrix is not a feature graph, so no call depends on BLAS's sums
+        with pytest.raises(TypeError, match="AdjacencyMatrix"):
+            power_iteration(np.ones((2, 2)))
+        A = AdjacencyMatrix(np.ones(2), np.ones(2), np.ones(2), 0.5)
         for tol in (0.0, np.inf, np.nan):
             # an infinite tol once passed every residual after one sweep
             with pytest.raises(ValueError, match="tol must be positive and finite"):
-                power_iteration(np.ones((2, 2)), tol=tol)
+                power_iteration(A, tol=tol)
         with pytest.raises(ValueError, match="max_iter"):
-            power_iteration(np.ones((2, 2)), max_iter=0)
+            power_iteration(A, max_iter=0)
 
     @pytest.mark.parametrize("M", [
-        np.array([[2.0, 1.0, -0.0], [0.0, 1.0, 0.0], [-0.0, -0.0, 0.5]]),  # reducible
-        np.array([[-0.0, 1.0, -0.0], [-0.0, -0.0, 1.0], [-0.0, -0.0, -0.0]]),  # nilpotent
-        np.array([[0.0, 1.0], [0.0, 0.0]]),  # nilpotent
-        np.array([[-0.0, -0.0], [-0.0, -0.0]]),  # zero
+        AdjacencyMatrix([2.0, 1.0, 0.0], [-0.0, 1.0, 0.5], [-0.0, 0.5, -0.0], 0.5),
+        AdjacencyMatrix([1.0, -0.0], [-0.0, 1.0], [-0.0, -0.0], 1.0),  # nilpotent
+        AdjacencyMatrix([1.0, -0.0], [-0.0, 1.0], [-0.0, -0.0], 0.0),  # zero
+        AdjacencyMatrix([-0.0, -0.0], [-0.0, -0.0], [-0.0, -0.0], 0.5),  # zero
     ])
     def test_signed_zero_entries_leave_no_negative_entry(self, M):
         # the property that lets v0 go unclamped: a sweep of a non-negative
-        # matrix from a positive vector only makes non-negative numbers (or -0.0)
+        # graph from a positive vector only makes non-negative numbers (or -0.0)
         assert not (power_iteration(M).v0 < 0).any()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_iterates_of_non_negative_operators_have_no_negative_entry(self, seed):
         rng = np.random.default_rng(seed)
         n = 40
-        M = rng.random((n, n)) + np.diag(rng.random(n))
-        M[rng.random((n, n)) < 0.3] = 0.0
-        M[rng.random((n, n)) < 0.3] = -0.0
-        assert not (power_iteration(M).v0 < 0).any()
         fs, ms, s = rng.random((3, n))
         for v in (fs, ms, s):
             v[rng.random(n) < 0.2] = 0.0
+            v[rng.random(n) < 0.2] = -0.0
         for alpha in (0.0, 0.5, 1.0):
             assert not (power_iteration(AdjacencyMatrix(fs, ms, s, alpha)).v0 < 0).any()
 
     def test_accepts_adjacency_wrapper(self):
-        f = np.array([0.0, 1.0])
-        m = np.array([1.0, 0.0])
-        adj = AdjacencyMatrix(f, m, np.array([0.2, 0.5]), 0.5)
+        # the graph itself, never its dense rows, goes in; the eigenpair is the
+        # dense rows' dominant one, as numpy's general eigensolver finds it
+        adj = AdjacencyMatrix([0.0, 1.0], [1.0, 0.0], [0.2, 0.5], 0.5)
         res = power_iteration(adj)
         assert res.residual <= 1e-10
-        dense = power_iteration(np.array(list(adj.rows())))
-        assert res.iterations == dense.iterations
-        np.testing.assert_allclose(res.v0, dense.v0, rtol=1e-13)
-        assert res.lambda0 == pytest.approx(dense.lambda0, rel=1e-13)
+        values, vectors = np.linalg.eig(_dense(adj))
+        top = int(np.argmax(np.abs(values)))
+        v = np.abs(vectors[:, top])
+        np.testing.assert_allclose(res.v0, v / np.linalg.norm(v), atol=1e-10)
+        assert res.lambda0 == pytest.approx(values[top].real, rel=1e-9)
 
 
 class TestMatrixPowerOracle:
@@ -178,8 +197,7 @@ class TestMatrixPowerOracle:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_agrees_with_power_iteration(self, seed):
-        rng = np.random.default_rng(seed)
-        A = rng.random((50, 50))
+        A = _graph(np.random.default_rng(seed), 50)
         a = power_iteration(A)
         b = matrix_power_oracle(A)
         assert np.abs(a.v0 - b.v0).max() <= 1e-8
@@ -205,11 +223,12 @@ class TestAccessibilityLimit:
         checked = 0
         for _ in range(12):
             n = int(rng.integers(3, 40))
-            A = rng.random((n, n))
+            graph = _graph(rng, n)
+            A = _dense(graph)
             lams = np.sort(np.abs(np.linalg.eigvals(A)))[::-1]
             if lams[0] == 0 or 1.0 - lams[1] / lams[0] < 1e-3:
                 continue
-            v0 = power_iteration(A).v0
+            v0 = power_iteration(graph).v0
             B = A.copy()
             l = 1
             ok = False
@@ -310,22 +329,25 @@ class TestEcfsRank:
         ranking = score_features(d).ranking("ec_fs", 0.5)
         assert set(int(i) for i in ranking.top(8)) >= inf
 
+    # the blends at alpha 0 and 1, formed densely from the reference scores
+    # and solved by the oracle
+
     def test_alpha_zero_matches_sigma_eigenranking(self):
         d, _ = self._informative_dataset()
         dn, _ = normalize_features(d)
-        s = feature_spreads(dn)
-        direct = FeatureRanking(power_iteration(np.maximum.outer(s, s)).v0)
+        s = spreads_oracle(dn.X)
+        direct = FeatureRanking(matrix_power_oracle(np.maximum.outer(s, s)).v0)
         np.testing.assert_array_equal(score_features(d).ranking("ec_fs", 0.0).order, direct.order)
 
     def test_alpha_one_matches_relevance_product_eigenranking(self):
         d, _ = self._informative_dataset()
         dn, _ = normalize_features(d)
-        f = fisher_scores(dn)
-        m = mutual_information_scores(dn)
+        f = fisher_oracle(dn.X, dn.y)
+        m = mi_oracle(dn.X, dn.y)
         fs = (f - f.min()) / (f.max() - f.min())
         ms = (m - m.min()) / (m.max() - m.min())
         k_only = np.outer(fs, ms)
-        direct = FeatureRanking(power_iteration(k_only).v0)
+        direct = FeatureRanking(matrix_power_oracle(k_only).v0)
         np.testing.assert_array_equal(score_features(d).ranking("ec_fs", 1.0).order, direct.order)
 
     def test_scores_are_read_only_float_vectors(self):
@@ -416,9 +438,9 @@ def _rows_case(T: int, n: int, C: int, seed: int) -> Dataset:
 
 def _oracle_scores(d: Dataset, rows, bins=None) -> tuple:
     """(statistics, Fisher, MI, spreads) of d's rows by the reference steps: copy
-    the rows, normalize the copy as a dataset, then score it."""
+    the rows, normalize the copy as a dataset, then score it in one pass."""
     dn, stats = normalize_features(subset(d, rows))
-    return stats, fisher_scores(dn), mutual_information_scores(dn, bins), feature_spreads(dn)
+    return stats, fisher_oracle(dn.X, dn.y), mi_oracle(dn.X, dn.y, bins), spreads_oracle(dn.X)
 
 
 class TestScoreRows:
@@ -480,7 +502,7 @@ class TestScoreRows:
         assert scores.rows.tolist() == list(range(2, 26))
         sel = np.array([0, 3, 7, 40])
         trn = _held_group(scores, [(sel, 1.0, 0)], np.arange(26, 30))[0]
-        want = scores.stats.transform(d.X[2:26])[:, sel]
+        want = scores.stats._transform(d.X[2:26], slice(None))[:, sel]
         assert trn.X.tobytes() == want.tobytes()
         assert trn.y.tolist() == d.y[2:26].tolist()
 

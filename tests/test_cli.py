@@ -15,14 +15,12 @@ from ecfs import (
     PowerIterationError,
     Protocol,
     SplitError,
-    fisher_scores,
     load_dataset,
-    mutual_information_scores,
     score_features,
     split_indices,
 )
 from ecfs.cli import main
-from oracles import normalize_features
+from oracles import fisher_oracle, mi_oracle, normalize_features, spreads_oracle
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="--workers runs serially without fork")
@@ -172,9 +170,9 @@ class TestRank:
         assert A.min() >= 0.0
         # the streamed rows are byte-equal to a dump of the dense blend
         dn, _ = normalize_features(load_dataset(data))
-        f = fisher_scores(dn)
-        m = mutual_information_scores(dn)
-        s = dn.X.std(axis=0)
+        f = fisher_oracle(dn.X, dn.y)
+        m = mi_oracle(dn.X, dn.y)
+        s = spreads_oracle(dn.X)
         dense = 0.5 * np.outer((f - f.min()) / (f.max() - f.min()),
                                (m - m.min()) / (m.max() - m.min()))
         dense += 0.5 * np.maximum.outer(s, s)

@@ -17,8 +17,6 @@ from ecfs import (
     NonFiniteValueError,
     NonNumericValueError,
     SyntheticSpec,
-    feature_spreads,
-    fisher_scores,
     generate_synthetic,
     load_dataset,
     score_features,
@@ -27,6 +25,7 @@ from ecfs.data import _map_labels, _read_csv_fast, _read_matrix_fast, column_blo
 from oracles import (
     fisher_oracle,
     fit_normalization,
+    mi_oracle,
     normalization_oracle,
     normalize_features,
     spreads_oracle,
@@ -353,7 +352,7 @@ def _ds(X, y):
 
 def _normalized(d: Dataset) -> np.ndarray:
     """d's rows under the statistics score_features fits on them."""
-    return score_features(d).stats.transform(d.X)
+    return score_features(d).stats._transform(d.X, slice(None))
 
 
 class TestNormalize:
@@ -410,7 +409,7 @@ class TestNormalize:
         train = rng.normal(size=(10, 4))
         test = rng.normal(size=(6, 4))
         stats = fit_normalization(train)
-        out = stats.transform(test)
+        out = stats._transform(test, slice(None))
         mins = train.min(axis=0)
         shift = np.where(mins < 0, -mins, 0.0)
         sums = (train + shift).sum(axis=0)
@@ -419,7 +418,7 @@ class TestNormalize:
     def test_transform_zeroes_degenerate_columns(self):
         train = np.array([[2.0, 1.0], [2.0, 3.0]])
         stats = fit_normalization(train)
-        out = stats.transform(np.array([[9.0, 1.0], [7.0, 1.0]]))
+        out = stats._transform(np.array([[9.0, 1.0], [7.0, 1.0]]), slice(None))
         assert out[:, 0].tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("train, held, column", [
@@ -433,12 +432,7 @@ class TestNormalize:
         stats = fit_normalization(np.array(train))
         with pytest.raises(DatasetError, match=f"^column {column} overflows float64 when "
                                                "normalized with the fitted statistics"):
-            stats.transform(np.array([held, [1.0, 1.0]]))
-
-    def test_transform_width_mismatch(self):
-        stats = fit_normalization(np.ones((3, 2)) * [[1.0, 2.0], [2.0, 1.0], [3.0, 4.0]])
-        with pytest.raises(ValueError, match="width"):
-            stats.transform(np.ones((2, 3)))
+            stats._transform(np.array([held, [1.0, 1.0]]), slice(None))
 
 
 def _column_pass_case(T: int, n: int, C: int, seed: int) -> np.ndarray:
@@ -479,9 +473,7 @@ class TestColumnBlocks:
         Xn = normalize_features(Dataset(X, y))[0].X
         assert scores.fisher.tobytes() == fisher_oracle(Xn, y).tobytes()
         assert scores.spreads.tobytes() == spreads_oracle(Xn).tobytes()
-        for d in (Dataset(X, y), Dataset(Xn, y)):
-            assert fisher_scores(d).tobytes() == fisher_oracle(d.X, y).tobytes()
-            assert feature_spreads(d).tobytes() == spreads_oracle(d.X).tobytes()
+        assert scores.mutual_information.tobytes() == mi_oracle(Xn, y).tobytes()
 
 
 class TestSynthetic:
@@ -519,7 +511,7 @@ class TestSynthetic:
     def test_informative_columns_dominate_fisher_scores(self):
         # separation 2, noise 1: informative Fisher sits near 2, noise near 0
         d, inf = generate_synthetic(SyntheticSpec(200, 500, 20, 2.0, 1.0, seed=12))
-        scores = fisher_scores(d)
+        scores = score_features(d).fisher
         inf_idx = sorted(inf)
         noise_max = scores[[i for i in range(500) if i not in inf]].max()
         frac = np.mean(scores[inf_idx] > noise_max)

@@ -1,12 +1,14 @@
 """The program entry and the lazy package: each command imports only the modules
 it runs, `python -m ecfs` writes what an in-process `main()` writes, and the
-package's public names resolve on first use to the objects their modules hold.
+package's public names resolve on first use to the objects their modules hold,
+each of them one that some command runs.
 
 Which modules a process loads is only visible in a fresh interpreter, so those
 checks run `python -m ecfs` (through runpy, as `-m` does) in a subprocess.
 """
 
 import gc
+import inspect
 import json
 import os
 import subprocess
@@ -134,3 +136,62 @@ class TestEntry:
                         "--output", str(tmp_path / "entry.json")],
                        capture_output=True, check=True, env=_env())
         assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+# the public names that no command calls, each with the reason it stays
+NOT_RUN = {
+    "rank_by_fisher": "kept only for perfbench/tracer.py, whose LAYERS imports ecfs.baselines",
+    "rank_by_mi": "kept only for perfbench/tracer.py, whose LAYERS imports ecfs.baselines",
+}
+
+
+def _public_code() -> dict:
+    """The code object of each exported function, and of each public method
+    or property of an exported class, by its public name."""
+    out = {}
+    for name in ecfs.__all__:
+        obj = getattr(ecfs, name)
+        if inspect.isfunction(obj):
+            out[name] = obj.__code__
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                fn = member.fget if isinstance(member, property) else member
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    out[f"{name}.{attr}"] = fn.__code__
+    return out
+
+
+class TestPublicNames:
+    def test_every_public_function_is_one_a_command_runs(self, tmp_path):
+        # the library keeps one implementation of each step, the one the
+        # commands run; a public name only tests call is a second copy
+        data = tmp_path / "synth"
+        common = ["--data", str(data.with_suffix(".csv")), "--seed", "2"]
+        runs = [
+            ["synth", "--samples", "30", "--features", "16", "--informative", "3", "--seed", "4",
+             "--output", str(data)],
+            ["rank", *common, "--dump-adjacency", str(tmp_path / "adjacency.txt"),
+             "--output", str(tmp_path / "rank.json")],
+            ["rank", *common, "--alpha", "cv", "--cv-cardinality", "5",
+             "--output", str(tmp_path / "rank-cv.json")],
+            ["evaluate", *common, "--alpha", "cv", "--cv-cardinality", "5", "--workers", "1",
+             "--repeats", "2", "--cardinalities", "3,5", "--epochs", "4",
+             "--output", str(tmp_path / "evaluate.json")],
+            ["stability", *common, "--workers", "1", "--repeats", "2", "--cardinalities", "3,5",
+             "--output", str(tmp_path / "stability.json")],
+        ]
+        public = _public_code()
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            codes = [main(argv) for argv in runs]
+        finally:
+            sys.setprofile(None)
+        assert codes == [0] * len(runs)
+        never = sorted(name for name, code in public.items() if code not in called)
+        assert never == sorted(NOT_RUN)

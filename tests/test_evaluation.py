@@ -30,31 +30,38 @@ from ecfs import (
     SyntheticSpec,
     cross_validate,
     derive_seed,
-    feature_spreads,
-    fisher_scores,
     generate_synthetic,
-    mutual_information_scores,
     power_iteration,
     roc_auc,
     run_evaluation,
     run_stability,
     split_indices,
-    stability_curve,
     stratified_fold_indices,
     train_linear_classifiers,
     two_sample_ttest,
 )
 from oracles import (
+    fisher_oracle,
     fit_normalization,
     kuncheva_index,
+    matrix_power_oracle,
+    mi_oracle,
     normalize_features,
     ranking_of_order,
+    spreads_oracle,
     subset,
 )
 
 
 def _ds(X, y):
     return Dataset(np.asarray(X, dtype=float), np.asarray(y, dtype=int))
+
+
+def _curve(rankings, ks) -> list[tuple[int, float]]:
+    """The stability curve of rankings at the cardinalities ks, from their top
+    max(ks) indices, as run_stability takes it."""
+    tops = np.stack([r.top(max(ks)) for r in rankings])
+    return ev._kuncheva_curve(tops, rankings[0].n_features, list(ks))
 
 
 def _spy_scoring(monkeypatch) -> list:
@@ -416,9 +423,10 @@ class TestCrossValidate:
         got = cross_validate(d, Protocol(alpha_grid=alphas, c_grid=cs, folds=folds,
                                          cv_cardinality=cardinality, epochs=epochs), seed)
 
-        # independent replay with plain loops over the same primitives; each
-        # alpha's ranking comes from the dense n x n blend, so this is also the
-        # cross-validation-level oracle for the structured operator
+        # independent replay with plain loops over the reference scores; each
+        # alpha's ranking comes from the dense n x n blend, solved by the
+        # oracle, so this is also the cross-validation-level oracle for the
+        # structured operator
         def rescaled(values):
             lo, hi = values.min(), values.max()
             return np.zeros_like(values) if lo == hi else (values - lo) / (hi - lo)
@@ -430,15 +438,15 @@ class TestCrossValidate:
             va_idx = fold_parts[j]
             trd = subset(d, tr_idx)
             stats = fit_normalization(trd.X)
-            trn = Dataset(stats.transform(trd.X), trd.y)
-            va_X = stats.transform(d.X[va_idx])
+            trn = Dataset(stats._transform(trd.X, slice(None)), trd.y)
+            va_X = stats._transform(d.X[va_idx], slice(None))
             va_y = d.y[va_idx]
-            fs = rescaled(fisher_scores(trn))
-            ms = rescaled(mutual_information_scores(trn))
-            s = trn.X.std(axis=0)
+            fs = rescaled(fisher_oracle(trn.X, trn.y))
+            ms = rescaled(mi_oracle(trn.X, trn.y))
+            s = spreads_oracle(trn.X)
             for ai, a in enumerate(alphas):
                 A = a * np.outer(fs, ms) + (1 - a) * np.maximum.outer(s, s)
-                sel = FeatureRanking(power_iteration(A).v0).top(cardinality)
+                sel = FeatureRanking(matrix_power_oracle(A).v0).top(cardinality)
                 for ci, c in enumerate(cs):
                     model = _fit_one(trn, sel, c, epochs=epochs,
                                      seed=derive_seed(seed, j, ai, ci))
@@ -531,10 +539,11 @@ class TestCrossValidate:
         jobs = [(np.array([7, 5, 3]), 1.0, 0), (np.array([3, 11]), 0.5, 1)]
         trn, remapped, Xh, yh = ev._held_group(scores, jobs, held)
         cols = [3, 5, 7, 11]
-        assert Xh.tobytes() == scores.stats.transform(d.X[held])[:, cols].tobytes()
+        every = slice(None)
+        assert Xh.tobytes() == scores.stats._transform(d.X[held], every)[:, cols].tobytes()
         assert Xh[:, 1].tolist() == [0.0] * len(held)
         assert yh.tolist() == d.y[held].tolist()
-        assert trn.X.tobytes() == scores.stats.transform(d.X[train])[:, cols].tobytes()
+        assert trn.X.tobytes() == scores.stats._transform(d.X[train], every)[:, cols].tobytes()
         assert trn.y.tolist() == d.y[train].tolist()
         assert [sel.tolist() for sel, _, _ in remapped] == [[2, 1, 0], [0, 3]]
 
@@ -572,38 +581,28 @@ class TestKuncheva:
         rng = np.random.default_rng(4)
         N, k = 400, 100
         rankings = [ranking_of_order(rng.permutation(N)) for _ in range(50)]
-        (_, value), = stability_curve(rankings, [k])
+        (_, value), = _curve(rankings, [k])
         assert abs(value) <= 0.05
 
 
 class TestStabilityCurve:
     def test_identical_rankings_give_one(self):
         r = ranking_of_order(np.arange(10))
-        curve = stability_curve([r, r, r], [2, 5, 8])
+        curve = _curve([r, r, r], [2, 5, 8])
         assert [v for _, v in curve] == [1.0, 1.0, 1.0]
 
     def test_reversed_rankings_give_minus_one_at_half(self):
         n = 12
         a = ranking_of_order(np.arange(n))
         b = ranking_of_order(np.arange(n)[::-1])
-        curve = stability_curve([a, b], [n // 2])
+        curve = _curve([a, b], [n // 2])
         assert curve == [(6, -1.0)]
 
     def test_values_bounded(self):
         rng = np.random.default_rng(5)
         rankings = [ranking_of_order(rng.permutation(30)) for _ in range(6)]
-        for _, v in stability_curve(rankings, [5, 10, 15]):
+        for _, v in _curve(rankings, [5, 10, 15]):
             assert -1.0 <= v <= 1.0
-
-    def test_validation(self):
-        r = ranking_of_order(np.arange(5))
-        with pytest.raises(ValueError, match="two rankings"):
-            stability_curve([r], [2])
-        with pytest.raises(ValueError, match="1..4"):
-            stability_curve([r, r], [5])
-        r7 = ranking_of_order(np.arange(7))
-        with pytest.raises(ValueError, match="same feature count"):
-            stability_curve([r, r7], [2])
 
     @pytest.mark.parametrize("n_rankings", [2, 3, 7])
     def test_matches_pairwise_kuncheva_mean(self, n_rankings):
@@ -623,7 +622,7 @@ class TestStabilityCurve:
             vals = [kuncheva_index(tops[i], tops[j], n)
                     for i, j in combinations(range(n_rankings), 2)]
             want.append((k, float(np.mean(vals))))
-        assert stability_curve(rankings, ks) == want
+        assert _curve(rankings, ks) == want
 
 
 class TestTwoSampleTTest:
@@ -754,10 +753,10 @@ class TestRunEvaluation:
         method_seed = {"ec_fs": 0, "fisher": 1, "mi": 2}
         for r, (tr_idx, te_idx) in enumerate(split_indices(d.y, plan)):
             stats = fit_normalization(d.X[tr_idx])
-            trn = Dataset(stats.transform(d.X[tr_idx]), d.y[tr_idx])
-            te_X = stats.transform(d.X[te_idx])
-            f, m = fisher_scores(trn), mutual_information_scores(trn)
-            A = AdjacencyMatrix(f, m, feature_spreads(trn), rep["alpha_per_repeat"][r])
+            trn = Dataset(stats._transform(d.X[tr_idx], slice(None)), d.y[tr_idx])
+            te_X = stats._transform(d.X[te_idx], slice(None))
+            f, m = fisher_oracle(trn.X, trn.y), mi_oracle(trn.X, trn.y)
+            A = AdjacencyMatrix(f, m, spreads_oracle(trn.X), rep["alpha_per_repeat"][r])
             rankings = {"ec_fs": FeatureRanking(power_iteration(A).v0),
                         "fisher": FeatureRanking(f), "mi": FeatureRanking(m)}
             for method, ranking in rankings.items():

@@ -9,13 +9,10 @@ from ecfs import (
     Dataset,
     FeatureRanking,
     default_bin_count,
-    feature_spreads,
-    fisher_scores,
-    mutual_information_scores,
     power_iteration,
     score_features,
 )
-from oracles import normalize_features
+from oracles import mi_oracle, normalize_features
 
 
 def _ds(X, y):
@@ -72,12 +69,25 @@ def _mi_reference(col, y, bins):
     return max(total, 0.0)
 
 
+def _fisher(d):
+    return score_features(d).fisher
+
+
+def _mi(d, bins=None):
+    return score_features(d, bins).mutual_information
+
+
 class TestFisherScores:
+    """Fisher scores as score_features takes them, on the normalized columns.
+    A score does not change under a column's shift and scale, so up to
+    round-off the hand values are those of the raw columns, except where the
+    1e-12 floor applies."""
+
     def test_two_class_hand_value(self):
         # class means 1 and 0, both population variances 0.5 -> score 1.0
         b = math.sqrt(0.5)
         d = _ds([[1 - b], [1 + b], [-b], [b]], [0, 0, 1, 1])
-        assert fisher_scores(d)[0] == pytest.approx(1.0, abs=1e-12)
+        assert _fisher(d)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_three_class_hand_value(self):
         # class means 0,1,2 each with population variance 0.5, overall mean 1
@@ -85,7 +95,7 @@ class TestFisherScores:
         a = math.sqrt(0.5)
         rows = [[0 - a], [0 + a], [1 - a], [1 + a], [2 - a], [2 + a]]
         d = _ds(rows, [0, 0, 1, 1, 2, 2])
-        assert fisher_scores(d)[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert _fisher(d)[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed,classes", [(0, 2), (1, 3), (2, 4), (3, 3), (4, 5)])
     def test_matches_reference_implementation(self, seed, classes):
@@ -94,48 +104,49 @@ class TestFisherScores:
         X = rng.normal(size=(T, 6))
         y = np.arange(T) % classes
         d = _ds(X, y)
-        np.testing.assert_allclose(fisher_scores(d), _fisher_reference(X, y),
+        np.testing.assert_allclose(_fisher(d), _fisher_reference(X, y),
                                    rtol=1e-10, atol=1e-12)
 
     def test_zero_numerator_gives_zero(self):
         # equal class means with real spread: score must be exactly 0
         d = _ds([[0.0], [2.0], [0.0], [2.0]], [0, 0, 1, 1])
-        assert fisher_scores(d)[0] == 0.0
+        assert _fisher(d)[0] == 0.0
 
     def test_zero_denominator_uses_floor(self):
-        # feature equal to the label: zero within-class variance, mean gap 1
+        # feature equal to the label, normalized to 0, 0, 1/2, 1/2: zero
+        # within-class variance, mean gap 1/2
         d = _ds([[0.0], [0.0], [1.0], [1.0]], [0, 0, 1, 1])
-        assert fisher_scores(d)[0] == pytest.approx(1.0 / 1e-12)
+        assert _fisher(d)[0] == 0.25 / 1e-12
 
     def test_constant_feature_scores_zero(self):
         d = _ds([[3.0, 0.0], [3.0, 1.0], [3.0, 0.5], [3.0, 2.0]], [0, 0, 1, 1])
-        assert fisher_scores(d)[0] == 0.0
+        assert _fisher(d)[0] == 0.0
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(30, 5))
         y = np.arange(30) % 3
         perm = rng.permutation(30)
-        a = fisher_scores(_ds(X, y))
-        b = fisher_scores(_ds(X[perm], y[perm]))
+        a = _fisher(_ds(X, y))
+        b = _fisher(_ds(X[perm], y[perm]))
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(20, 4))
         y = np.arange(20) % 2
-        a = fisher_scores(_ds(X, y))
-        b = fisher_scores(_ds(X + 7.25, y))
+        a = _fisher(_ds(X, y))
+        b = _fisher(_ds(X + 7.25, y))
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(20, 4))
         y = np.arange(20) % 2
-        a = fisher_scores(_ds(X, y))
-        exact = fisher_scores(_ds(X * 4.0, y))  # power of two: no rounding
+        a = _fisher(_ds(X, y))
+        exact = _fisher(_ds(X * 4.0, y))  # power of two: no rounding
         np.testing.assert_array_equal(a, exact)
-        close = fisher_scores(_ds(X * 3.0, y))
+        close = _fisher(_ds(X * 3.0, y))
         np.testing.assert_allclose(a, close, rtol=1e-12)
 
 
@@ -162,20 +173,23 @@ def _mi_per_feature_loop(d, bins):
 
 
 class TestMutualInformation:
+    """MI scores as score_features takes them, on the normalized columns; the
+    references bin the same normalized columns."""
+
     def test_constant_feature_scores_zero(self):
         d = _ds([[1.0], [1.0], [1.0], [1.0]], [0, 0, 1, 1])
-        assert mutual_information_scores(d, bins=4)[0] == 0.0
+        assert _mi(d, bins=4)[0] == 0.0
 
     def test_perfect_predictor_reaches_log2(self):
         d = _ds([[0.0], [1.0], [0.0], [1.0]], [0, 1, 0, 1])
-        got = mutual_information_scores(d, bins=2)[0]
+        got = _mi(d, bins=2)[0]
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_independent_feature_stays_small(self):
         rng = np.random.default_rng(21)
         X = rng.normal(size=(1000, 1))
         y = np.arange(1000) % 2
-        got = mutual_information_scores(_ds(X, y), bins=10)[0]
+        got = _mi(_ds(X, y), bins=10)[0]
         assert 0.0 <= got < 0.05
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -184,8 +198,9 @@ class TestMutualInformation:
         T = 60
         X = rng.normal(size=(T, 5))
         y = np.asarray(np.arange(T) % 3)
-        got = mutual_information_scores(_ds(X, y), bins=6)
-        want = [_mi_reference(X[:, i].tolist(), y.tolist(), 6) for i in range(5)]
+        got = _mi(_ds(X, y), bins=6)
+        Xn = normalize_features(_ds(X, y))[0].X
+        want = [_mi_reference(Xn[:, i].tolist(), y.tolist(), 6) for i in range(5)]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_default_bin_rule(self):
@@ -197,32 +212,30 @@ class TestMutualInformation:
         # a float count, even a whole one, must not reach np.bincount's integer codes
         d = _ds([[0.0], [1.0], [3.0], [2.0]], [0, 1, 0, 1])
         for bins in (1, 3.0, np.float64(3), 2.5):
-            for score in (mutual_information_scores, score_features):
-                with pytest.raises(ValueError, match="bins must be an integer of at least 2"):
-                    score(d, bins=bins)
-        want = mutual_information_scores(d, bins=3).tobytes()
-        assert mutual_information_scores(d, bins=np.int64(3)).tobytes() == want
+            with pytest.raises(ValueError, match="bins must be an integer of at least 2"):
+                score_features(d, bins=bins)
+        assert _mi(d, bins=np.int64(3)).tobytes() == _mi(d, bins=3).tobytes()
 
     def test_bins_that_overflow_a_float_rejected(self):
         d = _ds([[0.0], [1.0], [3.0], [2.0]], [0, 1, 0, 1])
         for bins in (10**400, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite float"):
-                mutual_information_scores(d, bins=bins)
+                score_features(d, bins=bins)
         # the largest power of ten that is still a finite float scores as usual
-        assert mutual_information_scores(d, bins=10**308)[0] == np.log(2)
+        assert _mi(d, bins=10**308)[0] == np.log(2)
 
     def test_nonnegative_on_random_data(self):
         rng = np.random.default_rng(5)
         d = _ds(rng.normal(size=(40, 8)), np.arange(40) % 2)
-        assert mutual_information_scores(d, bins=5).min() >= 0.0
+        assert _mi(d, bins=5).min() >= 0.0
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(50, 4))
         y = np.arange(50) % 2
         perm = rng.permutation(50)
-        a = mutual_information_scores(_ds(X, y), bins=7)
-        b = mutual_information_scores(_ds(X[perm], y[perm]), bins=7)
+        a = _mi(_ds(X, y), bins=7)
+        b = _mi(_ds(X[perm], y[perm]), bins=7)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("T, n, classes, bins", [
@@ -234,18 +247,21 @@ class TestMutualInformation:
         X[:, 3::11] = 0.25  # constant columns
         X[:, 5::7] = np.round(X[:, 5::7])  # few distinct values, many shared bins
         d = _ds(X, np.arange(T) % classes)
-        got = mutual_information_scores(d, bins)
-        want = _mi_per_feature_loop(d, bins or default_bin_count(T))
+        got = _mi(d, bins)
+        dn = normalize_features(d)[0]
+        want = _mi_per_feature_loop(dn, bins or default_bin_count(T))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert (got[3::11] == 0.0).all()
+        # and bit for bit, with the sums of the sorted counts taken in order
+        assert got.tobytes() == mi_oracle(dn.X, dn.y, bins).tobytes()
 
     def test_class_relabeling_gives_bit_equal_scores(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(45, 60))
         y = rng.permutation(np.arange(45) % 3)
-        a = mutual_information_scores(_ds(X, y), bins=5)
+        a = _mi(_ds(X, y), bins=5)
         for relabel in ([1, 2, 0], [2, 1, 0], [0, 2, 1]):
-            b = mutual_information_scores(_ds(X, np.asarray(relabel)[y]), bins=5)
+            b = _mi(_ds(X, np.asarray(relabel)[y]), bins=5)
             np.testing.assert_array_equal(a, b)
 
     def test_column_permutation_permutes_scores_bit_for_bit(self):
@@ -255,8 +271,8 @@ class TestMutualInformation:
         X = rng.normal(size=(30, 20_000))
         y = np.arange(30) % 2
         perm = rng.permutation(20_000)
-        a = mutual_information_scores(_ds(X, y), bins=4)
-        b = mutual_information_scores(_ds(X[:, perm], y), bins=4)
+        a = _mi(_ds(X, y), bins=4)
+        b = _mi(_ds(X[:, perm], y), bins=4)
         np.testing.assert_array_equal(a[perm], b)
 
     def test_bin_permuted_tables_tie_toward_smaller_index(self):
@@ -272,7 +288,7 @@ class TestMutualInformation:
             X[:, 2 * j] = base[:, j]
             X[:, 2 * j + 1] = rng.permutation(levels)[base[:, j].astype(int)]
         y = rng.permutation(np.arange(T) % 3)
-        mi = mutual_information_scores(_ds(X, y), bins=levels)
+        mi = _mi(_ds(X, y), bins=levels)
         np.testing.assert_array_equal(mi[0::2], mi[1::2])
         position = np.argsort(FeatureRanking(mi).order)
         assert (position[0::2] < position[1::2]).all()
@@ -283,7 +299,7 @@ class TestMutualInformation:
         d = _ds(rng.random((30, 200_000)), np.arange(30) % 2)
         tracemalloc.start()
         try:
-            mutual_information_scores(d)
+            _mi(d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -303,9 +319,10 @@ class TestSigmaMatrix:
     """Sigma_ij = max(s_i, s_j), held as the spread vector s."""
 
     def test_pairwise_max_rule(self):
-        # columns built to have population std devs exactly 0.1 and 0.3
+        # columns that sum to 1, so normalize to themselves, built to have
+        # population std devs 0.1 and 0.3
         d = _ds([[0.5 - 0.1, 0.5 - 0.3], [0.5 + 0.1, 0.5 + 0.3]], [0, 1])
-        s = feature_spreads(d)
+        s = score_features(d).spreads
         np.testing.assert_allclose(s, [0.1, 0.3], rtol=1e-12)
         f, m = np.zeros(2), np.zeros(2)
         np.testing.assert_allclose(_dense(AdjacencyMatrix(f, m, s, 0.0)),
@@ -313,8 +330,7 @@ class TestSigmaMatrix:
 
     def test_symmetric_nonnegative_bounded_on_normalized_input(self):
         rng = np.random.default_rng(8)
-        d, _ = normalize_features(_ds(rng.normal(size=(25, 9)), np.arange(25) % 2))
-        s = feature_spreads(d)
+        s = score_features(_ds(rng.normal(size=(25, 9)), np.arange(25) % 2)).spreads
         assert s.shape == (9,)
         assert s.min() >= 0.0
         assert s.max() <= 1.0
@@ -324,7 +340,7 @@ class TestSigmaMatrix:
 
     def test_constant_features_produce_zero_rows(self):
         d = _ds([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]], [0, 1, 0, 1])
-        assert not feature_spreads(d).any()
+        assert not score_features(d).spreads.any()
 
 
 class TestBuildAdjacency:

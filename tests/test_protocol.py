@@ -13,7 +13,8 @@ from ecfs.protocol import ProtocolError
 
 BIG = 10**400
 
-# (field, bad value, its command-line text, the message with {name} for the field)
+# (field, bad value, its command-line text, the message with {name} for the field);
+# a value that is not an integer has no text, since the flags parse integers
 RULES = [
     ("methods", (), ",", "{name} must name at least one method"),
     ("methods", ("relief",), "relief",
@@ -21,21 +22,30 @@ RULES = [
     ("methods", ("mi", "mi"), "mi,mi", "{name} must name each method once, got ['mi', 'mi']"),
     ("cardinalities", (), ",", "{name} must be positive integers"),
     ("cardinalities", (0, 5), "0,5", "{name} must be positive integers"),
+    ("cardinalities", (5.7,), None, "{name} must be positive integers"),
+    ("cardinalities", "50", None, "{name} must be positive integers"),
     ("alpha", "foo", "foo", "{name} must be a number or 'cv', got 'foo'"),
     ("alpha", 1.5, "1.5", "{name} must be in [0, 1] or 'cv', got 1.5"),
     ("fixed_c", 0.0, "0", "{name} must be positive and finite, got 0.0"),
     ("bins", 1, "1", "{name} must be at least 2, got 1"),
     ("bins", BIG, str(BIG), f"{{name}} must convert to a finite float, got {BIG}"),
+    ("bins", 2.5, None, "{name} must be an integer, got 2.5"),
     ("alpha_grid", (0.5, 1.5), "0.5,1.5", "{name} values must lie in [0, 1]"),
     ("c_grid", (0.0,), "0", "{name} values must be positive and finite"),
     ("folds", 1, "1", "{name} must be at least 2, got 1"),
+    ("folds", 2.5, None, "{name} must be an integer, got 2.5"),
+    ("folds", "5", None, "{name} must be an integer, got '5'"),
     ("cv_cardinality", 0, "0", "{name} must be positive, got 0"),
+    ("cv_cardinality", 2.5, None, "{name} must be an integer, got 2.5"),
     ("epochs", 0, "0", "{name} must be positive, got 0"),
+    ("epochs", 1.5, None, "{name} must be an integer, got 1.5"),
     ("train_fraction", 1.0, "1", "{name} must be in (0, 1), got 1.0"),
     ("repeats", 0, "0", "{name} must be positive, got 0"),
+    ("repeats", 2.0, None, "{name} must be an integer, got 2.0"),
     ("seed", 2**63, str(2**63), f"{{name}} must be a non-negative 63-bit integer, got {2**63}"),
+    ("seed", 1.5, None, "{name} must be a non-negative 63-bit integer, got 1.5"),
 ]
-IDS = [f"{field}-{text[:8]}" for field, _, text, _ in RULES]
+IDS = [f"{field}-{(text or repr(bad))[:8]}" for field, bad, text, _ in RULES]
 
 
 # the fields a command has no flag for: rank neither resamples nor trains at
@@ -45,7 +55,7 @@ NO_FLAG = {"rank": {"methods", "cardinalities", "fixed_c", "train_fraction", "re
            "stability": {"fixed_c"}}
 CLI_CASES = [pytest.param(command, *rule, id=f"{command}-{rule_id}")
              for command in NO_FLAG for rule, rule_id in zip(RULES, IDS)
-             if rule[0] not in NO_FLAG[command]]
+             if rule[0] not in NO_FLAG[command] and rule[2] is not None]
 
 
 def _flag(field: str) -> str:

@@ -49,6 +49,7 @@ _EXPORTS = {
     "Protocol": "protocol",
     "SplitError": "evaluation",
     "SyntheticSpec": "data",
+    "WorkerError": "forkjoin",
     "cross_validate": "evaluation",
     "default_bin_count": "graph",
     "derive_seed": "evaluation",

@@ -31,6 +31,7 @@ from .data import (
     generate_synthetic,
     load_dataset,
 )
+from .forkjoin import WorkerError
 from .protocol import Protocol, ProtocolError
 
 ENV_SEED = "ECFS_SEED"
@@ -79,8 +80,8 @@ def _add_resample_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--methods", default="ec_fs,fisher,mi")
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--workers", type=int, default=1,
-                   help="processes over chunks of repeats (serial where the fork start "
-                        "method is unavailable); output does not depend on it")
+                   help="processes over chunks of repeats (serial where os.fork is "
+                        "unavailable); output does not depend on it")
     _add_cv_flags(p)
     p.add_argument("--seed", type=int, default=None)
     _add_output_flags(p)
@@ -465,13 +466,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _broken_executor() -> tuple:
-    """The BrokenExecutor class, if concurrent.futures is loaded: only a --workers
-    pool, which imports it, raises one, so a serial command never imports it."""
-    futures = sys.modules.get("concurrent.futures")
-    return () if futures is None else (futures.BrokenExecutor,)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -489,7 +483,7 @@ def main(argv=None) -> int:
     except PowerIterationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except _broken_executor() as e:
+    except WorkerError as e:
         # a --workers process died, for example killed when memory ran out
         print(f"error: worker process failed: {e}", file=sys.stderr)
         return 1

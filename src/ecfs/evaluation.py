@@ -15,6 +15,7 @@ import numpy as np
 
 from .centrality import FeatureScores, score_features
 from .data import Dataset, _row_indices
+from .forkjoin import fork_join
 from .protocol import Protocol
 
 # fixed per-method constants for seed derivation, independent of method order
@@ -458,21 +459,6 @@ def _sd(values: list[float]) -> float:
 # per chunk cost about 1 MB of peak RSS over one; 16 cost 3 MB more.
 _CHUNK_REPEATS = 8
 
-# the running _map_chunks' chunk function. Only the pool's initializer sets it,
-# in each forked worker (fork hands initargs over unpickled), so this process's
-# value never changes and concurrent maps cannot see each other's function.
-_chunk_fn = None
-
-
-def _set_chunk_fn(fn) -> None:
-    global _chunk_fn
-    _chunk_fn = fn
-
-
-def _run_chunk(chunk: range) -> list:
-    return _chunk_fn(chunk)
-
-
 def _chunks(n_repeats: int, workers: int) -> list[range]:
     """Contiguous runs of the repeats, at most _CHUNK_REPEATS long and differing in
     length by at most one; a multiple of workers in number while repeats last."""
@@ -485,35 +471,21 @@ def _map_chunks(fn, n_repeats: int, workers: int) -> list:
     """fn(chunk) over the chunks of range(n_repeats), each returning one item per
     repeat; all items in repeat order.
 
-    With more than one worker, this process is one of them: it runs its share,
-    the leading chunks, while a pool of forked processes runs the rest. The
-    workers inherit fn, so only fn's results need to pickle. Without fork, or at
-    one worker, every chunk runs serially in this process, to the same items.
-    Either way the first failing chunk in repeat order raises.
+    With more than one worker, the chunks are cut into one contiguous share per
+    process, and this process runs the leading share while a forked child runs
+    each other one (fork_join). The children inherit fn, so only fn's results
+    need to pickle. Without fork, or at one worker, every chunk runs serially in
+    this process, to the same items. Either way the first failing chunk in
+    repeat order raises.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     chunks = _chunks(n_repeats, workers)
     processes = min(workers, len(chunks))
-    if processes > 1:
-        import multiprocessing  # here, so that serial runs never pay for the import
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            own = len(chunks) // processes
-            with ProcessPoolExecutor(max_workers=processes - 1,
-                                     mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_set_chunk_fn, initargs=(fn,)) as pool:
-                theirs = pool.map(_run_chunk, chunks[own:])  # submitted, and forked, now
-                try:
-                    mine = [fn(chunk) for chunk in chunks[:own]]
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)  # no use running the rest
-                    raise
-                parts = mine + list(theirs)
-            return list(itertools.chain.from_iterable(parts))
-    return list(itertools.chain.from_iterable(map(fn, chunks)))
+    shares = [chunks[i * len(chunks) // processes:(i + 1) * len(chunks) // processes]
+              for i in range(processes)]
+    parts = fork_join(lambda share: [item for chunk in share for item in fn(chunk)], shares)
+    return list(itertools.chain.from_iterable(parts))
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,8 @@ import csv
 import hashlib
 import io
 import json
-import multiprocessing
 import os
+import time
 import warnings
 
 import numpy as np
@@ -22,7 +22,7 @@ from ecfs import (
 from ecfs.cli import main
 from oracles import fisher_oracle, mi_oracle, normalize_features, spreads_oracle
 
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="--workers runs serially without fork")
 
 
@@ -462,31 +462,39 @@ class TestValidationFailures:
         assert "error" in capsys.readouterr().err
 
 
-def _fail_in_worker(monkeypatch, data, plan, r, fail):
+def _fail_in(monkeypatch, data, plan, r, fail, in_worker=True):
     """Call fail() where score_features meets repeat r's training rows inside a
-    worker process; forked workers inherit the patch, this process never fails."""
+    worker process (forked workers inherit the patch), or with in_worker=False
+    in this process alone."""
     d = load_dataset(data)
     target = split_indices(d.y, plan)[r][0]
     parent, real = os.getpid(), ev.score_features
 
     def failing(d, bins=None, rows=None):
-        if os.getpid() != parent and np.array_equal(rows, target):
+        if (os.getpid() != parent) == in_worker and np.array_equal(rows, target):
             fail()
         return real(d, bins, rows)
 
     monkeypatch.setattr(ev, "score_features", failing)
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @needs_fork
 class TestWorkerFailures:
+    # 2 chunks: this process runs repeats 0-1, one forked worker repeats 2-3
     ARGS = ["stability", "--repeats", "4", "--cardinalities", "3", "--seed", "2",
             "--workers", "2"]
 
-    def _run(self, tmp_path, monkeypatch, capsys, fail) -> tuple[int, str]:
+    def _run(self, tmp_path, monkeypatch, capsys, fail, r=3, in_worker=True) -> tuple[int, str]:
         data, _ = _synth_csv(tmp_path)
-        _fail_in_worker(monkeypatch, data, Protocol(repeats=4, seed=2), 3, fail)
+        _fail_in(monkeypatch, data, Protocol(repeats=4, seed=2), r, fail, in_worker)
         capsys.readouterr()
         rc = main(self.ARGS + ["--data", str(data), "--output", str(tmp_path / "s.json")])
+        _no_child_left()
         return rc, capsys.readouterr().err
 
     def test_nonconvergence_in_a_worker_exits_two(self, tmp_path, monkeypatch, capsys):
@@ -508,6 +516,22 @@ class TestWorkerFailures:
         rc, err = self._run(tmp_path, monkeypatch, capsys, lambda: os._exit(9))
         assert rc == 1
         assert err.startswith("error: worker process failed:") and err.count("\n") == 1
+        assert "exited with status 9" in err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_failure_here_kills_the_running_worker(self, tmp_path, monkeypatch, capsys):
+        # the worker sleeps a minute on its first repeat, while this process fails
+        # on its own first repeat and does not wait for the worker
+        data, _ = _synth_csv(tmp_path)
+        _fail_in(monkeypatch, data, Protocol(repeats=4, seed=2), 2, lambda: time.sleep(60))
+
+        def fail():
+            raise SplitError("fold 0 leaves a single class on its training side")
+
+        t0 = time.monotonic()
+        rc, err = self._run(tmp_path, monkeypatch, capsys, fail, r=0, in_worker=False)
+        assert time.monotonic() - t0 < 30
+        assert (rc, err) == (1, "error: fold 0 leaves a single class on its training side\n")
         assert not (tmp_path / "s.json").exists()
 
 

@@ -75,6 +75,11 @@ class TestImportFootprint:
         assert loaded.isdisjoint({*POOL_MODULES, "numpy.ma"})
         assert "ecfs.evaluation" in loaded
 
+    def test_forked_stability_loads_no_pool(self, tmp_path, data):
+        run = _fresh(RUN_MODULE, "stability", "--workers", "2", "--repeats", "4",
+                     "--cardinalities", "3", "--data", data, "--output", tmp_path / "s.json")
+        assert set(run["modules"]).isdisjoint(POOL_MODULES)
+
     def test_load_dataset_loads_data_alone(self, data):
         code = ("import json, sys, ecfs\n"
                 "ecfs.load_dataset(sys.argv[1])\n"

@@ -1,6 +1,5 @@
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -970,8 +969,7 @@ class TestChunks:
         one = peak(ev._CHUNK_REPEATS)
         assert peak(4 * ev._CHUNK_REPEATS) < 1.3 * one
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="workers run serially without fork")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers run serially without fork")
     def test_worker_error_reaches_the_caller_whole(self, monkeypatch):
         # forked workers inherit the patch; only a worker, never this process, fails
         d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
@@ -989,15 +987,11 @@ class TestChunks:
             run_stability(d, plan, workers=2)
         assert str(exc.value) == "no convergence after 9 iterations"
         assert (exc.value.residual, exc.value.iterations) == (1e-3, 9)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # the worker was reaped
 
     def test_without_fork_every_chunk_runs_serially(self, monkeypatch):
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("no process pool without fork")
-
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.delattr(os, "fork", raising=False)
         d = generate_synthetic(SyntheticSpec(36, 12, 3, 2.5, 1.0, seed=10))[0]
         plan = Protocol(repeats=4, seed=3, cardinalities=(3, 6), epochs=4)
         for run, workers in ((run_stability, 2), (run_evaluation, 3)):

@@ -20,18 +20,26 @@ RULES = [
     ("methods", ("relief",), "relief",
      "unknown methods ['relief']; choose from ['ec_fs', 'fisher', 'mi']"),
     ("methods", ("mi", "mi"), "mi,mi", "{name} must name each method once, got ['mi', 'mi']"),
+    ("methods", "ec_fs", None, "{name} must be a sequence, not the string 'ec_fs'"),
+    ("methods", (["mi"],), None, "unknown methods [['mi']]; choose from ['ec_fs', 'fisher', 'mi']"),
     ("cardinalities", (), ",", "{name} must be positive integers"),
     ("cardinalities", (0, 5), "0,5", "{name} must be positive integers"),
     ("cardinalities", (5.7,), None, "{name} must be positive integers"),
-    ("cardinalities", "50", None, "{name} must be positive integers"),
+    ("cardinalities", "50", None, "{name} must be a sequence, not the string '50'"),
+    ("cardinalities", 50, None, "{name} must be a sequence, got 50"),
     ("alpha", "foo", "foo", "{name} must be a number or 'cv', got 'foo'"),
     ("alpha", 1.5, "1.5", "{name} must be in [0, 1] or 'cv', got 1.5"),
     ("fixed_c", 0.0, "0", "{name} must be positive and finite, got 0.0"),
+    ("fixed_c", "1", None, "{name} must be a number, got '1'"),
     ("bins", 1, "1", "{name} must be at least 2, got 1"),
     ("bins", BIG, str(BIG), f"{{name}} must convert to a finite float, got {BIG}"),
     ("bins", 2.5, None, "{name} must be an integer, got 2.5"),
     ("alpha_grid", (0.5, 1.5), "0.5,1.5", "{name} values must lie in [0, 1]"),
+    ("alpha_grid", ("x",), None, "{name} values must be numbers, got ('x',)"),
+    ("alpha_grid", "0.5", None, "{name} must be a sequence, not the string '0.5'"),
     ("c_grid", (0.0,), "0", "{name} values must be positive and finite"),
+    ("c_grid", (None,), None, "{name} values must be numbers, got (None,)"),
+    ("c_grid", "1", None, "{name} must be a sequence, not the string '1'"),
     ("folds", 1, "1", "{name} must be at least 2, got 1"),
     ("folds", 2.5, None, "{name} must be an integer, got 2.5"),
     ("folds", "5", None, "{name} must be an integer, got '5'"),
@@ -40,6 +48,7 @@ RULES = [
     ("epochs", 0, "0", "{name} must be positive, got 0"),
     ("epochs", 1.5, None, "{name} must be an integer, got 1.5"),
     ("train_fraction", 1.0, "1", "{name} must be in (0, 1), got 1.0"),
+    ("train_fraction", "0.5", None, "{name} must be a number, got '0.5'"),
     ("repeats", 0, "0", "{name} must be positive, got 0"),
     ("repeats", 2.0, None, "{name} must be an integer, got 2.0"),
     ("seed", 2**63, str(2**63), f"{{name}} must be a non-negative 63-bit integer, got {2**63}"),

@@ -79,26 +79,30 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = A.shape[0]
-    v = np.ones(n) / np.sqrt(n)
+    # v, A v, the residual and one scratch vector are the solve's only n-vectors
+    v = np.ones(n)
+    v /= np.sqrt(n)
+    w, r, work = np.empty(n), np.empty(n), np.empty(n)
     try:
         # an overflow would turn v into zeros, whose residual of 0 would pass
         with np.errstate(over="raise"):
-            w = A @ v
+            A._product(v, w, work, r)
             if not w.any():
                 # A is non-negative and v positive, so A v = 0 only when A = 0
                 return EigenResult(0.0, v, 0, 0.0, degenerate=True)
             residual = np.inf
             for it in range(1, max_iter + 1):
-                nrm = float(np.sqrt(_dot(w, w)))
+                nrm = float(np.sqrt(_dot(w, w, out=r)))
                 if nrm == 0.0:
                     # the current direction is annihilated; every eigenvalue on this
                     # path is 0, so report the last direction with lambda0 = 0
                     return EigenResult(0.0, v, it, 0.0, degenerate=True)
-                v = w / nrm
-                w = A @ v
-                lam = _dot(v, w)
-                r = w - lam * v
-                residual = float(np.sqrt(_dot(r, r)))
+                np.divide(w, nrm, out=v)
+                A._product(v, w, work, r)
+                lam = _dot(v, w, out=r)
+                # r = w - lam v
+                np.subtract(w, np.multiply(v, lam, out=r), out=r)
+                residual = float(np.sqrt(_dot(r, r, out=r)))
                 if residual <= tol:
                     return EigenResult(lam, v, it, residual)
     except FloatingPointError as e:

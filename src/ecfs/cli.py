@@ -246,9 +246,10 @@ def _write(text: str, path: str) -> None:
         fh.write(text)
 
 
-# the rank report is formatted and written this many ranks at a time, so that
-# no per-feature list and no whole-report string is built
-_RANKS_PER_WRITE = 4096
+# the rank report and the --dump-scores vectors are formatted and written this
+# many entries at a time, so that no per-feature list and no whole-report
+# string is built, and each block's strings stay small next to the vectors
+_RANKS_PER_WRITE = 256
 
 
 def _ranking_blocks(d: Dataset, ranking: FeatureRanking):
@@ -279,22 +280,26 @@ def _write_rank_json(fh, report: dict, d: Dataset, ranking: FeatureRanking) -> N
     fh.write("\n  ]" + tail)
 
 
-def _scores_json(vectors: dict) -> str:
-    """_dump_json of the --dump-scores object, byte for byte: schema_version 1 and,
-    per name, {"kind": kind, "values": [...]} for its (kind, values) vector.
+def _write_scores_json(fh, vectors: dict) -> None:
+    """Write _dump_json of the --dump-scores object, byte for byte: schema_version 1
+    and, per name, {"kind": kind, "values": [...]} for its (kind, values) vector.
 
     As in _write_rank_json, the values (one per feature) are formatted here as json's
-    pure-Python indent encoder would: one float.__repr__ per line.
+    pure-Python indent encoder would, one float.__repr__ per line, and written
+    _RANKS_PER_WRITE at a time.
     """
     empty = {name: {"kind": kind, "values": []} for name, (kind, _) in vectors.items()}
-    head = _dump_json({"schema_version": 1, **empty})
     # keys are sorted, so the placeholders appear in name order
-    parts = head.split('"values": []')
-    out = [parts[0]]
+    parts = _dump_json({"schema_version": 1, **empty}).split('"values": []')
+    fh.write(parts[0])
+    sep = ",\n      "
     for name, rest in zip(sorted(vectors), parts[1:]):
-        body = ",\n      ".join(map(float.__repr__, vectors[name][1].tolist()))
-        out.append(f'"values": [\n      {body}\n    ]{rest}')
-    return "".join(out)
+        values = vectors[name][1]
+        fh.write('"values": [')
+        for a in range(0, values.shape[0], _RANKS_PER_WRITE):
+            block = values[a:a + _RANKS_PER_WRITE].tolist()
+            fh.write((sep if a else "\n      ") + sep.join(map(float.__repr__, block)))
+        fh.write(f"\n    ]{rest}")
 
 
 def _cmd_rank(args) -> int:
@@ -326,11 +331,12 @@ def _cmd_rank(args) -> int:
             for row in adjacency.rows():
                 np.savetxt(fh, row[None])
     if args.dump_scores:
-        _write(_scores_json({
-            "fisher": ("fisher", scores.fisher),
-            "mutual_information": ("mutual_information", scores.mutual_information),
-            "centrality": ("centrality", eigen.v0),
-        }), args.dump_scores)
+        with _sink(args.dump_scores) as fh:
+            _write_scores_json(fh, {
+                "fisher": ("fisher", scores.fisher),
+                "mutual_information": ("mutual_information", scores.mutual_information),
+                "centrality": ("centrality", eigen.v0),
+            })
     report = {
         "schema_version": 1,
         "command": "rank",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-import itertools
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -371,19 +371,154 @@ def _label_index(header: list[str], label_col: str | int) -> int:
     return li
 
 
-def _loadtxt_lines(lines, **kwargs) -> np.ndarray | None:
-    """Parse an iterator of text lines with numpy's C reader, or None when it
-    holds no line or a line does not parse. The iterator may raise ValueError
-    to abandon the parse."""
-    try:
-        first = next(lines, None)
-        if first is None:
-            return None
-        return np.loadtxt(
-            itertools.chain((first,), lines), dtype=float, comments=None, ndmin=2, **kwargs
-        )
-    except ValueError:  # a cell, a line check or undecodable bytes
-        return None
+# Feature cells reach np.loadtxt in pieces of about this many characters: a
+# longer line is cut at delimiters, shorter lines go in blocks of whole lines,
+# so none of the parser's buffers grows with a line or with the file
+PIECE_CHARS = 2**16
+
+# the line count reads blocks of this many bytes: a block past glibc's 128 KiB
+# mmap threshold would raise that threshold when freed, and the process would
+# then keep more of the heap it frees
+COUNT_BLOCK_BYTES = 2**16
+
+# the delimiters a whitespace-separated line is cut at; numpy splits at these
+# and at every other whitespace character, so a cut never splits a cell
+_SPACE_OR_TAB = re.compile("[ \t]")
+
+
+def _line_count(path: Path) -> int:
+    """The number of lines that iterating path in text mode yields, where LF,
+    CR LF and CR each end a line and the last line needs no end: one pass
+    over the bytes, a block at a time."""
+    count, last = 0, b""
+    with open(path, "rb") as fh:
+        while block := fh.read(COUNT_BLOCK_BYTES):
+            count += block.count(b"\n")
+            if b"\r" in block:  # a fast scan; most files hold no \r
+                count += block.count(b"\r") - block.count(b"\r\n")
+            if last == b"\r" and block[:1] == b"\n":
+                count -= 1  # a \r\n cut between two blocks
+            last = block[-1:]
+    return count + (last not in (b"", b"\n", b"\r"))
+
+
+def _pieces(line: str, a: int, b: int, sep: str | None):
+    """The numbers in the cells of line[a:b], as one array per piece of about
+    PIECE_CHARS characters. sep is "," or None for whitespace; a piece ends at
+    a delimiter, so np.loadtxt sees every cell whole, as in one call on the
+    line. ValueError for a cell np.loadtxt rejects. A blank piece yields
+    nothing: between spaces it holds no cell, and as an empty or blank comma
+    cell it leaves the row a number short."""
+    while a < b:
+        cut = b
+        if b - a > PIECE_CHARS:
+            if sep is None:
+                found = _SPACE_OR_TAB.search(line, a + PIECE_CHARS, b)
+                cut = found.start() if found else b
+            else:
+                found = line.find(sep, a + PIECE_CHARS, b)
+                cut = found if found >= 0 else b
+        piece = line[a:cut]
+        a = cut + 1
+        # np.loadtxt would skip a blank piece as an empty line, and warn
+        if piece and not piece.isspace():
+            yield np.loadtxt((piece,), delimiter=sep, dtype=float, comments=None, ndmin=1)
+
+
+def _fill(row: np.ndarray, line: str, spans, sep: str | None) -> None:
+    """Parse the cells of line in the (start, stop) spans, in order, into row;
+    ValueError unless they fill it exactly."""
+    col = 0
+    for a, b in spans:
+        for values in _pieces(line, a, b, sep):
+            row[col:col + values.shape[0]] = values
+            col += values.shape[0]
+    if col != row.shape[0]:
+        raise ValueError(f"{col} cells for a row of {row.shape[0]}")
+
+
+class _Rows:
+    """Parses lines' feature cells into the rows of X, in order. A line longer
+    than PIECE_CHARS goes to np.loadtxt a piece at a time (_fill); shorter ones
+    wait in a block of about PIECE_CHARS characters, which one np.loadtxt call
+    parses into X's rows, so no buffer grows with the line or the file.
+    ValueError for a cell np.loadtxt rejects, a line that does not fill its
+    row exactly, or a line past X's last row."""
+
+    def __init__(self, X: np.ndarray, sep: str | None, filled: int = 0) -> None:
+        self.X, self.sep = X, sep
+        self.filled = filled
+        self.block: list[str] = []
+        self.chars = 0
+
+    def add_line(self, line: str, spans) -> None:
+        """Parse the cells of line in the (start, stop) spans into the next
+        row, a piece at a time."""
+        self.flush()
+        if self.filled == self.X.shape[0]:
+            raise ValueError("more rows than the file's size allows")
+        _fill(self.X[self.filled], line, spans, self.sep)
+        self.filled += 1
+
+    def add_cells(self, cells: str) -> None:
+        """Queue a short line of cells for the next row."""
+        # np.loadtxt would skip a blank line, and the rows would shift
+        if not cells or cells.isspace():
+            raise ValueError("a row with no cells")
+        self.block.append(cells)
+        self.chars += len(cells)
+        if self.chars >= PIECE_CHARS:
+            self.flush()
+
+    def add_lines(self, lines: list[str]) -> None:
+        """Parse lines of cells, none blank, into the next rows."""
+        if max(map(len, lines), default=0) <= PIECE_CHARS:
+            self.block += lines
+            self.chars += sum(map(len, lines))
+            if self.chars >= PIECE_CHARS:
+                self.flush()
+        else:
+            for line in lines:
+                if len(line) <= PIECE_CHARS:
+                    self.add_cells(line)
+                else:
+                    self.add_line(line, ((0, len(line)),))
+
+    def flush(self) -> None:
+        """Parse the queued lines into their rows."""
+        if self.block:
+            a, b = self.filled, self.filled + len(self.block)
+            if b > self.X.shape[0]:
+                raise ValueError("more rows than the file's size allows")
+            values = np.loadtxt(self.block, delimiter=self.sep, dtype=float,
+                                comments=None, ndmin=2)
+            if values.shape != (b - a, self.X.shape[1]):
+                raise ValueError(f"{values.shape} cells for {b - a} rows")
+            self.X[a:b] = values
+            self.filled = b
+            self.block.clear()
+            self.chars = 0
+
+
+def _nth_comma(line: str, k: int) -> int:
+    """The position of comma k (counted from 0) in a line that holds more than
+    k commas, found by counting a piece at a time."""
+    a = 0
+    while (c := line.count(",", a, a + PIECE_CHARS)) <= k:
+        k -= c
+        a += PIECE_CHARS
+    a = line.find(",", a)
+    for _ in range(k):
+        a = line.find(",", a + 1)
+    return a
+
+
+def _trimmed(X: np.ndarray, rows: int) -> np.ndarray:
+    """X cut to its first rows rows in place, where blank lines left rows
+    unfilled: the allocation shrinks, and the matrix is never copied."""
+    if rows < X.shape[0]:
+        X.resize((rows, X.shape[1]), refcheck=False)
+    return X
 
 
 def _load_csv(path: Path, label_col: str | int) -> Dataset:
@@ -398,49 +533,69 @@ def _load_csv(path: Path, label_col: str | int) -> Dataset:
 def _read_csv_fast(path: Path, label_col: str | int):
     """Names, feature matrix and raw labels of a plain CSV, with no string per cell.
 
-    One pass: each data line is checked and its label cell cut out here, and
-    the line goes on to np.loadtxt, which parses the other cells. Returns None
-    wherever the result could differ from _read_csv_cells: a quote (the csv
-    module unquotes cells) or a NUL (which it rejects before Python 3.11), a
-    line whose comma count differs from the header's, a blank or one-column
-    header, no data row, a label column that is not found, or a cell that
-    np.loadtxt rejects (including ones float() accepts, like 1_000). The cell
-    path then parses the file again and raises its usual errors.
+    A first pass over the bytes counts the lines (_line_count), and the matrix
+    is allocated once, at no more rows than the file's size allows. Then each
+    data line is checked, its label cell is cut out, and its feature cells
+    are parsed into the line's row (_Rows). Returns None wherever the result
+    could differ from _read_csv_cells: a quote (the csv module unquotes cells)
+    or a NUL (which it rejects before Python 3.11), a line whose comma count
+    differs from the header's, a blank or one-column header, no data row, a
+    label column that is not found, or a cell that np.loadtxt rejects
+    (including ones float() accepts, like 1_000). The cell path then parses
+    the file again and raises its usual errors.
     """
+    # an upper bound on the data rows: blank lines are skipped, their rows trimmed
+    rows = _line_count(path) - 1
+    labels: list[str] = []
     with open(path, encoding="utf-8") as fh:
         try:
             head = fh.readline()
             if '"' in head or "\0" in head:
                 return None
             header = [h.strip() for h in head.split(",")]
-            if len(header) < 2:
+            del head
+            if len(header) < 2 or rows < 1:
                 return None
             li = _label_index(header, label_col)
-        except ValueError:
-            return None
-        commas = len(header) - 1
-        labels: list[str] = []
-
-        def data_lines():
+            commas = len(header) - 1
+            # a data line the fast path takes holds its commas and a line end or
+            # more cells, so a short file cannot ask for a large matrix
+            X = np.empty((min(rows, path.stat().st_size // (commas + 1)), commas))
+            parsed = _Rows(X, ",")
             for line in fh:
                 if line == "\n":
                     continue
                 if line.count(",") != commas or '"' in line or "\0" in line:
-                    raise ValueError("not a plain CSV line")
-                # split from the nearer end, so only a few cells become strings
-                if li <= commas - li:
-                    cell = line.split(",", li + 1)[li]
+                    return None
+                if len(line) <= PIECE_CHARS and li in (0, commas):
+                    # one split at the label's comma gives the label and the cells
+                    if li:
+                        cells, label = line.rsplit(",", 1)
+                    else:
+                        label, cells = line.split(",", 1)
+                    parsed.add_cells(cells)
                 else:
-                    cell = line.rsplit(",", commas + 1 - li)[1]
-                labels.append(cell.strip())
-                yield line
-
-        X = _loadtxt_lines(
-            data_lines(), delimiter=",", usecols=[c for c in range(len(header)) if c != li]
-        )
-    if X is None:
+                    if li == commas:
+                        start = line.rfind(",") + 1
+                    else:
+                        start = _nth_comma(line, li - 1) + 1 if li else 0
+                    stop = line.find(",", start) if li < commas else len(line)
+                    label = line[start:stop]
+                    if len(line) <= PIECE_CHARS:
+                        # the cells on either side of the label, joined by a comma
+                        parsed.add_cells(line[:start - 1] + line[stop:])
+                    else:
+                        parsed.add_line(line, ((0, start - 1), (stop + 1, len(line))))
+                labels.append(label.strip())
+                # let the line go before the next one is read and joined
+                del line
+            parsed.flush()
+        except ValueError:  # a cell, a line check or undecodable bytes
+            return None
+    if not labels:
         return None
-    return tuple(header[:li] + header[li + 1 :]), X, labels
+    del header[li]
+    return tuple(header), _trimmed(X, len(labels)), labels
 
 
 def _read_csv_cells(path: Path, label_col: str | int):
@@ -481,11 +636,36 @@ def _load_matrix(path: Path, labels_path: Path) -> Dataset:
 
 
 def _read_matrix_fast(path: Path) -> np.ndarray | None:
-    """The matrix through np.loadtxt, skipping blank lines as _read_matrix_cells
-    does; None on anything it rejects (ragged rows, a bad cell, bad bytes, no
-    data), which the cell path then reports."""
+    """The matrix through np.loadtxt (_Rows), into one array sized by a first
+    pass that counts the lines and capped by the file's size; blank lines are
+    skipped as _read_matrix_cells skips them. None on anything it rejects
+    (ragged rows, a bad cell, bad bytes, no data), which the cell path then
+    reports."""
+    rows = _line_count(path)
+    parsed = None
     with open(path, encoding="utf-8") as fh:
-        return _loadtxt_lines(line for line in fh if not line.isspace())
+        try:
+            # lines of about PIECE_CHARS characters in all, and at least one
+            while batch := fh.readlines(PIECE_CHARS):
+                lines = [line for line in batch if not line.isspace()]
+                del batch
+                if parsed is None and lines:
+                    # the first row sets the width w; a row of w cells takes at
+                    # least 2 w - 1 characters
+                    first = np.concatenate(list(_pieces(lines[0], 0, len(lines[0]), None)))
+                    w = first.shape[0]
+                    X = np.empty((min(rows, path.stat().st_size // (2 * w - 1)), w))
+                    X[0] = first
+                    del first, lines[0]
+                    parsed = _Rows(X, None, filled=1)
+                if parsed is not None:
+                    parsed.add_lines(lines)
+                del lines
+            if parsed is not None:
+                parsed.flush()
+        except ValueError:  # a cell, a ragged row or undecodable bytes
+            return None
+    return None if parsed is None else _trimmed(X, parsed.filled)
 
 
 def _read_matrix_cells(path: Path) -> np.ndarray:

@@ -144,17 +144,32 @@ def _mutual_information(read, n: int, y: np.ndarray, n_classes: int, bins) -> np
     return out
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
+def _dot(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> float:
     """x . y of two float vectors as numpy's pairwise sum of x * y, whose order
-    is fixed in code; BLAS's dot sums in an order set by its thread count."""
-    return float(np.add.reduce(x * y))
+    is fixed in code; BLAS's dot sums in an order set by its thread count.
+    x * y goes into out when given (it may be x or y), else a new array."""
+    return float(np.add.reduce(np.multiply(x, y, out=out)))
 
 
 def _minmax_rescale(values: np.ndarray) -> tuple[np.ndarray, bool]:
     lo, hi = values.min(), values.max()
     if lo == hi:
         return np.zeros_like(values), True
-    return (values - lo) / (hi - lo), False
+    out = np.subtract(values, lo)
+    out /= hi - lo
+    return out, False
+
+
+def _run_ends(s_sorted: np.ndarray) -> np.ndarray:
+    """For each position of an ascending vector, the last position holding an
+    equal value: np.searchsorted(s_sorted, s_sorted, side="right") - 1, from a
+    running minimum, right to left, over the positions where a run ends."""
+    n = s_sorted.shape[0]
+    last = np.arange(n)
+    # a position equal to its right neighbour takes the next run end to its right
+    last[:-1][s_sorted[1:] == s_sorted[:-1]] = n
+    np.minimum.accumulate(last[::-1], out=last[::-1])
+    return last
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -167,7 +182,10 @@ class AdjacencyMatrix:
     each finite and non-negative: the Fisher scores f, the MI scores m and the
     feature spreads s. It min-max rescales f and m to fs, ms in [0, 1]; a
     constant score vector becomes all zeros and sets degenerate_fisher /
-    degenerate_mi. s is copied once; fs, ms and s are read-only.
+    degenerate_mi. s is copied once, unless it is already a read-only vector
+    that owns its data, as FeatureScores.spreads is: that vector is kept as
+    it is, and its owner must not make it writable again, since the graph's
+    sorted copy of it would then go stale unseen. fs, ms and s are read-only.
     `A @ v` costs O(n) after one O(n log n) sort of s.
     ValueError if a vector breaks those rules, or alpha is outside [0, 1].
     """
@@ -180,8 +198,11 @@ class AdjacencyMatrix:
     degenerate_mi: bool
 
     def __init__(self, f, m, s, alpha: float) -> None:
-        # f and m are kept only as their rescaled copies, so only s is copied
-        f, m, s = np.asarray(f, dtype=float), np.asarray(m, dtype=float), np.array(s, dtype=float)
+        # f and m are kept only as their rescaled copies, so only s is copied,
+        # and not when it is read-only and owns its data
+        f, m, s = np.asarray(f, dtype=float), np.asarray(m, dtype=float), np.asarray(s, dtype=float)
+        if s.flags.writeable or s.base is not None:
+            s = s.copy()
         if s.ndim != 1 or s.shape[0] < 1 or not f.shape == m.shape == s.shape:
             raise ValueError("f, m and s must be non-empty vectors of one feature count")
         for name, v in (("f", f), ("m", m), ("s", s)):
@@ -196,7 +217,9 @@ class AdjacencyMatrix:
         order = np.argsort(s, kind="stable")
         s_sorted = s[order]
         # equal spreads share one position, the last, hence bit-equal Sigma products
-        sorted_s = (order, s_sorted, np.searchsorted(s_sorted, s, side="right") - 1)
+        at_most = np.empty_like(order)
+        at_most[order] = _run_ends(s_sorted)
+        sorted_s = (order, s_sorted, at_most)
         for name, value in (("fs", fs), ("ms", ms), ("s", s), ("alpha", alpha),
                             ("degenerate_fisher", degenerate_fisher),
                             ("degenerate_mi", degenerate_mi), ("_sorted", sorted_s)):
@@ -214,15 +237,28 @@ class AdjacencyMatrix:
         v = np.asarray(v, dtype=float)
         if v.shape != self.s.shape:
             raise ValueError(f"A is {self.shape}, v has shape {v.shape}")
-        rank1 = self.alpha * _dot(self.ms, v) * self.fs
+        out = np.empty(self.s.shape)
+        self._product(v, out, np.empty(self.s.shape), np.empty(self.s.shape))
+        return out
+
+    def _product(self, v: np.ndarray, out: np.ndarray, work: np.ndarray,
+                 sigma: np.ndarray) -> None:
+        """A v into out, a vector distinct from v, with work and sigma as
+        scratch: three n-vectors and no other allocation of n values."""
         order, s_sorted, at_most = self._sorted
-        vs = v[order]
+        c = self.alpha * _dot(self.ms, v, out=work)
+        np.take(v, order, out=work, mode="clip")
         # in sorted position k: s_k times the sum of v up to k, plus s_j v_j summed
         # from the largest spread down to position k + 1; then read at each
         # feature's last position among equal spreads
-        sigma = s_sorted * np.cumsum(vs)
-        sigma[:-1] += np.cumsum((s_sorted * vs)[:0:-1])[::-1]
-        return rank1 + (1.0 - self.alpha) * sigma[at_most]
+        np.cumsum(work, out=sigma)
+        sigma *= s_sorted
+        work *= s_sorted
+        np.cumsum(work[:0:-1], out=work[:0:-1])
+        sigma[:-1] += work[1:]
+        np.take(sigma, at_most, out=out, mode="clip")
+        out *= 1.0 - self.alpha
+        out += np.multiply(self.fs, c, out=work)
 
     def rows(self):
         """Yield the dense rows of A in order, each entry rounded exactly as

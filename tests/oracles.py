@@ -4,6 +4,10 @@ None runs in the ecfs pipeline, and each checks the one implementation that
 every command runs:
 - matrix_power_oracle, the literal limit A^l e, checks power_iteration on a
   feature graph (it reads the graph's dense rows);
+- adjacency_product_oracle and power_iteration_oracle take the operator's
+  product and the solver's sweeps step by step, each into a new array, the
+  bit-for-bit reference for the in-place product and the solver's reused
+  buffers;
 - kuncheva_index checks the stability curve pair by pair;
 - normalization_oracle, fisher_oracle, spreads_oracle and mi_oracle take each
   statistic and score from one pass over a whole matrix (MI one column at a
@@ -110,6 +114,43 @@ def matrix_power_oracle(A, l_max: int = 2**20, agree_tol: float = 1e-10) -> Eige
         residual=float(np.abs(u - w).max()) if l > 1 else np.inf,
         iterations=l,
     )
+
+
+def adjacency_product_oracle(A: AdjacencyMatrix, v: np.ndarray) -> np.ndarray:
+    """A v in the operator's order of operations, each step into a new array,
+    with each feature's last position among equal spreads from np.searchsorted."""
+    order = np.argsort(A.s, kind="stable")
+    s_sorted = A.s[order]
+    at_most = np.searchsorted(s_sorted, A.s, side="right") - 1
+    rank1 = A.alpha * float(np.add.reduce(A.ms * v)) * A.fs
+    vs = v[order]
+    sigma = s_sorted * np.cumsum(vs)
+    sigma[:-1] += np.cumsum((s_sorted * vs)[:0:-1])[::-1]
+    return rank1 + (1.0 - A.alpha) * sigma[at_most]
+
+
+def power_iteration_oracle(A: AdjacencyMatrix, tol: float = 1e-10,
+                           max_iter: int = 10000) -> EigenResult:
+    """power_iteration's sweeps, each step into a new array, over
+    adjacency_product_oracle."""
+    n = A.shape[0]
+    v = np.ones(n) / np.sqrt(n)
+    w = adjacency_product_oracle(A, v)
+    if not w.any():
+        return EigenResult(0.0, v, 0, 0.0, degenerate=True)
+    residual = np.inf
+    for it in range(1, max_iter + 1):
+        nrm = float(np.sqrt(np.add.reduce(w * w)))
+        if nrm == 0.0:
+            return EigenResult(0.0, v, it, 0.0, degenerate=True)
+        v = w / nrm
+        w = adjacency_product_oracle(A, v)
+        lam = float(np.add.reduce(v * w))
+        r = w - lam * v
+        residual = float(np.sqrt(np.add.reduce(r * r)))
+        if residual <= tol:
+            return EigenResult(lam, v, it, residual)
+    raise PowerIterationError("no convergence", residual=residual, iterations=max_iter)
 
 
 def kuncheva_index(set_a, set_b, n_total: int) -> float:

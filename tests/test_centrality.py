@@ -22,6 +22,7 @@ from oracles import (
     matrix_power_oracle,
     mi_oracle,
     normalize_features,
+    power_iteration_oracle,
     spreads_oracle,
     subset,
 )
@@ -172,6 +173,22 @@ class TestPowerIteration:
         v = np.abs(vectors[:, top])
         np.testing.assert_allclose(res.v0, v / np.linalg.norm(v), atol=1e-10)
         assert res.lambda0 == pytest.approx(values[top].real, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reused_buffers_give_the_bits_of_new_arrays(self, seed):
+        # every sweep writes into the same four vectors; the eigenpair, the sweep
+        # count and the residual are those of a new array per step
+        rng = np.random.default_rng(seed)
+        tied = rng.integers(0, 4, (3, 400)) / 3.0
+        d, _ = generate_synthetic(SyntheticSpec(20, 300, 5, 2.0, 1.0, seed=seed))
+        scores = score_features(d)
+        for A in (_graph(rng, 1), _graph(rng, 257), AdjacencyMatrix(*tied, rng.random()),
+                  AdjacencyMatrix(scores.fisher, scores.mutual_information, scores.spreads,
+                                  0.5)):
+            got, want = power_iteration(A), power_iteration_oracle(A)
+            assert got.v0.tobytes() == want.v0.tobytes()
+            assert (got.lambda0, got.iterations, got.residual, got.degenerate) == (
+                want.lambda0, want.iterations, want.residual, want.degenerate)
 
 
 class TestMatrixPowerOracle:
@@ -402,6 +419,23 @@ class TestEcfsRank:
         finally:
             tracemalloc.stop()
         assert peak < n * n
+
+    def test_centrality_peaks_at_ten_vectors_above_the_scores(self):
+        # the graph's five vectors (rescaled fs and ms, the spread order, the
+        # sorted spreads and each feature's last position among equal spreads),
+        # the solve's four (v, A v, the residual and one scratch vector), then
+        # the ranking's sort; 14.0 vectors when every sweep made new arrays and
+        # the graph copied the read-only spreads
+        n = 200_000
+        d, _ = generate_synthetic(SyntheticSpec(10, n, 10, 2.0, 1.0, seed=3))
+        scores = score_features(d)
+        tracemalloc.start()
+        try:
+            scores.centrality(0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * n
 
     @pytest.mark.parametrize("share", [1.0, 2 / 3])
     def test_scoring_holds_no_normalized_matrix(self, share):

@@ -198,12 +198,11 @@ class TestRank:
         assert capsys.readouterr().out == ref.read_text()
         assert not (tmp_path / "-").exists()
 
-    def test_dump_scores_is_what_the_json_module_writes(self, tmp_path):
-        # the score vectors are formatted without json's indent encoder
+    def test_dump_scores_is_what_the_json_module_writes(self, tmp_path, monkeypatch):
+        # the score vectors are formatted without json's indent encoder, and
+        # written in blocks: blocks of 3 values cut each 12-value vector into 4
         data, _ = _synth_csv(tmp_path)
         sc = tmp_path / "scores.json"
-        assert main(["rank", "--data", str(data), "--output", str(tmp_path / "r.json"),
-                     "--dump-scores", str(sc)]) == 0
         scores = score_features(load_dataset(data))
         want = {
             "schema_version": 1,
@@ -212,7 +211,12 @@ class TestRank:
                                    "values": scores.mutual_information.tolist()},
             "centrality": {"kind": "centrality", "values": scores.centrality(0.5)[1].v0.tolist()},
         }
-        assert sc.read_text(encoding="utf-8") == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        for block in (ecfs.cli._RANKS_PER_WRITE, 3):
+            monkeypatch.setattr(ecfs.cli, "_RANKS_PER_WRITE", block)
+            assert main(["rank", "--data", str(data), "--output", str(tmp_path / "r.json"),
+                         "--dump-scores", str(sc)]) == 0
+            text = sc.read_text(encoding="utf-8")
+            assert text == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
     def test_huge_bin_count_scores_label_entropy(self, tmp_path):
         # 2^40 bins once asked numpy for a 16 TiB table; every value now sits

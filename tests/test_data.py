@@ -21,7 +21,16 @@ from ecfs import (
     load_dataset,
     score_features,
 )
-from ecfs.data import _map_labels, _read_csv_fast, _read_matrix_fast, column_blocks
+from ecfs.data import (
+    COUNT_BLOCK_BYTES,
+    _line_count,
+    _map_labels,
+    _read_csv_cells,
+    _read_csv_fast,
+    _read_matrix_cells,
+    _read_matrix_fast,
+    column_blocks,
+)
 from oracles import (
     fisher_oracle,
     fit_normalization,
@@ -257,6 +266,53 @@ MATRIX_CASES = {
 }
 
 
+def _compare_random_files(tmp_path, seed: int, files: int, max_width: int) -> None:
+    """Load files of cells and line shapes drawn from the cases above, mixed at
+    random, by load_dataset and by the reference loaders, and compare."""
+    rng = random.Random(seed)
+    cells = ["1", "2.5", "-0", " 3 ", "nan", "1e400", "1_000", "#", '"4"', "", "x",
+             " 5", "\x0c6", "١"]
+    p, m, l = tmp_path / "d.csv", tmp_path / "m.txt", tmp_path / "l.txt"
+    l.write_text("a\nb\na\nb\n", encoding="utf-8")
+    for _ in range(files):
+        width = rng.randint(1, max_width)
+        lines = []
+        for _ in range(rng.randint(0, 4)):
+            n = width + rng.choice([0] * 12 + [-1, 1])
+            lines.append([rng.choice(cells[:3] * 8 + cells) for _ in range(n)])
+            if rng.random() < 0.1:
+                lines.append([rng.choice(["", " "])])
+        end = rng.choice(["\n", "\r\n", "\r"])
+        li = rng.randrange(width)
+        header = ["label" if c == li else f"g{c}" for c in range(width)]
+        for row in lines:
+            if len(row) > li:
+                row[li] = rng.choice(["a", "b", " a ", '"b"', ""])
+        p.write_bytes(end.join(",".join(r) for r in [header] + lines).encode("utf-8") + b"\n")
+        want = _outcome(lambda: _load_csv_reference(p, "label"))
+        assert _outcome(lambda: load_dataset(p)) == want, p.read_bytes()
+        # a file the fast path takes must not lean on the cell path to be right
+        fast = _read_csv_fast(p, "label")
+        if fast is not None:
+            assert _parsed(fast) == _parsed(_read_csv_cells(p, "label")), p.read_bytes()
+        m.write_bytes(end.join(rng.choice([" ", "\t"]).join(r) for r in lines).encode("utf-8"))
+        want = _outcome(lambda: _load_matrix_reference(m, l))
+        assert _outcome(lambda: load_dataset(m, format="matrix", labels_path=l)) == want, (
+            m.read_bytes()
+        )
+        fast = _read_matrix_fast(m)
+        if fast is not None:
+            assert _parsed(fast) == _parsed(_read_matrix_cells(m)), m.read_bytes()
+
+
+def _parsed(result):
+    """A loader's matrix, or its (names, matrix, labels), as comparable bytes."""
+    if isinstance(result, np.ndarray):
+        return result.shape, result.tobytes()
+    names, X, labels = result
+    return names, X.shape, X.tobytes(), labels
+
+
 class TestLoaderMatchesCellReference:
     @pytest.mark.parametrize("case", sorted(CSV_CASES))
     def test_csv(self, tmp_path, case):
@@ -286,37 +342,131 @@ class TestLoaderMatchesCellReference:
 
     def test_random_files(self, tmp_path):
         # cells and line shapes drawn from the cases above, mixed at random
-        rng = random.Random(7)
-        cells = ["1", "2.5", "-0", " 3 ", "nan", "1e400", "1_000", "#", '"4"', "", "x",
-                 " 5", "\x0c6", "١"]
+        _compare_random_files(tmp_path, seed=7, files=300, max_width=3)
+
+    @pytest.mark.parametrize("piece_chars", [1, 3, 12])
+    def test_cases_in_small_pieces(self, tmp_path, monkeypatch, piece_chars):
+        # lines cut into pieces of a cell or a few at a time parse as whole lines do
+        monkeypatch.setattr(ecfs.data, "PIECE_CHARS", piece_chars)
         p, m, l = tmp_path / "d.csv", tmp_path / "m.txt", tmp_path / "l.txt"
-        l.write_text("a\nb\na\nb\n", encoding="utf-8")
-        for _ in range(300):
-            width = rng.randint(1, 3)
-            lines = []
-            for _ in range(rng.randint(0, 4)):
-                n = width + rng.choice([0] * 12 + [-1, 1])
-                lines.append([rng.choice(cells[:3] * 8 + cells) for _ in range(n)])
-                if rng.random() < 0.1:
-                    lines.append([rng.choice(["", " "])])
-            end = rng.choice(["\n", "\r\n", "\r"])
-            li = rng.randrange(width)
-            header = ["label" if c == li else f"g{c}" for c in range(width)]
-            for row in lines:
-                if len(row) > li:
-                    row[li] = rng.choice(["a", "b", " a ", '"b"', ""])
-            p.write_bytes(end.join(",".join(r) for r in [header] + lines).encode("utf-8") + b"\n")
-            want = _outcome(lambda: _load_csv_reference(p, "label"))
-            assert _outcome(lambda: load_dataset(p)) == want, p.read_bytes()
-            m.write_bytes(end.join(rng.choice([" ", "\t"]).join(r) for r in lines).encode("utf-8"))
+        l.write_text("a\nb\na\n", encoding="utf-8")
+        for text, label_col, fast in CSV_CASES.values():
+            p.write_bytes(text.encode("utf-8"))
+            want = _outcome(lambda: _load_csv_reference(p, label_col))
+            assert _outcome(lambda: load_dataset(p, label_col=label_col)) == want, text
+            assert (_read_csv_fast(p, label_col) is not None) == fast, text
+        for text, fast in MATRIX_CASES.values():
+            m.write_bytes(text.encode("utf-8"))
             want = _outcome(lambda: _load_matrix_reference(m, l))
-            assert _outcome(lambda: load_dataset(m, format="matrix", labels_path=l)) == want, (
-                m.read_bytes()
-            )
+            assert _outcome(lambda: load_dataset(m, format="matrix", labels_path=l)) == want, text
+            assert (_read_matrix_fast(m) is not None) == fast, text
+
+    @pytest.mark.parametrize("piece_chars", [1, 2, 5, 24])
+    def test_random_files_in_small_pieces(self, tmp_path, monkeypatch, piece_chars):
+        # wider rows, so a line is cut many times, and the label cell is found
+        # a piece at a time wherever it is; at 24 characters several short
+        # lines share one block, next to lines cut into pieces
+        monkeypatch.setattr(ecfs.data, "PIECE_CHARS", piece_chars)
+        _compare_random_files(tmp_path, seed=8 + piece_chars, files=100, max_width=8)
+
+    @pytest.mark.parametrize("piece_chars", [1, 4, 2**16])
+    def test_label_column_anywhere(self, tmp_path, monkeypatch, piece_chars):
+        # numeric labels, so a label cell cut out at the wrong comma would still
+        # parse: the fast path takes every file and gives the cell path's result
+        monkeypatch.setattr(ecfs.data, "PIECE_CHARS", piece_chars)
+        rng = np.random.default_rng(4)
+        width = 13
+        cells = rng.normal(size=(5, width)).round(3).astype(str)
+        p = tmp_path / "d.csv"
+        for li in range(width):
+            rows = cells.copy()
+            rows[:, li] = [str(7 + r % 2) for r in range(5)]
+            header = ["label" if c == li else f"g{c}" for c in range(width)]
+            p.write_text("\n".join(",".join(r) for r in [header] + rows.tolist()) + "\n",
+                         encoding="utf-8")
+            fast = _read_csv_fast(p, "label")
+            assert fast is not None
+            assert _parsed(fast) == _parsed(_read_csv_cells(p, "label"))
+            assert fast[2] == [str(7 + r % 2) for r in range(5)]
+
+    def test_line_count_is_the_text_mode_line_count(self, tmp_path):
+        # LF, CR LF and CR mixed, a last line with and without an end, and a
+        # CR LF or a CR at the end of the first block
+        rng = random.Random(3)
+        texts = ["", "a", "\n", "\r", "\r\n", "\n\r", "a\r\r\nb", "x\n\ny"]
+        texts += ["".join(rng.choice(["a", "\n", "\r", "\r\n", "é"])
+                          for _ in range(rng.randint(0, 30))) for _ in range(200)]
+        edge = "a" * (COUNT_BLOCK_BYTES - 1)
+        texts += [edge + "\r\n" + "b\r" * 3, edge + "\rb", edge + "\r"]
+        p = tmp_path / "t.txt"
+        for text in texts:
+            p.write_bytes(text.encode("utf-8"))
+            with open(p, encoding="utf-8") as fh:
+                assert _line_count(p) == sum(1 for _ in fh), text[:40]
+
+    def test_blank_lines_leave_no_unfilled_rows(self, tmp_path):
+        # the count pass counts blank lines too; their rows are trimmed in place
+        p = write_csv(tmp_path / "d.csv", "a,label\n\n1,x\n\n\n2,y\n\n")
+        m = write_csv(tmp_path / "m.txt", "\n1 2\n \n3 4\n\t\n")
+        l = write_csv(tmp_path / "l.txt", "x\ny\n")
+        for X, want in ((load_dataset(p).X, [[1.0], [2.0]]),
+                        (load_dataset(m, format="matrix", labels_path=l).X,
+                         [[1.0, 2.0], [3.0, 4.0]])):
+            assert X.tolist() == want
+            assert X.flags.c_contiguous and X.flags.owndata and not X.flags.writeable
+
+    @pytest.mark.parametrize("fmt", ["csv", "matrix"])
+    def test_short_lines_are_parsed_in_blocks(self, tmp_path, monkeypatch, fmt):
+        # one np.loadtxt call per block of about PIECE_CHARS characters, not
+        # one per line, so a tall file loads as fast as in one call
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(3000, 5))
+        y = np.arange(3000) % 2
+        if fmt == "csv":
+            p = tmp_path / "tall.csv"
+            p.write_text("a,b,c,d,e,label\n" + "".join(
+                ",".join(map(repr, row.tolist())) + f",{c}\n" for row, c in zip(X, y)))
+            load = lambda: load_dataset(p)
+        else:
+            p, l = tmp_path / "tall.txt", tmp_path / "labels.txt"
+            p.write_text("".join(" ".join(map(repr, row.tolist())) + "\n" for row in X))
+            l.write_text("".join(f"{c}\n" for c in y))
+            load = lambda: load_dataset(p, format="matrix", labels_path=l)
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        d = load()
+        assert d.X.tobytes() == X.tobytes() and d.y.tolist() == y.tolist()
+        assert len(calls) <= p.stat().st_size // ecfs.data.PIECE_CHARS + 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "matrix"])
+    def test_short_file_cannot_ask_for_a_large_matrix(self, tmp_path, fmt):
+        # a wide first line, then many one-cell lines: the matrix is allocated
+        # at no more rows than the file's size allows (one row per line would be
+        # 320 MB), and the cell path reports the ragged rows
+        width, lines = 20000, 2000
+        p = tmp_path / "ragged.txt"
+        if fmt == "csv":
+            p.write_text(",".join(f"g{c}" for c in range(width)) + "\n" + "1\n" * lines)
+            load = lambda: load_dataset(p, label_col=0)
+        else:
+            p.write_text(" ".join(["1"] * width) + "\n" + "1\n" * lines)
+            l = write_csv(tmp_path / "labels.txt", "a\nb\n" * (lines // 2 + 1))
+            load = lambda: load_dataset(p, format="matrix", labels_path=l)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetError, match=rf"^row \d has 1 cells, expected {width}$"):
+                load()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * p.stat().st_size
 
     def test_memory_per_cell(self, tmp_path):
-        # one Python string per cell cost about 110 B per cell; np.loadtxt's
-        # growth buffer peaks near 16, and the header strings add the rest
+        # one Python string per cell cost about 110 B per cell, and np.loadtxt's
+        # growth buffer about 16 on top of the matrix; the rows are now parsed a
+        # piece at a time into the matrix itself (8 B per cell), and the header's
+        # strings and names and one line of text add about 6.5
         T, n = 20, 20000
         rng = np.random.default_rng(0)
         X = rng.normal(size=(T, n))
@@ -332,7 +482,7 @@ class TestLoaderMatchesCellReference:
         finally:
             tracemalloc.stop()
         assert d.X.tobytes() == X.tobytes()
-        assert peak < 32 * T * n
+        assert peak < 16 * T * n
 
     def test_load_leaves_numpy_ma_unimported(self, tmp_path):
         # np.unique imports numpy.ma, some 10-20 ms and 1 MB of every command

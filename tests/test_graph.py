@@ -12,7 +12,8 @@ from ecfs import (
     power_iteration,
     score_features,
 )
-from oracles import mi_oracle, normalize_features
+from ecfs.graph import _run_ends
+from oracles import adjacency_product_oracle, mi_oracle, normalize_features
 
 
 def _ds(X, y):
@@ -431,10 +432,48 @@ class TestBuildAdjacency:
         adj = AdjacencyMatrix(f, m, np.zeros(2), 0.5)
         assert adj == adj and adj != AdjacencyMatrix(f, m, np.zeros(2), 0.5)
 
+    def test_shares_a_read_only_spread_vector_of_its_own(self):
+        # a read-only vector that owns its data, as score_features' spreads
+        # are, is kept without a copy (its owner must not make it writable
+        # again); a read-only view of a writable array is still copied
+        f, m = self._fm()
+        s = np.array([0.2, 0.5])
+        s.setflags(write=False)
+        assert AdjacencyMatrix(f, m, s, 0.5).s is s
+        view = np.array([0.2, 0.5, 0.1])[:2]
+        view.setflags(write=False)
+        assert AdjacencyMatrix(f, m, view, 0.5).s is not view
+
+    @pytest.mark.parametrize("kind", ["one feature", "all equal", "all distinct", "tie-heavy"])
+    def test_equal_spread_index_is_the_searchsorted_one(self, kind):
+        # each feature's sorted position is the last of its run of equal spreads,
+        # the integers np.searchsorted(..., side="right") - 1 gives; the
+        # tie-heavy spreads have runs at both ends, zeros of both signs at the
+        # bottom, and runs of one between
+        rng = np.random.default_rng(11)
+        n = 600
+        s = {
+            "one feature": np.array([0.5]),
+            "all equal": np.full(n, 0.25),
+            "all distinct": rng.random(n),
+            "tie-heavy": np.concatenate((
+                [0.0, -0.0] * 4, rng.integers(1, 60, n - 16) / 8.0, rng.random(4) + 8.0,
+                [9.0] * 4)),
+        }[kind]
+        rng.shuffle(s)
+        s_sorted = np.sort(s, kind="stable")
+        want = np.searchsorted(s_sorted, s_sorted, side="right") - 1
+        assert _run_ends(s_sorted).tolist() == want.tolist()
+        f, m = rng.random((2, s.shape[0]))
+        order, sorted_s, at_most = AdjacencyMatrix(f, m, s, 0.5)._sorted
+        assert sorted_s.tobytes() == s_sorted.tobytes()
+        assert at_most.tolist() == (np.searchsorted(s_sorted, s, side="right") - 1).tolist()
+
     def test_build_peaks_below_nine_vectors(self):
         # the rescaled fs and ms, the copy of s, and the sort: order, sorted s,
-        # positions at most and above, with one searchsorted temporary; 10.0
-        # vectors when the rescaled vectors were copied again
+        # and each feature's last position among equal spreads, scattered from
+        # one run-end temporary: 7.1 vectors (6.0 with searchsorted, whose - 1
+        # numpy did in place)
         n = 200_000
         rng = np.random.default_rng(2)
         f = rng.random(n)
@@ -485,6 +524,17 @@ class TestAdjacencyOperator:
         assert max(len(g) for g in groups.values()) > 1
         for members in groups.values():
             assert len(set(w[members].tolist())) == 1
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_in_place_product_has_the_bits_of_new_arrays(self, alpha):
+        # the product writes into three vectors in the order of operations of
+        # a new array per step, so every bit is the same
+        rng = np.random.default_rng(43)
+        for adj in (self._tied_operator(alpha), AdjacencyMatrix(*rng.random((3, 257)), alpha),
+                    AdjacencyMatrix(*rng.random((3, 1)), alpha)):
+            for v in (np.ones(adj.shape[0]), rng.random(adj.shape[0]),
+                      rng.random(2 * adj.shape[0])[::2]):
+                assert (adj @ v).tobytes() == adjacency_product_oracle(adj, v).tobytes()
 
     def test_zero_operator_is_degenerate_after_zero_iterations(self):
         zero_scores = np.zeros(5)

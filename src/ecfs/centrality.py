@@ -146,9 +146,8 @@ class FeatureScores:
 
         Raises what power_iteration raises.
         """
-        adjacency = AdjacencyMatrix(self.fisher, self.mutual_information, self.spreads, alpha)
-        eigen = power_iteration(adjacency, tol=tol, max_iter=max_iter)
-        return FeatureRanking(eigen.v0), eigen, adjacency
+        return _centrality(self.fisher, self.mutual_information, self.spreads, alpha, tol,
+                           max_iter)
 
     def ranking(self, method: str, alpha: float | None = None) -> FeatureRanking:
         """The ranking a method in METHODS gives; only ec_fs reads alpha."""
@@ -159,6 +158,14 @@ class FeatureScores:
                 raise ValueError("ec_fs needs an alpha in [0, 1]")
             return self.centrality(alpha)[0]
         return FeatureRanking(self.fisher if method == "fisher" else self.mutual_information)
+
+
+def _centrality(fisher, mi, spreads, alpha: float, tol: float, max_iter: int) -> tuple:
+    """FeatureScores.centrality of the score vectors alone, for a caller that
+    lets the rest of the FeatureScores, and the dataset it holds, go first."""
+    adjacency = AdjacencyMatrix(fisher, mi, spreads, alpha)
+    eigen = power_iteration(adjacency, tol=tol, max_iter=max_iter)
+    return FeatureRanking(eigen.v0), eigen, adjacency
 
 
 def score_features(d: Dataset, bins: int | None = None, rows=None) -> FeatureScores:

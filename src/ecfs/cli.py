@@ -22,12 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .centrality import PowerIterationError, score_features
+from .centrality import PowerIterationError, _centrality, score_features
 from .data import (
     Dataset,
     DatasetError,
     FeatureRanking,
     SyntheticSpec,
+    _names_at,
     generate_synthetic,
     load_dataset,
 )
@@ -252,16 +253,16 @@ def _write(text: str, path: str) -> None:
 _RANKS_PER_WRITE = 256
 
 
-def _ranking_blocks(d: Dataset, ranking: FeatureRanking):
+def _ranking_blocks(names, ranking: FeatureRanking):
     """(first rank, indices, names, scores) of each block of _RANKS_PER_WRITE
-    ranks, best first, as Python lists."""
+    ranks, best first, as Python lists, for a Dataset's feature_names names."""
     for a in range(0, ranking.n_features, _RANKS_PER_WRITE):
-        order = ranking.order[a:a + _RANKS_PER_WRITE].tolist()
-        yield (a, order, [d.feature_name(j) for j in order],
+        order = ranking.order[a:a + _RANKS_PER_WRITE]
+        yield (a, order.tolist(), _names_at(names, order),
                ranking.scores[a:a + _RANKS_PER_WRITE].tolist())
 
 
-def _write_rank_json(fh, report: dict, d: Dataset, ranking: FeatureRanking) -> None:
+def _write_rank_json(fh, report: dict, names, ranking: FeatureRanking) -> None:
     """Write _dump_json of the report with its ranking rows as dicts, byte for byte.
 
     Under indent, json encodes in pure Python, so the rows (one per feature) are
@@ -271,11 +272,11 @@ def _write_rank_json(fh, report: dict, d: Dataset, ranking: FeatureRanking) -> N
     # a newline never occurs inside an encoded string, so this is the top-level key
     head, tail = _dump_json({**report, "ranking": []}).split('\n  "ranking": []', 1)
     fh.write(head + '\n  "ranking": [\n')
-    for a, order, names, scores in _ranking_blocks(d, ranking):
+    for a, order, block, scores in _ranking_blocks(names, ranking):
         fh.write((",\n" if a else "") + ",\n".join(
             f'    {{\n      "index": {j},\n      "name": {encode_basestring_ascii(name)},\n'
             f'      "rank": {pos},\n      "score": {float.__repr__(score)}\n    }}'
-            for pos, j, name, score in zip(itertools.count(a), order, names, scores)
+            for pos, j, name, score in zip(itertools.count(a), order, block, scores)
         ))
     fh.write("\n  ]" + tail)
 
@@ -324,7 +325,13 @@ def _cmd_rank(args) -> int:
         alpha, chosen_c = cross_validate(d, protocol, protocol.seed)
     t0 = time.perf_counter()
     scores = score_features(d, protocol.bins)
-    ranking, eigen, adjacency = scores.centrality(alpha, tol=args.tol, max_iter=args.max_iter)
+    # keep what the solve and the report read, and let the dataset and the
+    # normalization statistics go: the solve's vectors then take the matrix's place
+    fisher, mi, spreads = scores.fisher, scores.mutual_information, scores.spreads
+    shape, names, label_names = d.X.shape, d.feature_names, d.label_names
+    bins, degenerate = scores.bins, scores.stats.degenerate_columns
+    del d, scores
+    ranking, eigen, adjacency = _centrality(fisher, mi, spreads, alpha, args.tol, args.max_iter)
     print(f"ranking time: {time.perf_counter() - t0:.3f}s (ranking only)", file=sys.stderr)
     if args.dump_adjacency:
         with _sink(args.dump_adjacency) as fh:
@@ -333,19 +340,19 @@ def _cmd_rank(args) -> int:
     if args.dump_scores:
         with _sink(args.dump_scores) as fh:
             _write_scores_json(fh, {
-                "fisher": ("fisher", scores.fisher),
-                "mutual_information": ("mutual_information", scores.mutual_information),
+                "fisher": ("fisher", fisher),
+                "mutual_information": ("mutual_information", mi),
                 "centrality": ("centrality", eigen.v0),
             })
     report = {
         "schema_version": 1,
         "command": "rank",
-        "n_samples": d.n_samples,
-        "n_features": d.n_features,
-        "label_mapping": list(d.label_names) if d.label_names else None,
+        "n_samples": shape[0],
+        "n_features": shape[1],
+        "label_mapping": list(label_names) if label_names else None,
         "config": {
             "alpha": "cv" if chosen_c is not None else alpha,
-            "bins": scores.bins,
+            "bins": bins,
             "seed": protocol.seed,
             "tol": args.tol,
             "max_iter": args.max_iter,
@@ -357,20 +364,20 @@ def _cmd_rank(args) -> int:
             "iterations": eigen.iterations,
             "residual": eigen.residual,
             "degenerate": eigen.degenerate,
-            "degenerate_features": scores.stats.degenerate_columns,
+            "degenerate_features": degenerate,
             "degenerate_fisher": adjacency.degenerate_fisher,
             "degenerate_mi": adjacency.degenerate_mi,
         },
     }
     with _sink(args.output) as fh:
         if args.output_format == "json":
-            _write_rank_json(fh, report, d, ranking)
+            _write_rank_json(fh, report, names, ranking)
         else:
             # the csv module quotes a name that holds a comma, quote or line break
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["rank", "index", "name", "score"])
-            for a, order, names, values in _ranking_blocks(d, ranking):
-                writer.writerows(zip(itertools.count(a), order, names, map(repr, values)))
+            for a, order, block, values in _ranking_blocks(names, ranking):
+                writer.writerows(zip(itertools.count(a), order, block, map(repr, values)))
     return 0
 
 

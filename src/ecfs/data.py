@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,8 +29,10 @@ class ClassCountError(DatasetError):
 
 # Passes over the columns of a T x n matrix (normalization sums, Fisher, spreads,
 # mutual information) run in blocks of about this many cells, so that none of
-# them allocates a temporary the size of the matrix.
-CHUNK_CELLS = 2**16
+# them allocates a temporary the size of the matrix. A scoring block holds the
+# gathered block and about two more block-sized temporaries at a time, so 2^14
+# cells (128 KiB each) keep that working set under 0.5 MB.
+CHUNK_CELLS = 2**14
 
 
 def column_blocks(n: int, cells_per_column: int) -> list[slice]:
@@ -96,7 +99,8 @@ class Dataset:
 
     X is T x n float64, y holds labels from the contiguous set {0..C-1} with
     every class present and C >= 2. Optional feature_names/label_names record
-    the source header and the original label values in mapping order.
+    the source header and the original label values in mapping order. The CSV
+    loader holds the names as a _Names table, which reads as their tuple.
 
     The constructor copies X, so the caller's array stays its own and stays
     writable. The loaders instead hand over the array they have just built
@@ -166,9 +170,86 @@ class Dataset:
         return int(self.y.max()) + 1
 
     def feature_name(self, i: int) -> str:
+        """The name of feature i (negative i counts from the end), f{i} when
+        there are no names."""
         if self.feature_names is not None:
             return self.feature_names[i]
-        return f"f{i}"
+        return f"f{range(self.n_features)[i]}"
+
+
+class _Names(Sequence):
+    """Feature names held as one UTF-8 string and the offsets of the commas
+    around each name, with no str per name: a CSV header's cells less the
+    label's.
+
+    Name i is the text between offsets i and i + 1, stripped as the csv path
+    strips a header cell. It reads as the tuple of its names: len, indexing
+    (a slice gives a tuple), iteration, and equality with a tuple or another
+    _Names, name by name.
+    """
+
+    __slots__ = ("_text", "_bounds")
+
+    def __init__(self, text: bytes, bounds: np.ndarray) -> None:
+        self._text, self._bounds = text, bounds
+
+    @classmethod
+    def _from_header(cls, head: str, label: int) -> "_Names":
+        """The comma-separated cells of a header line with no quote, less the
+        cell at index label."""
+        text = head.encode()
+        # a comma byte never occurs inside a multi-byte UTF-8 character
+        commas = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord(","))
+        bounds = np.concatenate(([-1], commas, [len(text)]))
+        a, b = int(bounds[label]), int(bounds[label + 1])
+        if label + 2 == bounds.shape[0]:
+            # the last cell: cut it and the comma before it
+            return cls(text[:a], bounds[:label + 1])
+        # cut the cell and the comma after it, and close the gap in the offsets
+        bounds[label + 2:] -= b - a
+        return cls(text[:a + 1] + text[b + 1:], np.delete(bounds, label + 1))
+
+    def _take(self, indices: np.ndarray) -> list[str]:
+        """The names at indices, an array of indices in 0..len - 1, from one
+        gather of their offsets."""
+        text = self._text
+        return [text[a + 1:b].decode().strip()
+                for a, b in self._bounds[np.add.outer(indices, (0, 1))].tolist()]
+
+    def __len__(self) -> int:
+        return self._bounds.shape[0] - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._take(np.arange(*i.indices(len(self)))))
+        return self._take(np.array([range(len(self))[i]]))[0]
+
+    def __iter__(self):
+        # a block of names at a time, each from one gather
+        for a in range(0, len(self), 1024):
+            yield from self._take(np.arange(a, min(a + 1024, len(self))))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _Names)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _names_at(names, indices: np.ndarray) -> list[str]:
+    """The names of the features at indices, an index array, under a
+    Dataset's feature_names: a _Names table's by one gather of offsets, a
+    tuple's entry by entry, and f{i} when there are none."""
+    if isinstance(names, _Names):
+        return names._take(indices)
+    if names is None:
+        return [f"f{i}" for i in indices.tolist()]
+    return [names[i] for i in indices.tolist()]
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -357,7 +438,24 @@ def load_dataset(
     raise DatasetError(f"unknown format {format!r}, expected 'csv' or 'matrix'")
 
 
-def _label_index(header: list[str], label_col: str | int) -> int:
+def _header_label_index(head: str, width: int, label_col: str | int) -> int:
+    """_label_index of the stripped cells of head, a header line of width
+    comma-separated cells and no quote, found with no str per cell."""
+    # a stripped cell never starts or ends with whitespace, nor holds a comma
+    if isinstance(label_col, str) and label_col == label_col.strip() and "," not in label_col:
+        # blanks, the name, blanks, then a comma or the end; \s matches the
+        # characters str.strip removes
+        cell = r"\s*" + (re.escape(label_col) + r"\s*" if label_col else "") + r"(?=,|\Z)"
+        if re.match(cell, head):
+            return 0
+        # from comma to comma, which is far faster than a search at every position
+        if found := re.search("," + cell, head):
+            return head.count(",", 0, found.start()) + 1
+    # no cell is named label_col: a position, as in a header of unnamed columns
+    return _label_index(range(width), label_col)
+
+
+def _label_index(header: Sequence, label_col: str | int) -> int:
     if isinstance(label_col, str) and label_col in header:
         return header.index(label_col)
     try:
@@ -536,13 +634,14 @@ def _read_csv_fast(path: Path, label_col: str | int):
     A first pass over the bytes counts the lines (_line_count), and the matrix
     is allocated once, at no more rows than the file's size allows. Then each
     data line is checked, its label cell is cut out, and its feature cells
-    are parsed into the line's row (_Rows). Returns None wherever the result
-    could differ from _read_csv_cells: a quote (the csv module unquotes cells)
-    or a NUL (which it rejects before Python 3.11), a line whose comma count
-    differs from the header's, a blank or one-column header, no data row, a
-    label column that is not found, or a cell that np.loadtxt rejects
-    (including ones float() accepts, like 1_000). The cell path then parses
-    the file again and raises its usual errors.
+    are parsed into the line's row (_Rows). The names are held as one string
+    (_Names): the header is never split into one str per cell. Returns None
+    wherever the result could differ from _read_csv_cells: a quote (the csv
+    module unquotes cells) or a NUL (which it rejects before Python 3.11), a
+    line whose comma count differs from the header's, a blank or one-column
+    header, no data row, a label column that is not found, or a cell that
+    np.loadtxt rejects (including ones float() accepts, like 1_000). The cell
+    path then parses the file again and raises its usual errors.
     """
     # an upper bound on the data rows: blank lines are skipped, their rows trimmed
     rows = _line_count(path) - 1
@@ -552,12 +651,12 @@ def _read_csv_fast(path: Path, label_col: str | int):
             head = fh.readline()
             if '"' in head or "\0" in head:
                 return None
-            header = [h.strip() for h in head.split(",")]
-            del head
-            if len(header) < 2 or rows < 1:
+            commas = head.count(",")
+            if commas < 1 or rows < 1:
                 return None
-            li = _label_index(header, label_col)
-            commas = len(header) - 1
+            li = _header_label_index(head, commas + 1, label_col)
+            names = _Names._from_header(head, li)
+            del head
             # a data line the fast path takes holds its commas and a line end or
             # more cells, so a short file cannot ask for a large matrix
             X = np.empty((min(rows, path.stat().st_size // (commas + 1)), commas))
@@ -594,8 +693,7 @@ def _read_csv_fast(path: Path, label_col: str | int):
             return None
     if not labels:
         return None
-    del header[li]
-    return tuple(header), _trimmed(X, len(labels)), labels
+    return names, _trimmed(X, len(labels)), labels
 
 
 def _read_csv_cells(path: Path, label_col: str | int):

@@ -57,9 +57,9 @@ def _fisher_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     (1e-12)."""
     out = np.zeros(num.shape[0])
     ok = den > 0
-    out[ok] = num[ok] / den[ok]
-    floored = ~ok & (num > 0)
-    out[floored] = num[floored] / VARIANCE_FLOOR
+    # divided in place where chosen, with no gathered copies of num and den
+    np.divide(num, den, out=out, where=ok)
+    np.divide(num, VARIANCE_FLOOR, out=out, where=~ok & (num > 0))
     out.setflags(write=False)
     return out
 

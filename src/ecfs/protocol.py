@@ -49,8 +49,9 @@ class Protocol:
     training side, all drawn from `seed`.
 
     The counts (each cardinality, bins, folds, cv_cardinality, epochs, repeats
-    and seed) must be integers; fixed_c, train_fraction and the grids' values
-    must be real numbers; methods, cardinalities, alpha_grid and c_grid are
+    and seed) must be integers; alpha (unless "cv"), fixed_c, train_fraction
+    and the grids' values must be real numbers; a bool is neither, since the
+    report would print it as true or false; methods, cardinalities, alpha_grid and c_grid are
     sequences, never a bare string, held as tuples. ProtocolError (a
     ValueError) names every rule the values break. The rules that need the data
     stay with it: each k below the feature count, binary labels, enough samples
@@ -96,10 +97,10 @@ class Protocol:
                 yield "methods", f"{{name}} must name each method once, got {methods}"
         if message := _sequence_rule(self.cardinalities):
             yield "cardinalities", message
-        elif not self.cardinalities or not all(isinstance(k, numbers.Integral) and k >= 1
+        elif not self.cardinalities or not all(_integer(k) and k >= 1
                                                for k in self.cardinalities):
             yield "cardinalities", "{name} must be positive integers"
-        if not isinstance(self.alpha, numbers.Real):
+        if not _real(self.alpha):
             if self.alpha != "cv":
                 yield "alpha", f"{{name}} must be a number or 'cv', got {self.alpha!r}"
         elif not 0.0 <= self.alpha <= 1.0:
@@ -131,8 +132,18 @@ class Protocol:
             yield "train_fraction", f"{{name}} must be in (0, 1), got {self.train_fraction}"
         if message := _count_rule(self.repeats, 1, "positive"):
             yield "repeats", message
-        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**63):
+        if not (_integer(self.seed) and 0 <= self.seed < 2**63):
             yield "seed", f"{{name}} must be a non-negative 63-bit integer, got {self.seed}"
+
+
+def _integer(value) -> bool:
+    """Whether value is an integer and not a bool, which Python counts as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    """Whether value is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _sequence_rule(value, of_numbers: bool = False) -> str | None:
@@ -143,14 +154,14 @@ def _sequence_rule(value, of_numbers: bool = False) -> str | None:
         return f"{{name}} must be a sequence, not the string {value!r}"
     if not isinstance(value, tuple):
         return f"{{name}} must be a sequence, got {value!r}"
-    if of_numbers and not all(isinstance(v, numbers.Real) for v in value):
+    if of_numbers and not all(_real(v) for v in value):
         return f"{{name}} values must be numbers, got {value!r}"
     return None
 
 
 def _number_rule(value) -> str | None:
     """The message for a field whose value is not a real number, or None."""
-    if not isinstance(value, numbers.Real):
+    if not _real(value):
         return f"{{name}} must be a number, got {value!r}"
     return None
 
@@ -158,7 +169,7 @@ def _number_rule(value) -> str | None:
 def _count_rule(value, least: int, bound: str) -> str | None:
     """The message for a count field whose value is not an integer of at least
     least (bound says so in words), or None when it is one."""
-    if not isinstance(value, numbers.Integral):
+    if not _integer(value):
         return f"{{name}} must be an integer, got {value!r}"
     if value < least:
         return f"{{name}} must be {bound}, got {value}"

@@ -454,6 +454,22 @@ class TestEcfsRank:
             tracemalloc.stop()
         assert peak < 0.3 * d.X.nbytes
 
+    def test_scoring_working_set_stays_under_half_a_megabyte(self):
+        # above the vectors it keeps, the pass holds one gathered block and about
+        # two block-sized temporaries at a time: 0.42 MB in 2^14-cell blocks,
+        # 1.44 MB in 2^16-cell blocks
+        rng = np.random.default_rng(0)
+        d = Dataset(rng.normal(size=(100, 10_000)), np.arange(100) % 2)
+        score_features(d)
+        tracemalloc.start()
+        try:
+            scores = score_features(d)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scores.fisher.shape == (10_000,)
+        assert peak - kept <= 0.5 * 2**20
+
     def test_single_seed_recovery(self):
         d, inf = generate_synthetic(SyntheticSpec(200, 500, 20, 2.0, 1.0, seed=0))
         hits = len(set(int(i) for i in score_features(d).ranking("ec_fs", 0.5).top(50)) & inf)

@@ -21,8 +21,10 @@ from ecfs import (
     load_dataset,
     score_features,
 )
+from ecfs.cli import _binarize
 from ecfs.data import (
     COUNT_BLOCK_BYTES,
+    _Names,
     _line_count,
     _map_labels,
     _read_csv_cells,
@@ -38,6 +40,7 @@ from oracles import (
     normalization_oracle,
     normalize_features,
     spreads_oracle,
+    subset,
 )
 
 
@@ -465,8 +468,9 @@ class TestLoaderMatchesCellReference:
     def test_memory_per_cell(self, tmp_path):
         # one Python string per cell cost about 110 B per cell, and np.loadtxt's
         # growth buffer about 16 on top of the matrix; the rows are now parsed a
-        # piece at a time into the matrix itself (8 B per cell), and the header's
-        # strings and names and one line of text add about 6.5
+        # piece at a time into the matrix itself (8 B per cell), and the header
+        # line, the names held as one string with their offsets, and one line of
+        # text add about 3 (5.5 with one str per name)
         T, n = 20, 20000
         rng = np.random.default_rng(0)
         X = rng.normal(size=(T, n))
@@ -482,7 +486,7 @@ class TestLoaderMatchesCellReference:
         finally:
             tracemalloc.stop()
         assert d.X.tobytes() == X.tobytes()
-        assert peak < 16 * T * n
+        assert peak < 12 * T * n
 
     def test_load_leaves_numpy_ma_unimported(self, tmp_path):
         # np.unique imports numpy.ma, some 10-20 ms and 1 MB of every command
@@ -730,5 +734,62 @@ class TestDatasetInvariants:
             score_features(three, rows=np.array([0, 1, 3, 4]))  # drops the last class
 
     def test_feature_name_fallback(self):
-        d = _ds([[1.0, 2.0], [3.0, 4.0]], [0, 1])
-        assert d.feature_name(1) == "f1"
+        d = _ds([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [0, 1])
+        assert [d.feature_name(i) for i in (0, 1, 2, -1, -3)] == ["f0", "f1", "f2", "f2", "f0"]
+        with pytest.raises(IndexError):
+            d.feature_name(3)
+
+
+# header cells: padded, non-ASCII (a no-break space is whitespace to str.strip),
+# duplicated, blank, and one that reads as a column index
+NAME_CELLS = [" pad ", "caf\u00e9", "\u2603 snow", "dup", "dup", "\tx\u00a0", "", "\U0001f600", "1"]
+NAMES = tuple(cell.strip() for cell in NAME_CELLS)
+
+
+def _names_csv(path, li: int):
+    """A CSV of the header cells NAME_CELLS with the label column at position li."""
+    rng = np.random.default_rng(li)
+    header = NAME_CELLS[:li] + ["label"] + NAME_CELLS[li:]
+    rows = rng.normal(size=(6, len(NAME_CELLS))).round(3).astype(str).tolist()
+    lines = [",".join(row[:li] + [str(r % 3)] + row[li:]) for r, row in enumerate(rows)]
+    path.write_text("\n".join([",".join(header)] + lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestFeatureNames:
+    @pytest.mark.parametrize("li", [0, 4, len(NAME_CELLS)])
+    def test_fast_and_cell_paths_give_the_same_names(self, tmp_path, li):
+        p = _names_csv(tmp_path / "d.csv", li)
+        fast = _read_csv_fast(p, "label")
+        assert isinstance(fast[0], _Names)
+        assert _parsed(fast) == _parsed(_read_csv_cells(p, "label"))
+        names = load_dataset(p).feature_names
+        assert names == NAMES and NAMES == names and names != list(NAMES)
+        assert (len(names), list(names), names[2:4], hash(names)) == (
+            len(NAMES), list(NAMES), NAMES[2:4], hash(NAMES))
+        assert repr(names) == repr(NAMES)
+
+    @pytest.mark.parametrize("label_col", ["1", "2", 3, "dup"])
+    def test_label_column_by_name_before_position(self, tmp_path, label_col):
+        # a header cell named "1" is the label column "1"; "2" is a position
+        p = tmp_path / "d.csv"
+        p.write_text("a, 1 ,b,dup,c\n1,0,2,3,4\n5,1,6,0,8\n", encoding="utf-8")
+        fast = _read_csv_fast(p, label_col)
+        assert fast is not None
+        assert _parsed(fast) == _parsed(_read_csv_cells(p, label_col))
+
+    def test_feature_name_from_either_end(self, tmp_path):
+        p = _names_csv(tmp_path / "d.csv", 4)
+        n = len(NAMES)
+        for d in (load_dataset(p), Dataset(load_dataset(p).X, [0, 1, 2] * 2, NAMES)):
+            assert [d.feature_name(i) for i in (0, n - 1, -1, -n, 3)] == [
+                NAMES[0], NAMES[-1], NAMES[-1], NAMES[0], NAMES[3]]
+            with pytest.raises(IndexError):
+                d.feature_name(n)
+
+    def test_names_carry_into_derived_datasets(self, tmp_path):
+        d = load_dataset(_names_csv(tmp_path / "d.csv", 2))
+        assert _binarize(d, "1").feature_names == NAMES
+        assert subset(d, [0, 1, 2, 5]).feature_names == NAMES
+        assert normalize_features(d)[0].feature_names == NAMES
+        assert score_features(d, rows=np.arange(4, -1, -1)).source.feature_names == NAMES

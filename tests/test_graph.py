@@ -295,7 +295,8 @@ class TestMutualInformation:
         assert (position[0::2] < position[1::2]).all()
 
     def test_memory_does_not_grow_with_feature_count(self):
-        # X alone is 48 MB; the chunked pass keeps its temporaries near CHUNK_CELLS cells
+        # X alone is 48 MB; the chunked pass keeps its temporaries near CHUNK_CELLS
+        # (2^14) cells, a few 128 KiB blocks
         rng = np.random.default_rng(13)
         d = _ds(rng.random((30, 200_000)), np.arange(30) % 2)
         tracemalloc.start()

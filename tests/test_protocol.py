@@ -14,7 +14,9 @@ from ecfs.protocol import ProtocolError
 BIG = 10**400
 
 # (field, bad value, its command-line text, the message with {name} for the field);
-# a value that is not an integer has no text, since the flags parse integers
+# a value that is not an integer has no text, since the flags parse integers, and
+# neither has a bool, which Python counts as an integer but a report would print
+# as true or false
 RULES = [
     ("methods", (), ",", "{name} must name at least one method"),
     ("methods", ("relief",), "relief",
@@ -27,32 +29,44 @@ RULES = [
     ("cardinalities", (5.7,), None, "{name} must be positive integers"),
     ("cardinalities", "50", None, "{name} must be a sequence, not the string '50'"),
     ("cardinalities", 50, None, "{name} must be a sequence, got 50"),
+    ("cardinalities", (True, 5), None, "{name} must be positive integers"),
     ("alpha", "foo", "foo", "{name} must be a number or 'cv', got 'foo'"),
     ("alpha", 1.5, "1.5", "{name} must be in [0, 1] or 'cv', got 1.5"),
+    ("alpha", True, None, "{name} must be a number or 'cv', got True"),
     ("fixed_c", 0.0, "0", "{name} must be positive and finite, got 0.0"),
     ("fixed_c", "1", None, "{name} must be a number, got '1'"),
+    ("fixed_c", True, None, "{name} must be a number, got True"),
     ("bins", 1, "1", "{name} must be at least 2, got 1"),
     ("bins", BIG, str(BIG), f"{{name}} must convert to a finite float, got {BIG}"),
     ("bins", 2.5, None, "{name} must be an integer, got 2.5"),
+    ("bins", True, None, "{name} must be an integer, got True"),
     ("alpha_grid", (0.5, 1.5), "0.5,1.5", "{name} values must lie in [0, 1]"),
     ("alpha_grid", ("x",), None, "{name} values must be numbers, got ('x',)"),
+    ("alpha_grid", (False, 0.5), None, "{name} values must be numbers, got (False, 0.5)"),
     ("alpha_grid", "0.5", None, "{name} must be a sequence, not the string '0.5'"),
     ("c_grid", (0.0,), "0", "{name} values must be positive and finite"),
     ("c_grid", (None,), None, "{name} values must be numbers, got (None,)"),
+    ("c_grid", (True,), None, "{name} values must be numbers, got (True,)"),
     ("c_grid", "1", None, "{name} must be a sequence, not the string '1'"),
     ("folds", 1, "1", "{name} must be at least 2, got 1"),
     ("folds", 2.5, None, "{name} must be an integer, got 2.5"),
     ("folds", "5", None, "{name} must be an integer, got '5'"),
+    ("folds", True, None, "{name} must be an integer, got True"),
     ("cv_cardinality", 0, "0", "{name} must be positive, got 0"),
     ("cv_cardinality", 2.5, None, "{name} must be an integer, got 2.5"),
+    ("cv_cardinality", True, None, "{name} must be an integer, got True"),
     ("epochs", 0, "0", "{name} must be positive, got 0"),
     ("epochs", 1.5, None, "{name} must be an integer, got 1.5"),
+    ("epochs", True, None, "{name} must be an integer, got True"),
     ("train_fraction", 1.0, "1", "{name} must be in (0, 1), got 1.0"),
     ("train_fraction", "0.5", None, "{name} must be a number, got '0.5'"),
+    ("train_fraction", True, None, "{name} must be a number, got True"),
     ("repeats", 0, "0", "{name} must be positive, got 0"),
     ("repeats", 2.0, None, "{name} must be an integer, got 2.0"),
+    ("repeats", True, None, "{name} must be an integer, got True"),
     ("seed", 2**63, str(2**63), f"{{name}} must be a non-negative 63-bit integer, got {2**63}"),
     ("seed", 1.5, None, "{name} must be a non-negative 63-bit integer, got 1.5"),
+    ("seed", False, None, "{name} must be a non-negative 63-bit integer, got False"),
 ]
 IDS = [f"{field}-{(text or repr(bad))[:8]}" for field, bad, text, _ in RULES]
 

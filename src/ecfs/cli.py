@@ -59,8 +59,8 @@ def _add_cv_flags(p: argparse.ArgumentParser) -> None:
                    help="comma-separated alpha candidates for --alpha cv")
     p.add_argument("--c-grid", default=None,
                    help="comma-separated C candidates for --alpha cv")
-    p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
-    p.add_argument("--cv-cardinality", type=int, default=100,
+    p.add_argument("--folds", type=int, help="cross-validation folds")
+    p.add_argument("--cv-cardinality", type=int,
                    help="feature count used while scoring fold candidates")
 
 
@@ -72,14 +72,13 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 def _add_resample_flags(p: argparse.ArgumentParser) -> None:
     """Flags evaluate and stability share: the repeated-split protocol."""
     _add_data_flags(p)
-    p.add_argument("--alpha", default="0.5")
+    p.add_argument("--alpha")
     p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--cardinalities", default="50,100,150,200",
-                   help="comma-separated top-k sizes to score")
-    p.add_argument("--train-fraction", type=float, default=2.0 / 3.0)
-    p.add_argument("--repeats", type=int, default=100)
-    p.add_argument("--methods", default="ec_fs,fisher,mi")
-    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--cardinalities", help="comma-separated top-k sizes to score")
+    p.add_argument("--train-fraction", type=float)
+    p.add_argument("--repeats", type=int)
+    p.add_argument("--methods")
+    p.add_argument("--epochs", type=int)
     p.add_argument("--workers", type=int, default=1,
                    help="processes over chunks of repeats (serial where os.fork is "
                         "unavailable); output does not depend on it")
@@ -94,14 +93,14 @@ def _build_parser() -> _Parser:
 
     p_rank = sub.add_parser("rank", help="rank all features on one dataset")
     _add_data_flags(p_rank)
-    p_rank.add_argument("--alpha", default="0.5",
+    p_rank.add_argument("--alpha",
                         help="mixing weight in [0,1], or 'cv' to pick it by cross-validation")
     p_rank.add_argument("--bins", type=int, default=None,
                         help="histogram bins for the mutual information score")
     p_rank.add_argument("--tol", type=float, default=1e-10, help="eigensolver residual tolerance")
     p_rank.add_argument("--max-iter", type=int, default=10000, help="eigensolver sweep budget")
     _add_cv_flags(p_rank)
-    p_rank.add_argument("--epochs", type=int, default=50,
+    p_rank.add_argument("--epochs", type=int,
                         help="classifier epochs used inside cross-validation")
     p_rank.add_argument("--seed", type=int, default=None,
                         help=f"master seed (default: ${ENV_SEED} or 0)")
@@ -114,7 +113,7 @@ def _build_parser() -> _Parser:
 
     p_eval = sub.add_parser("evaluate", help="repeated-split AUC / stability / significance")
     _add_resample_flags(p_eval)
-    p_eval.add_argument("--fixed-c", type=float, default=1.0,
+    p_eval.add_argument("--fixed-c", type=float,
                         help="classifier C when alpha is fixed, and for baselines")
     p_eval.add_argument("--positive-class", default=None,
                         help="for multiclass data: evaluate this class against the rest")
@@ -165,16 +164,18 @@ def _flag(field: str) -> str:
 
 
 def _check_flags(args) -> tuple[Protocol | None, list[str]]:
-    """The Protocol the command's flags spell (the rest at their defaults), and
+    """The Protocol the given flags spell (the rest at Protocol's defaults), and
     the flag errors: each text that does not parse, each broken Protocol rule
     under its flag, and the checks of the command line alone. The Protocol is
     None when a rule is broken."""
     errors: list[str] = []
-    values = {f.name: getattr(args, f.name) for f in fields(Protocol) if hasattr(args, f.name)}
+    values = {f.name: getattr(args, f.name) for f in fields(Protocol)
+              if getattr(args, f.name, None) is not None}
     values["seed"] = _resolve_seed(args, errors)
-    values["alpha"] = _parse_alpha(args.alpha)
+    if "alpha" in values:
+        values["alpha"] = _parse_alpha(values["alpha"])
     if "methods" in values:
-        values["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
+        values["methods"] = [m.strip() for m in values["methods"].split(",") if m.strip()]
     for field, cast in _LIST_FIELDS.items():
         text = values.pop(field, None)
         if text is None:
@@ -425,7 +426,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_stability(args) -> int:
     protocol, errors = _check_flags(args)
-    if args.repeats < 2:
+    if args.repeats is not None and args.repeats < 2:
         errors.append("--repeats must be at least 2 for stability")
     if errors:
         return _fail(errors)

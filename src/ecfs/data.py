@@ -549,38 +549,31 @@ class _Rows:
         self.block: list[str] = []
         self.chars = 0
 
-    def add_line(self, line: str, spans) -> None:
-        """Parse the cells of line in the (start, stop) spans into the next
-        row, a piece at a time."""
-        self.flush()
-        if self.filled == self.X.shape[0]:
-            raise ValueError("more rows than the file's size allows")
-        _fill(self.X[self.filled], line, spans, self.sep)
-        self.filled += 1
-
-    def add_cells(self, cells: str) -> None:
-        """Queue a short line of cells for the next row."""
+    def add(self, line: str, label: tuple[int, int] | None = None) -> None:
+        """Parse the cells of line into the next row: all of them, or every
+        cell but the label's, line[start:stop] for label = (start, stop)."""
+        if len(line) > PIECE_CHARS:
+            self.flush()
+            if self.filled == self.X.shape[0]:
+                raise ValueError("more rows than the file's size allows")
+            # the spans on either side of the label and its commas; one is
+            # empty when the label is the first or the last cell
+            spans = ((0, len(line)),) if label is None else (
+                (0, label[0] - 1), (label[1] + 1, len(line)))
+            _fill(self.X[self.filled], line, spans, self.sep)
+            self.filled += 1
+            return
+        if label is not None:
+            # the cells on either side of the label, joined by a comma
+            start, stop = label
+            line = line[stop + 1:] if start == 0 else line[:start - 1] + line[stop:]
         # np.loadtxt would skip a blank line, and the rows would shift
-        if not cells or cells.isspace():
+        if not line or line.isspace():
             raise ValueError("a row with no cells")
-        self.block.append(cells)
-        self.chars += len(cells)
+        self.block.append(line)
+        self.chars += len(line)
         if self.chars >= PIECE_CHARS:
             self.flush()
-
-    def add_lines(self, lines: list[str]) -> None:
-        """Parse lines of cells, none blank, into the next rows."""
-        if max(map(len, lines), default=0) <= PIECE_CHARS:
-            self.block += lines
-            self.chars += sum(map(len, lines))
-            if self.chars >= PIECE_CHARS:
-                self.flush()
-        else:
-            for line in lines:
-                if len(line) <= PIECE_CHARS:
-                    self.add_cells(line)
-                else:
-                    self.add_line(line, ((0, len(line)),))
 
     def flush(self) -> None:
         """Parse the queued lines into their rows."""
@@ -666,26 +659,13 @@ def _read_csv_fast(path: Path, label_col: str | int):
                     continue
                 if line.count(",") != commas or '"' in line or "\0" in line:
                     return None
-                if len(line) <= PIECE_CHARS and li in (0, commas):
-                    # one split at the label's comma gives the label and the cells
-                    if li:
-                        cells, label = line.rsplit(",", 1)
-                    else:
-                        label, cells = line.split(",", 1)
-                    parsed.add_cells(cells)
+                if li == commas:
+                    start = line.rfind(",") + 1
                 else:
-                    if li == commas:
-                        start = line.rfind(",") + 1
-                    else:
-                        start = _nth_comma(line, li - 1) + 1 if li else 0
-                    stop = line.find(",", start) if li < commas else len(line)
-                    label = line[start:stop]
-                    if len(line) <= PIECE_CHARS:
-                        # the cells on either side of the label, joined by a comma
-                        parsed.add_cells(line[:start - 1] + line[stop:])
-                    else:
-                        parsed.add_line(line, ((0, start - 1), (stop + 1, len(line))))
-                labels.append(label.strip())
+                    start = _nth_comma(line, li - 1) + 1 if li else 0
+                stop = line.find(",", start) if li < commas else len(line)
+                labels.append(line[start:stop].strip())
+                parsed.add(line, (start, stop))
                 # let the line go before the next one is read and joined
                 del line
             parsed.flush()
@@ -743,22 +723,21 @@ def _read_matrix_fast(path: Path) -> np.ndarray | None:
     parsed = None
     with open(path, encoding="utf-8") as fh:
         try:
-            # lines of about PIECE_CHARS characters in all, and at least one
-            while batch := fh.readlines(PIECE_CHARS):
-                lines = [line for line in batch if not line.isspace()]
-                del batch
-                if parsed is None and lines:
+            for line in fh:
+                if line.isspace():
+                    continue
+                if parsed is None:
                     # the first row sets the width w; a row of w cells takes at
                     # least 2 w - 1 characters
-                    first = np.concatenate(list(_pieces(lines[0], 0, len(lines[0]), None)))
+                    first = np.concatenate(list(_pieces(line, 0, len(line), None)))
                     w = first.shape[0]
                     X = np.empty((min(rows, path.stat().st_size // (2 * w - 1)), w))
                     X[0] = first
-                    del first, lines[0]
+                    del first
                     parsed = _Rows(X, None, filled=1)
-                if parsed is not None:
-                    parsed.add_lines(lines)
-                del lines
+                else:
+                    parsed.add(line)
+                del line
             if parsed is not None:
                 parsed.flush()
         except ValueError:  # a cell, a ragged row or undecodable bytes

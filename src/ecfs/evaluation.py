@@ -493,8 +493,8 @@ class _Repeat:
     """What one repeat keeps for the report: no rows and no full rankings, so memory
     stays flat in n_repeats."""
 
-    alpha: float | None  # the alpha ec_fs ranked at; None when ec_fs is not requested
-    C: float | None  # the cross-validated C; None at a fixed alpha or without ec_fs
+    alpha: float | None  # the alpha ec_fs ranked at; None under cv without ec_fs
+    C: float | None  # the C ec_fs trains at, cross-validated under cv; None without ec_fs
     tops: dict[str, np.ndarray]  # per method, the top k_max features, best first
 
 
@@ -505,13 +505,13 @@ def _repeat_body(d: Dataset, splits: list[tuple[np.ndarray, np.ndarray]], protoc
     reading the pair) is requested, then normalize and score the training rows
     alone in one score_features pass and rank every method from it; return the
     record and the scores, which hold the training rows' indices and statistics."""
-    cv = protocol.alpha == "cv"
+    cv, ec_fs = protocol.alpha == "cv", "ec_fs" in protocol.methods
     alpha = None if cv else float(protocol.alpha)
 
     def body(r: int) -> tuple[_Repeat, FeatureScores]:
         train = splits[r][0]
-        alpha_r, c_r = alpha, None
-        if cv and "ec_fs" in protocol.methods:
+        alpha_r, c_r = alpha, (protocol.fixed_c if ec_fs else None)
+        if cv and ec_fs:
             alpha_r, c_r = cross_validate(d, protocol, derive_seed(protocol.seed, r, 101), train)
         scores = score_features(d, protocol.bins, train)
         # a copy, so the record does not pin the full ranking
@@ -578,21 +578,19 @@ def run_evaluation(d: Dataset, protocol: Protocol, workers: int = 1) -> dict:
     splits = split_indices(d.y, protocol)
     body = _repeat_body(d, splits, protocol, ks[-1])
 
-    def one_chunk(chunk: range) -> list[tuple[_Repeat, float, dict[str, list[float]]]]:
-        reps, cs, groups = [], [], []
+    def one_chunk(chunk: range) -> list[tuple[_Repeat, dict[str, list[float]]]]:
+        reps, groups = [], []
         for r in chunk:
             rep, scores = body(r)
-            c_r = fixed_c if rep.C is None else rep.C
-            jobs = [(rep.tops[m][:k], c_r if m == "ec_fs" else fixed_c,
+            jobs = [(rep.tops[m][:k], rep.C if m == "ec_fs" else fixed_c,
                      derive_seed(seed, r, _METHOD_SEED[m], k)) for m in methods for k in ks]
             groups.append(_held_group(scores, jobs, splits[r][1]))
             reps.append(rep)
-            cs.append(c_r)
         aucs = [{m: flat[mi * len(ks):(mi + 1) * len(ks)] for mi, m in enumerate(methods)}
                 for flat in _heldout_aucs(groups, protocol.epochs)]
-        return list(zip(reps, cs, aucs))
+        return list(zip(reps, aucs))
 
-    results, cs, aucs = zip(*_map_chunks(one_chunk, protocol.repeats, workers))
+    results, aucs = zip(*_map_chunks(one_chunk, protocol.repeats, workers))
 
     auc_block: dict = {}
     for method in methods:
@@ -629,7 +627,7 @@ def run_evaluation(d: Dataset, protocol: Protocol, workers: int = 1) -> dict:
     report["auc"] = auc_block
     report["significance"] = significance
     if "ec_fs" in methods:
-        report["c_per_repeat"] = [float(c) for c in cs]
+        report["c_per_repeat"] = [float(res.C) for res in results]
     return report
 
 

@@ -52,16 +52,15 @@ def _fisher_terms(block: np.ndarray, members: list[np.ndarray]) -> tuple:
 
 
 def _fisher_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """The read-only Fisher scores num / den. A zero denominator gives 0 when
-    the numerator is 0 too, and otherwise the numerator over VARIANCE_FLOOR
-    (1e-12)."""
-    out = np.zeros(num.shape[0])
+    """The Fisher scores num / den, divided into num, which is returned
+    read-only. A zero denominator gives the numerator over VARIANCE_FLOOR
+    (1e-12): 0 when the numerator, a sum of squares, is 0 too."""
     ok = den > 0
     # divided in place where chosen, with no gathered copies of num and den
-    np.divide(num, den, out=out, where=ok)
-    np.divide(num, VARIANCE_FLOOR, out=out, where=~ok & (num > 0))
-    out.setflags(write=False)
-    return out
+    np.divide(num, den, out=num, where=ok)
+    np.divide(num, VARIANCE_FLOOR, out=num, where=~ok)
+    num.setflags(write=False)
+    return num
 
 
 def _ascending_sums(counts: np.ndarray, L: np.ndarray) -> np.ndarray:

@@ -470,6 +470,23 @@ class TestEcfsRank:
         assert scores.fisher.shape == (10_000,)
         assert peak - kept <= 0.5 * 2**20
 
+    def test_fisher_ratio_is_divided_into_its_numerator(self):
+        # at 4 x 200000 an n-vector (1.6 MB) outweighs the block temporaries:
+        # above the kept vectors the pass peaks at 12 n bytes, the denominator
+        # among them, and at 20 n when the ratio went to a new vector
+        n = 200_000
+        rng = np.random.default_rng(0)
+        d = Dataset(rng.normal(size=(4, n)), np.arange(4) % 2)
+        score_features(d)
+        tracemalloc.start()
+        try:
+            scores = score_features(d)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not scores.fisher.flags.writeable
+        assert peak - kept <= 13 * n
+
     def test_single_seed_recovery(self):
         d, inf = generate_synthetic(SyntheticSpec(200, 500, 20, 2.0, 1.0, seed=0))
         hits = len(set(int(i) for i in score_features(d).ranking("ec_fs", 0.5).top(50)) & inf)

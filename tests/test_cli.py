@@ -630,6 +630,16 @@ class TestEvaluate:
         assert report["config"]["positive_class"] == "b"
         assert "ec_fs" in report["auc"]
 
+    def test_flag_free_run_takes_the_protocol_defaults(self, tmp_path, monkeypatch):
+        # the command line holds no default of its own for a Protocol field
+        data, _ = _synth_csv(tmp_path, samples=20, features=5, informative=2, seed=6)
+        monkeypatch.delenv("ECFS_SEED", raising=False)
+        seen = []
+        monkeypatch.setattr(ev, "run_evaluation",
+                            lambda d, protocol, workers: seen.append(protocol) or {})
+        assert main(["evaluate", "--data", str(data), "--output", str(tmp_path / "e")]) == 0
+        assert seen == [Protocol(seed=0)]
+
     def test_wall_time_goes_to_stderr(self, tmp_path, capsys):
         data, _ = _synth_csv(tmp_path, samples=20, features=5, informative=2, seed=6)
         out = tmp_path / "e.json"

@@ -56,8 +56,6 @@ _EXPORTS = {
     "generate_synthetic": "data",
     "load_dataset": "data",
     "power_iteration": "centrality",
-    "rank_by_fisher": "baselines",
-    "rank_by_mi": "baselines",
     "roc_auc": "evaluation",
     "run_evaluation": "evaluation",
     "run_stability": "evaluation",

@@ -18,6 +18,10 @@ from .graph import (
 
 METHODS = ("ec_fs", "fisher", "mi")
 
+# power_iteration's residual tolerance and sweep budget, also rank's --tol and --max-iter
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 10000
+
 
 class PowerIterationError(RuntimeError):
     """Iteration budget exhausted before the residual dropped below tolerance.
@@ -51,7 +55,7 @@ class EigenResult:
     degenerate: bool = False
 
 
-def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult:
+def power_iteration(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> EigenResult:
     """Dominant right eigenpair of the feature graph A, an AdjacencyMatrix, by
     normalized power iteration.
 
@@ -118,16 +122,16 @@ def power_iteration(A, tol: float = 1e-10, max_iter: int = 10000) -> EigenResult
 class FeatureScores:
     """Fisher scores, mutual-information scores and spreads of rows of a dataset.
 
-    `source` is the dataset, `rows` a read-only copy of the scored rows'
-    indices into it and `y` their labels; `stats` are the normalization
-    statistics fitted on those rows, which map any of source's rows into the
-    representation the scores were taken in. No normalized matrix is held:
-    all three vectors come from score_features' one pass over the columns, and
+    `rows` is a read-only copy of the scored rows' indices into the dataset and
+    `y` their labels; `stats` are the normalization statistics fitted on those
+    rows, which map any of the dataset's rows into the representation the
+    scores were taken in. No reference to the dataset is held, so a caller that
+    drops its own lets the matrix go. No normalized matrix is held either: all
+    three vectors come from score_features' one pass over the columns, and
     every ranking taken from one instance (`ranking` or `centrality`, for any
     method and any alpha) shares that pass.
     """
 
-    source: Dataset
     rows: np.ndarray
     y: np.ndarray
     stats: NormalizationStats
@@ -137,7 +141,7 @@ class FeatureScores:
     spreads: np.ndarray
 
     def centrality(
-        self, alpha: float, tol: float = 1e-10, max_iter: int = 10000
+        self, alpha: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
     ) -> tuple[FeatureRanking, EigenResult, AdjacencyMatrix]:
         """The ec_fs ranking at alpha, with the eigenpair and the feature graph
         behind it: AdjacencyMatrix(fisher, mutual_information, spreads, alpha),
@@ -146,8 +150,9 @@ class FeatureScores:
 
         Raises what power_iteration raises.
         """
-        return _centrality(self.fisher, self.mutual_information, self.spreads, alpha, tol,
-                           max_iter)
+        adjacency = AdjacencyMatrix(self.fisher, self.mutual_information, self.spreads, alpha)
+        eigen = power_iteration(adjacency, tol=tol, max_iter=max_iter)
+        return FeatureRanking(eigen.v0), eigen, adjacency
 
     def ranking(self, method: str, alpha: float | None = None) -> FeatureRanking:
         """The ranking a method in METHODS gives; only ec_fs reads alpha."""
@@ -158,14 +163,6 @@ class FeatureScores:
                 raise ValueError("ec_fs needs an alpha in [0, 1]")
             return self.centrality(alpha)[0]
         return FeatureRanking(self.fisher if method == "fisher" else self.mutual_information)
-
-
-def _centrality(fisher, mi, spreads, alpha: float, tol: float, max_iter: int) -> tuple:
-    """FeatureScores.centrality of the score vectors alone, for a caller that
-    lets the rest of the FeatureScores, and the dataset it holds, go first."""
-    adjacency = AdjacencyMatrix(fisher, mi, spreads, alpha)
-    eigen = power_iteration(adjacency, tol=tol, max_iter=max_iter)
-    return FeatureRanking(eigen.v0), eigen, adjacency
 
 
 def score_features(d: Dataset, bins: int | None = None, rows=None) -> FeatureScores:
@@ -205,4 +202,4 @@ def score_features(d: Dataset, bins: int | None = None, rows=None) -> FeatureSco
     mi = _mutual_information(read, n, y, n_classes, bins)
     y.setflags(write=False)
     spreads.setflags(write=False)
-    return FeatureScores(d, rows, y, stats, bins, _fisher_ratio(num, den), mi, spreads)
+    return FeatureScores(rows, y, stats, bins, _fisher_ratio(num, den), mi, spreads)

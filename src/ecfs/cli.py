@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .centrality import PowerIterationError, _centrality, score_features
+from .centrality import DEFAULT_MAX_ITER, DEFAULT_TOL, PowerIterationError, score_features
 from .data import (
     Dataset,
     DatasetError,
@@ -66,24 +66,37 @@ def _add_cv_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default="-", help="output path, or - for stdout")
-    p.add_argument("--output-format", choices=("json", "csv"), default="json")
+    p.add_argument("--output-format", choices=("json", "csv"), default="json",
+                   help="report as JSON, or as a CSV table")
+
+
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    """Flags rank, evaluate and stability share, each with one help text: the
+    blend weight, MI's bin count, the classifier epochs and the master seed."""
+    p.add_argument("--alpha",
+                   help="mixing weight in [0,1], or 'cv' to pick it by cross-validation")
+    p.add_argument("--bins", type=int, default=None,
+                   help="histogram bins for the mutual information score")
+    p.add_argument("--epochs", type=int,
+                   help="classifier training epochs (rank trains classifiers only under "
+                        "--alpha cv)")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"master seed (default: ${ENV_SEED} or 0)")
 
 
 def _add_resample_flags(p: argparse.ArgumentParser) -> None:
     """Flags evaluate and stability share: the repeated-split protocol."""
     _add_data_flags(p)
-    p.add_argument("--alpha")
-    p.add_argument("--bins", type=int, default=None)
+    _add_model_flags(p)
     p.add_argument("--cardinalities", help="comma-separated top-k sizes to score")
-    p.add_argument("--train-fraction", type=float)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--methods")
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--train-fraction", type=float,
+                   help="share of each class's rows in every training split")
+    p.add_argument("--repeats", type=int, help="number of repeated train/test splits")
+    p.add_argument("--methods", help="comma-separated rankings to compare: ec_fs, fisher, mi")
     p.add_argument("--workers", type=int, default=1,
                    help="processes over chunks of repeats (serial where os.fork is "
                         "unavailable); output does not depend on it")
     _add_cv_flags(p)
-    p.add_argument("--seed", type=int, default=None)
     _add_output_flags(p)
 
 
@@ -93,17 +106,12 @@ def _build_parser() -> _Parser:
 
     p_rank = sub.add_parser("rank", help="rank all features on one dataset")
     _add_data_flags(p_rank)
-    p_rank.add_argument("--alpha",
-                        help="mixing weight in [0,1], or 'cv' to pick it by cross-validation")
-    p_rank.add_argument("--bins", type=int, default=None,
-                        help="histogram bins for the mutual information score")
-    p_rank.add_argument("--tol", type=float, default=1e-10, help="eigensolver residual tolerance")
-    p_rank.add_argument("--max-iter", type=int, default=10000, help="eigensolver sweep budget")
+    _add_model_flags(p_rank)
+    p_rank.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="eigensolver residual tolerance")
+    p_rank.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                        help="eigensolver sweep budget")
     _add_cv_flags(p_rank)
-    p_rank.add_argument("--epochs", type=int,
-                        help="classifier epochs used inside cross-validation")
-    p_rank.add_argument("--seed", type=int, default=None,
-                        help=f"master seed (default: ${ENV_SEED} or 0)")
     p_rank.add_argument("--dump-scores", default=None,
                         help="also write the per-feature score vectors as JSON")
     p_rank.add_argument("--dump-adjacency", default=None,
@@ -122,12 +130,16 @@ def _build_parser() -> _Parser:
     _add_resample_flags(p_stab)
 
     p_synth = sub.add_parser("synth", help="generate a labelled Gaussian benchmark")
-    p_synth.add_argument("--samples", type=int, required=True)
-    p_synth.add_argument("--features", type=int, required=True)
-    p_synth.add_argument("--informative", type=int, required=True)
-    p_synth.add_argument("--separation", type=float, default=2.0)
-    p_synth.add_argument("--noise-sd", type=float, default=1.0)
-    p_synth.add_argument("--seed", type=int, default=None)
+    p_synth.add_argument("--samples", type=int, required=True, help="number of rows")
+    p_synth.add_argument("--features", type=int, required=True, help="number of columns")
+    p_synth.add_argument("--informative", type=int, required=True,
+                         help="number of columns whose class-1 mean is shifted")
+    p_synth.add_argument("--separation", type=float, default=2.0,
+                         help="shift of class 1's mean on each informative column")
+    p_synth.add_argument("--noise-sd", type=float, default=1.0,
+                         help="standard deviation of every column's Gaussian noise")
+    p_synth.add_argument("--seed", type=int, default=None,
+                         help=f"generator seed (default: ${ENV_SEED} or 0)")
     p_synth.add_argument("--output", required=True,
                          help="path prefix; writes <prefix>.csv and <prefix>.informative.json "
                               "(a trailing .csv is dropped from the prefix first)")
@@ -326,13 +338,11 @@ def _cmd_rank(args) -> int:
         alpha, chosen_c = cross_validate(d, protocol, protocol.seed)
     t0 = time.perf_counter()
     scores = score_features(d, protocol.bins)
-    # keep what the solve and the report read, and let the dataset and the
-    # normalization statistics go: the solve's vectors then take the matrix's place
-    fisher, mi, spreads = scores.fisher, scores.mutual_information, scores.spreads
+    # the scores hold no reference to the dataset, so letting it go frees the
+    # matrix before the solve, whose vectors then take its place
     shape, names, label_names = d.X.shape, d.feature_names, d.label_names
-    bins, degenerate = scores.bins, scores.stats.degenerate_columns
-    del d, scores
-    ranking, eigen, adjacency = _centrality(fisher, mi, spreads, alpha, args.tol, args.max_iter)
+    del d
+    ranking, eigen, adjacency = scores.centrality(alpha, args.tol, args.max_iter)
     print(f"ranking time: {time.perf_counter() - t0:.3f}s (ranking only)", file=sys.stderr)
     if args.dump_adjacency:
         with _sink(args.dump_adjacency) as fh:
@@ -341,8 +351,8 @@ def _cmd_rank(args) -> int:
     if args.dump_scores:
         with _sink(args.dump_scores) as fh:
             _write_scores_json(fh, {
-                "fisher": ("fisher", fisher),
-                "mutual_information": ("mutual_information", mi),
+                "fisher": ("fisher", scores.fisher),
+                "mutual_information": ("mutual_information", scores.mutual_information),
                 "centrality": ("centrality", eigen.v0),
             })
     report = {
@@ -353,7 +363,7 @@ def _cmd_rank(args) -> int:
         "label_mapping": list(label_names) if label_names else None,
         "config": {
             "alpha": "cv" if chosen_c is not None else alpha,
-            "bins": bins,
+            "bins": scores.bins,
             "seed": protocol.seed,
             "tol": args.tol,
             "max_iter": args.max_iter,
@@ -365,7 +375,7 @@ def _cmd_rank(args) -> int:
             "iterations": eigen.iterations,
             "residual": eigen.residual,
             "degenerate": eigen.degenerate,
-            "degenerate_features": degenerate,
+            "degenerate_features": scores.stats.degenerate_columns,
             "degenerate_fisher": adjacency.degenerate_fisher,
             "degenerate_mi": adjacency.degenerate_mi,
         },

@@ -264,19 +264,18 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return twice / (2 * len(pos) * len(neg))
 
 
-def _held_group(scores: FeatureScores, jobs: list, held: np.ndarray) -> tuple:
+def _held_group(d: Dataset, scores: FeatureScores, jobs: list, held: np.ndarray) -> tuple:
     """The (trn, jobs, X, y) group of _heldout_aucs for the held-out rows `held`
-    of the dataset scores were taken on: trn is the scored training rows and X
-    the held-out rows, both read from that dataset only in the columns some job
-    selects and normalized with scores' statistics, and every job is cut to
-    those columns. Groups are held until one training call, and a remapped job
+    of d, the dataset scores were taken on: trn is the scored training rows and
+    X the held-out rows, both read from d only in the columns some job selects
+    and normalized with scores' statistics, and every job is cut to those
+    columns. Groups are held until one training call, and a remapped job
     trains and scores bit for bit as on the full width."""
     cols = _distinct(np.concatenate([sel for sel, _, _ in jobs]))
     jobs = [(np.searchsorted(cols, sel), c, seed) for sel, c, seed in jobs]
-    d, stats = scores.source, scores.stats
     trn, X = d.X[np.ix_(scores.rows, cols)], d.X[np.ix_(held, cols)]
     for part in (trn, X):
-        stats._transform(part, cols, out=part)
+        scores.stats._transform(part, cols, out=part)
     return Dataset._own(trn, scores.y), jobs, X, d.y[held]
 
 
@@ -328,7 +327,7 @@ def cross_validate(d: Dataset, protocol: Protocol, seed: int, rows=None) -> tupl
         sels = [scores.ranking("ec_fs", a).top(cardinality) for a in alphas]
         jobs = [(sel, c, derive_seed(seed, j, ai, ci))
                 for ai, sel in enumerate(sels) for ci, c in enumerate(Cs)]
-        groups.append(_held_group(scores, jobs, rows[va_idx]))
+        groups.append(_held_group(d, scores, jobs, rows[va_idx]))
     table = np.zeros((len(alphas), len(Cs)))
     for aucs in _heldout_aucs(groups, protocol.epochs):
         table += np.reshape(aucs, table.shape)
@@ -584,7 +583,7 @@ def run_evaluation(d: Dataset, protocol: Protocol, workers: int = 1) -> dict:
             rep, scores = body(r)
             jobs = [(rep.tops[m][:k], rep.C if m == "ec_fs" else fixed_c,
                      derive_seed(seed, r, _METHOD_SEED[m], k)) for m in methods for k in ks]
-            groups.append(_held_group(scores, jobs, splits[r][1]))
+            groups.append(_held_group(d, scores, jobs, splits[r][1]))
             reps.append(rep)
         aucs = [{m: flat[mi * len(ks):(mi + 1) * len(ks)] for mi, m in enumerate(methods)}
                 for flat in _heldout_aucs(groups, protocol.epochs)]

@@ -531,7 +531,6 @@ class TestScoreRows:
             rows = np.sort(rows)
         got = score_features(d, bins, rows)
         stats, fisher, mi, spreads = _oracle_scores(d, rows, bins)
-        assert got.source is d
         assert got.rows.tolist() == rows.tolist() and got.y.tolist() == d.y[rows].tolist()
         for name in ("shift", "scale", "degenerate"):
             assert getattr(got.stats, name).tobytes() == getattr(stats, name).tobytes()
@@ -554,7 +553,8 @@ class TestScoreRows:
     def test_holds_no_array_of_the_rows_by_the_columns(self):
         d = _rows_case(30, 400, 2, 10)
         scores = score_features(d, rows=np.arange(3, 30))
-        held = [v for k, v in vars(scores).items() if k != "source"] + list(vars(scores.stats).values())
+        held = list(vars(scores).values()) + list(vars(scores.stats).values())
+        assert not any(isinstance(v, Dataset) for v in held)
         sizes = {v.size for v in held if isinstance(v, np.ndarray)}
         assert sizes == {27, 400}
         assert all(not v.flags.writeable for v in (scores.rows, scores.y, scores.fisher,
@@ -568,7 +568,7 @@ class TestScoreRows:
         rows[:] = 0
         assert scores.rows.tolist() == list(range(2, 26))
         sel = np.array([0, 3, 7, 40])
-        trn = _held_group(scores, [(sel, 1.0, 0)], np.arange(26, 30))[0]
+        trn = _held_group(d, scores, [(sel, 1.0, 0)], np.arange(26, 30))[0]
         want = scores.stats._transform(d.X[2:26], slice(None))[:, sel]
         assert trn.X.tobytes() == want.tobytes()
         assert trn.y.tolist() == d.y[2:26].tolist()

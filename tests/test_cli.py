@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -182,10 +183,10 @@ class TestRank:
         assert _read_csv_fast(quoted, "label") is None
 
     def test_rank_peaks_at_the_matrix_and_a_few_vectors(self, tmp_path):
-        # the names are held as one string, and the dataset and the normalization
-        # statistics go before the eigensolve, so scoring with the matrix sets the
-        # peak: 10.1 vectors above the matrix, against 22.6 with one str per name
-        # and the matrix held through the solve
+        # the names are held as one string, and the dataset goes before the
+        # eigensolve (the scores hold no reference to it), so scoring with the
+        # matrix sets the peak: 9.7 vectors above the matrix, against 22.6 with
+        # one str per name and the matrix held through the solve
         T, n = 20, 50_000
         rng = np.random.default_rng(0)
         data = tmp_path / "wide.csv"
@@ -497,6 +498,25 @@ class TestValidationFailures:
         assert main(["rank", "--data", "x.csv", "--frobnicate"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--workers", "0"], "--workers must be at least 1, got 0"),
+        (["stability", "--workers", "0"], "--workers must be at least 1, got 0"),
+        (["rank", "--max-iter", "0"], "--max-iter must be positive, got 0"),
+    ])
+    def test_count_flag_below_one_exits_one_before_the_load(self, tmp_path, capsys, argv,
+                                                            message):
+        assert main([*argv, "--data", str(tmp_path / "missing.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+    def test_every_option_has_help(self):
+        parser = ecfs.cli._build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(commands.choices) == ["evaluate", "rank", "stability", "synth"]
+        bare = [(name, a.option_strings[0]) for name, sub in commands.choices.items()
+                for a in sub._actions if a.option_strings and not a.help]
+        assert bare == []
+
     def test_unknown_method(self, tmp_path):
         data, _ = _synth_csv(tmp_path)
         rc = main(["evaluate", "--data", str(data), "--methods", "relief",
@@ -615,6 +635,12 @@ class TestEvaluate:
                    "--repeats", "2", "--epochs", "4"])
         assert rc == 1
         assert "--positive-class" in capsys.readouterr().err
+        for positive, message in (("nope", "positive class 'nope' not found; known labels"),
+                                  ("7", "positive class index 7 out of range 0..2")):
+            rc = main(["evaluate", "--data", str(path), "--cardinalities", "2",
+                       "--repeats", "2", "--epochs", "4", "--positive-class", positive])
+            assert rc == 1
+            assert message in capsys.readouterr().err
 
     def test_multiclass_one_vs_rest(self, tmp_path):
         rng = np.random.default_rng(4)

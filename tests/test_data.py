@@ -245,6 +245,7 @@ CSV_CASES = {
     "single class": ("a,label\n1,x\n2,x\n", "label", True),
     "empty file": ("", "label", False),
     "header only": ("a,b,label\n", "label", False),
+    "header and blank lines only": ("a,b,label\n\n\n", "label", False),
     "unknown label column": ("a,b,label\n1,2,x\n3,4,y\n", "target", False),
     "label index out of range": ("a,b,label\n1,2,x\n3,4,y\n", 3, False),
     "label column only": ("label\nx\ny\n", "label", False),
@@ -545,7 +546,6 @@ class TestNormalize:
         d = Dataset(np.arange(12, dtype=float).reshape(4, 3), np.array([0, 1, 0, 1]),
                     ("a", "b", "c"), ("x", "y"))
         scores = score_features(d)
-        assert scores.source is d
         assert scores.rows.tolist() == [0, 1, 2, 3] and scores.y.tolist() == d.y.tolist()
         assert _normalized(d).shape == d.X.shape
 
@@ -722,8 +722,8 @@ class TestDatasetInvariants:
     def test_scoring_rows_keeps_names_and_checks_classes(self):
         d = Dataset(np.arange(8, dtype=float).reshape(4, 2), np.array([0, 1, 0, 1]),
                     ("u", "v"), ("n", "p"))
-        s = score_features(d, rows=np.array([0, 1])).source
-        assert s.feature_names == ("u", "v") and s.label_names == ("n", "p")
+        s = score_features(d, rows=np.array([0, 1]))
+        assert s.rows.tolist() == [0, 1] and s.y.tolist() == [0, 1]
         with pytest.raises(ClassCountError, match="expected at least two classes, found 1"):
             score_features(d, rows=np.array([0, 2]))  # drops class 1
         with pytest.raises(ClassCountError, match="class 0 has zero samples"):
@@ -792,4 +792,3 @@ class TestFeatureNames:
         assert _binarize(d, "1").feature_names == NAMES
         assert subset(d, [0, 1, 2, 5]).feature_names == NAMES
         assert normalize_features(d)[0].feature_names == NAMES
-        assert score_features(d, rows=np.arange(4, -1, -1)).source.feature_names == NAMES

@@ -143,13 +143,6 @@ class TestEntry:
         assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "main.json").read_bytes()
 
 
-# the public names that no command calls, each with the reason it stays
-NOT_RUN = {
-    "rank_by_fisher": "kept only for perfbench/tracer.py, whose LAYERS imports ecfs.baselines",
-    "rank_by_mi": "kept only for perfbench/tracer.py, whose LAYERS imports ecfs.baselines",
-}
-
-
 def _public_code() -> dict:
     """The code object of each exported function, and of each public method
     or property of an exported class, by its public name."""
@@ -198,5 +191,4 @@ class TestPublicNames:
         finally:
             sys.setprofile(None)
         assert codes == [0] * len(runs)
-        never = sorted(name for name, code in public.items() if code not in called)
-        assert never == sorted(NOT_RUN)
+        assert [name for name, code in public.items() if code not in called] == []

@@ -100,7 +100,8 @@ class Dataset:
     X is T x n float64, y holds labels from the contiguous set {0..C-1} with
     every class present and C >= 2. Optional feature_names/label_names record
     the source header and the original label values in mapping order. The CSV
-    loader holds the names as a _Names table, which reads as their tuple.
+    loader holds them as a _Names table, which reads as their tuple, or as a
+    tuple when the header holds a quote.
 
     The constructor copies X, so the caller's array stays its own and stays
     writable. The loaders instead hand over the array they have just built
@@ -377,28 +378,6 @@ def _map_labels(raw: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     return y, tuple(mapping)
 
 
-def _parse_matrix(rows: list[list[str]], col_labels: list[str] | None = None) -> np.ndarray:
-    """Convert string cells to floats, locating the offending cell on failure."""
-    width = len(rows[0])
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise DatasetError(f"row {r} has {len(row)} cells, expected {width}")
-    try:
-        X = np.array(rows, dtype=float)
-    except ValueError:
-        for r, row in enumerate(rows):
-            for c, tok in enumerate(row):
-                try:
-                    float(tok)
-                except ValueError:
-                    col = col_labels[c] if col_labels else str(c)
-                    raise NonNumericValueError(
-                        f"non-numeric value {tok!r} at (row {r}, column {col})"
-                    ) from None
-        raise
-    return X
-
-
 def load_dataset(
     path: str | Path,
     format: str = "csv",
@@ -438,9 +417,9 @@ def load_dataset(
     raise DatasetError(f"unknown format {format!r}, expected 'csv' or 'matrix'")
 
 
-def _header_label_index(head: str, width: int, label_col: str | int) -> int:
-    """_label_index of the stripped cells of head, a header line of width
-    comma-separated cells and no quote, found with no str per cell."""
+def _header_label_index(head: str, label_col: str | int) -> int:
+    """_label_index of the stripped cells of head, a header line with no
+    quote, found with no str per cell when a cell is named label_col."""
     # a stripped cell never starts or ends with whitespace, nor holds a comma
     if isinstance(label_col, str) and label_col == label_col.strip() and "," not in label_col:
         # blanks, the name, blanks, then a comma or the end; \s matches the
@@ -452,7 +431,7 @@ def _header_label_index(head: str, width: int, label_col: str | int) -> int:
         if found := re.search("," + cell, head):
             return head.count(",", 0, found.start()) + 1
     # no cell is named label_col: a position, as in a header of unnamed columns
-    return _label_index(range(width), label_col)
+    return _label_index([cell.strip() for cell in head.split(",")], label_col)
 
 
 def _label_index(header: Sequence, label_col: str | int) -> int:
@@ -484,20 +463,21 @@ COUNT_BLOCK_BYTES = 2**16
 _SPACE_OR_TAB = re.compile("[ \t]")
 
 
-def _line_count(path: Path) -> int:
+def _line_count(path: Path) -> tuple[int, bool]:
     """The number of lines that iterating path in text mode yields, where LF,
-    CR LF and CR each end a line and the last line needs no end: one pass
-    over the bytes, a block at a time."""
-    count, last = 0, b""
+    CR LF and CR each end a line and the last line needs no end, and whether
+    a CR occurs: one pass over the bytes, a block at a time."""
+    count, last, cr = 0, b"", False
     with open(path, "rb") as fh:
         while block := fh.read(COUNT_BLOCK_BYTES):
             count += block.count(b"\n")
             if b"\r" in block:  # a fast scan; most files hold no \r
                 count += block.count(b"\r") - block.count(b"\r\n")
+                cr = True
             if last == b"\r" and block[:1] == b"\n":
                 count -= 1  # a \r\n cut between two blocks
             last = block[-1:]
-    return count + (last not in (b"", b"\n", b"\r"))
+    return count + (last not in (b"", b"\n", b"\r")), cr
 
 
 def _pieces(line: str, a: int, b: int, sep: str | None):
@@ -523,72 +503,113 @@ def _pieces(line: str, a: int, b: int, sep: str | None):
             yield np.loadtxt((piece,), delimiter=sep, dtype=float, comments=None, ndmin=1)
 
 
-def _fill(row: np.ndarray, line: str, spans, sep: str | None) -> None:
-    """Parse the cells of line in the (start, stop) spans, in order, into row;
-    ValueError unless they fill it exactly."""
-    col = 0
-    for a, b in spans:
-        for values in _pieces(line, a, b, sep):
-            row[col:col + values.shape[0]] = values
-            col += values.shape[0]
-    if col != row.shape[0]:
-        raise ValueError(f"{col} cells for a row of {row.shape[0]}")
-
-
 class _Rows:
-    """Parses lines' feature cells into the rows of X, in order. A line longer
-    than PIECE_CHARS goes to np.loadtxt a piece at a time (_fill); shorter ones
-    wait in a block of about PIECE_CHARS characters, which one np.loadtxt call
-    parses into X's rows, so no buffer grows with the line or the file.
-    ValueError for a cell np.loadtxt rejects, a line that does not fill its
-    row exactly, or a line past X's last row."""
+    """Parses records' feature cells into the rows of X (which has a row for
+    each record its source can hold), in order. A line longer than PIECE_CHARS
+    goes to np.loadtxt a piece at a time; shorter ones wait in a block of about
+    PIECE_CHARS characters, which one np.loadtxt call parses, so no buffer
+    grows with the line or the file. A line that np.loadtxt rejects, alone or
+    in its block, is parsed again from its cells as a csv record is
+    (add_cells). The first cell float() rejects is held in error, naming its
+    column by names (by position when None), and no row after it is parsed."""
 
-    def __init__(self, X: np.ndarray, sep: str | None, filled: int = 0) -> None:
-        self.X, self.sep = X, sep
-        self.filled = filled
+    def __init__(self, X: np.ndarray, sep: str | None) -> None:
+        self.X, self.sep, self.names = X, sep, None
+        self.filled = 0
         self.block: list[str] = []
         self.chars = 0
+        self.error: DatasetError | None = None
 
     def add(self, line: str, label: tuple[int, int] | None = None) -> None:
         """Parse the cells of line into the next row: all of them, or every
         cell but the label's, line[start:stop] for label = (start, stop)."""
-        if len(line) > PIECE_CHARS:
+        long = len(line) > PIECE_CHARS
+        if long and self.error is None:
             self.flush()
-            if self.filled == self.X.shape[0]:
-                raise ValueError("more rows than the file's size allows")
             # the spans on either side of the label and its commas; one is
             # empty when the label is the first or the last cell
             spans = ((0, len(line)),) if label is None else (
                 (0, label[0] - 1), (label[1] + 1, len(line)))
-            _fill(self.X[self.filled], line, spans, self.sep)
-            self.filled += 1
-            return
+            row, col = self.X[self.filled], 0
+            try:
+                for a, b in spans:
+                    for values in _pieces(line, a, b, self.sep):
+                        row[col:col + values.shape[0]] = values
+                        col += values.shape[0]
+                if col == row.shape[0]:
+                    self.filled += 1
+                    return
+            except ValueError:  # parsed again below
+                pass
         if label is not None:
             # the cells on either side of the label, joined by a comma
             start, stop = label
             line = line[stop + 1:] if start == 0 else line[:start - 1] + line[stop:]
         # np.loadtxt would skip a blank line, and the rows would shift
-        if not line or line.isspace():
-            raise ValueError("a row with no cells")
+        if long or not line or line.isspace():
+            self._line(line)
+            return
         self.block.append(line)
         self.chars += len(line)
         if self.chars >= PIECE_CHARS:
             self.flush()
 
     def flush(self) -> None:
-        """Parse the queued lines into their rows."""
-        if self.block:
-            a, b = self.filled, self.filled + len(self.block)
-            if b > self.X.shape[0]:
-                raise ValueError("more rows than the file's size allows")
-            values = np.loadtxt(self.block, delimiter=self.sep, dtype=float,
-                                comments=None, ndmin=2)
-            if values.shape != (b - a, self.X.shape[1]):
-                raise ValueError(f"{values.shape} cells for {b - a} rows")
-            self.X[a:b] = values
-            self.filled = b
-            self.block.clear()
-            self.chars = 0
+        """Parse the queued lines into their rows: in one np.loadtxt call, or
+        a line at a time when it rejects them or a bad cell is held."""
+        block, self.block, self.chars = self.block, [], 0
+        if not block:
+            return
+        try:
+            if self.error is None:
+                values = np.loadtxt(block, delimiter=self.sep, dtype=float,
+                                    comments=None, ndmin=2)
+                if values.shape == (len(block), self.X.shape[1]):
+                    self.X[self.filled:self.filled + len(block)] = values
+                    self.filled += len(block)
+                    return
+        except ValueError:  # parsed again below
+            pass
+        for line in block:
+            self._line(line)
+
+    def matrix(self) -> np.ndarray:
+        """X, once the queued lines are parsed, cut in place to the rows filled
+        (blank lines leave some unfilled) with no copy; or the held error, raised."""
+        self.flush()
+        if self.error is not None:
+            raise self.error
+        if self.filled < self.X.shape[0]:
+            self.X.resize((self.filled, self.X.shape[1]), refcheck=False)
+        return self.X
+
+    def _line(self, line: str) -> None:
+        # an empty line is one empty cell, or none under a header of the label alone
+        self.add_cells(line.split(self.sep) if self.X.shape[1] else [])
+
+    def add_cells(self, cells: list[str]) -> None:
+        """Parse cells, a record's feature cells as str, into the next row as
+        np.array parses them, which takes what float() takes, such as 1_000.
+        DatasetError for a row of another width than X's."""
+        self.flush()
+        r, width = self.filled, self.X.shape[1]
+        if len(cells) != width:
+            raise DatasetError(f"row {r} has {len(cells)} cells, expected {width}")
+        self.filled += 1
+        if self.error is not None:
+            return
+        try:
+            self.X[r] = np.array(cells, dtype=float)
+        except ValueError:
+            for c, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    column = c if self.names is None else self.names[c]
+                    self.error = NonNumericValueError(
+                        f"non-numeric value {cell.strip()!r} at (row {r}, column {column})")
+                    return
+            raise
 
 
 def _nth_comma(line: str, k: int) -> int:
@@ -604,61 +625,79 @@ def _nth_comma(line: str, k: int) -> int:
     return a
 
 
-def _trimmed(X: np.ndarray, rows: int) -> np.ndarray:
-    """X cut to its first rows rows in place, where blank lines left rows
-    unfilled: the allocation shrinks, and the matrix is never copied."""
-    if rows < X.shape[0]:
-        X.resize((rows, X.shape[1]), refcheck=False)
-    return X
+def _csv_record(path: Path, line: str, fh, number: int) -> tuple[list[str], int]:
+    """The cells csv.reader makes of line, line `number` of fh, and of the
+    lines that an open quoted cell joins on, and the count of those lines.
+    DatasetError naming the line of a csv error (a cell past the field limit)."""
+    from itertools import chain
+    reader = csv.reader(chain((line,), fh))
+    try:
+        return next(reader), reader.line_num - 1
+    except csv.Error as e:
+        raise DatasetError(f"{path}: line {number - 1 + reader.line_num}: {e}") from None
 
 
 def _load_csv(path: Path, label_col: str | int) -> Dataset:
-    parsed = _read_csv_fast(path, label_col)
-    if parsed is None:
-        parsed = _read_csv_cells(path, label_col)
-    feat_names, X, raw_labels = parsed
-    y, label_names = _map_labels(raw_labels)
-    return Dataset._own(X, y, feat_names, label_names)
-
-
-def _read_csv_fast(path: Path, label_col: str | int):
-    """Names, feature matrix and raw labels of a plain CSV, with no string per cell.
-
-    A first pass over the bytes counts the lines (_line_count), and the matrix
-    is allocated once, at no more rows than the file's size allows. Then each
-    data line is checked, its label cell is cut out, and its feature cells
-    are parsed into the line's row (_Rows). The names are held as one string
-    (_Names): the header is never split into one str per cell. Returns None
-    wherever the result could differ from _read_csv_cells: a quote (the csv
-    module unquotes cells) or a NUL (which it rejects before Python 3.11), a
-    line whose comma count differs from the header's, a blank or one-column
-    header, no data row, a label column that is not found, or a cell that
-    np.loadtxt rejects (including ones float() accepts, like 1_000). The cell
-    path then parses the file again and raises its usual errors.
-    """
-    # an upper bound on the data rows: blank lines are skipped, their rows trimmed
-    rows = _line_count(path) - 1
+    """A CSV's dataset, read once into a matrix that the line count sizes
+    (capped by the file's size), in the newline="" mode that csv.reader needs
+    if a CR occurs; the default mode reads the same lines of another file,
+    faster. A line with no quote and no NUL has its label cut out and its
+    feature cells parsed by _Rows, with no str per cell; such a header's names
+    are one string (_Names). A line with either goes to csv.reader with the
+    lines an open quote joins on, and its cells fill the row; such a header's
+    names are a tuple. The errors keep the csv module path's order: a csv
+    error, raised where it is met; no data row; the label column; the first
+    ragged row; the first cell float() rejects. The last three are held to the
+    end of the file."""
+    # data rows and header: an upper bound, as blank lines' rows are trimmed
+    rows, cr = _line_count(path)
     labels: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    # the lines read other than data rows' first lines, to number a csv error
+    others = 0
+    with open(path, newline="" if cr else None, encoding="utf-8") as fh:
+        for head in fh:
+            others += 1
+            # csv.reader reads a bare line end as a blank record, in newline="" mode
+            if head not in ("\n", "\r\n", "\r"):
+                break
+        else:
+            raise DatasetError(f"{path}: need a header row and at least one data row")
+        header = None
+        if '"' in head or "\0" in head:
+            cells, extra = _csv_record(path, head, fh, others)
+            others += extra
+            header = [cell.strip() for cell in cells]
+        width = head.count(",") + 1 if header is None else len(header)
+        commas = width - 1
+        # a data row holds its commas and a line end or more cells, so a short
+        # file cannot ask for a large matrix
+        X = np.empty((min(rows - 1, path.stat().st_size // width), commas))
+        parsed = _Rows(X, ",")
         try:
-            head = fh.readline()
-            if '"' in head or "\0" in head:
-                return None
-            commas = head.count(",")
-            if commas < 1 or rows < 1:
-                return None
-            li = _header_label_index(head, commas + 1, label_col)
-            names = _Names._from_header(head, li)
-            del head
-            # a data line the fast path takes holds its commas and a line end or
-            # more cells, so a short file cannot ask for a large matrix
-            X = np.empty((min(rows, path.stat().st_size // (commas + 1)), commas))
-            parsed = _Rows(X, ",")
-            for line in fh:
-                if line == "\n":
+            if header is None:
+                li = _header_label_index(head, label_col)
+                parsed.names = _Names._from_header(head, li)
+            else:
+                li = _label_index(header, label_col)
+                parsed.names = tuple(header[:li] + header[li + 1:])
+        except DatasetError as e:
+            # the rows are still read, unparsed, for a csv error or none at all
+            li, parsed.error = 0, e
+        del head, header
+        for line in fh:
+            if line in ("\n", "\r\n", "\r"):
+                others += 1
+                continue
+            if '"' in line or "\0" in line:
+                cells, extra = _csv_record(path, line, fh, others + len(labels) + 1)
+                others += extra
+                if (count := len(cells)) == width:
+                    labels.append(cells.pop(li).strip())
+                    parsed.add_cells(cells)
+                    # let the cells go before the next record's are made
+                    del cells
                     continue
-                if line.count(",") != commas or '"' in line or "\0" in line:
-                    return None
+            elif (count := line.count(",") + 1) == width:
                 if li == commas:
                     start = line.rfind(",") + 1
                 else:
@@ -668,41 +707,40 @@ def _read_csv_fast(path: Path, label_col: str | int):
                 parsed.add(line, (start, stop))
                 # let the line go before the next one is read and joined
                 del line
-            parsed.flush()
-        except ValueError:  # a cell, a line check or undecodable bytes
-            return None
+                continue
+            # the first ragged row comes after the label column, before a bad cell
+            if parsed.error is None or isinstance(parsed.error, NonNumericValueError):
+                parsed.error = DatasetError(
+                    f"row {len(labels)} has {count} cells, expected {width}")
+            labels.append("")  # it counts as a data row; the error comes before labels map
     if not labels:
-        return None
-    return names, _trimmed(X, len(labels)), labels
-
-
-def _read_csv_cells(path: Path, label_col: str | int):
-    """Names, feature matrix and raw labels through the csv module, one string
-    per cell; raises the loader's errors, naming the offending row or cell."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            table = [row for row in reader if row]
-        except csv.Error as e:  # such as a cell past the csv module's field size limit
-            raise DatasetError(f"{path}: line {reader.line_num}: {e}") from None
-    if len(table) < 2:
         raise DatasetError(f"{path}: need a header row and at least one data row")
-    header = [h.strip() for h in table[0]]
-    li = _label_index(header, label_col)
-    rows = [[cell.strip() for cell in row] for row in table[1:]]
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DatasetError(f"row {r} has {len(row)} cells, expected {len(header)}")
-    raw_labels = [row[li] for row in rows]
-    feat_rows = [row[:li] + row[li + 1 :] for row in rows]
-    feat_names = tuple(header[:li] + header[li + 1 :])
-    return feat_names, _parse_matrix(feat_rows, list(feat_names)), raw_labels
+    X = parsed.matrix()
+    y, label_names = _map_labels(labels)
+    return Dataset._own(X, y, parsed.names, label_names)
 
 
 def _load_matrix(path: Path, labels_path: Path) -> Dataset:
-    X = _read_matrix_fast(path)
-    if X is None:
-        X = _read_matrix_cells(path)
+    """The dataset of a whitespace-separated matrix and a labels file, the
+    matrix read once by _Rows, blank lines skipped. The first row's cell count
+    w is the width, and the line count sizes the matrix, capped by the file's
+    size, since a row of w cells takes at least 2 w - 1 characters. A ragged
+    row is raised where it is met, the first bad cell at the end."""
+    rows = _line_count(path)[0]
+    parsed = None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.isspace():
+                continue
+            if parsed is None:
+                w = len(line.split())
+                X = np.empty((min(rows, path.stat().st_size // (2 * w - 1)), w))
+                parsed = _Rows(X, None)
+            parsed.add(line)
+            del line
+        if parsed is None:
+            raise DatasetError(f"{path}: empty matrix file")
+    X = parsed.matrix()
     with open(labels_path, encoding="utf-8") as fh:
         raw_labels = [line.strip() for line in fh if line.strip()]
     if len(raw_labels) != X.shape[0]:
@@ -711,46 +749,6 @@ def _load_matrix(path: Path, labels_path: Path) -> Dataset:
         )
     y, label_names = _map_labels(raw_labels)
     return Dataset._own(X, y, None, label_names)
-
-
-def _read_matrix_fast(path: Path) -> np.ndarray | None:
-    """The matrix through np.loadtxt (_Rows), into one array sized by a first
-    pass that counts the lines and capped by the file's size; blank lines are
-    skipped as _read_matrix_cells skips them. None on anything it rejects
-    (ragged rows, a bad cell, bad bytes, no data), which the cell path then
-    reports."""
-    rows = _line_count(path)
-    parsed = None
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line in fh:
-                if line.isspace():
-                    continue
-                if parsed is None:
-                    # the first row sets the width w; a row of w cells takes at
-                    # least 2 w - 1 characters
-                    first = np.concatenate(list(_pieces(line, 0, len(line), None)))
-                    w = first.shape[0]
-                    X = np.empty((min(rows, path.stat().st_size // (2 * w - 1)), w))
-                    X[0] = first
-                    del first
-                    parsed = _Rows(X, None, filled=1)
-                else:
-                    parsed.add(line)
-                del line
-            if parsed is not None:
-                parsed.flush()
-        except ValueError:  # a cell, a ragged row or undecodable bytes
-            return None
-    return None if parsed is None else _trimmed(X, parsed.filled)
-
-
-def _read_matrix_cells(path: Path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        rows = [line.split() for line in fh if line.strip()]
-    if not rows:
-        raise DatasetError(f"{path}: empty matrix file")
-    return _parse_matrix(rows)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from ecfs import (
     AdjacencyMatrix,
     Dataset,
     FeatureRanking,
+    FeatureScores,
     PowerIterationError,
     SyntheticSpec,
     generate_synthetic,
@@ -604,3 +605,93 @@ class TestScoreRows:
         d = _rows_case(12, 6, 2, 12)
         with pytest.raises(ValueError, match=message):
             score_features(d, rows=rows)
+
+
+def _endpoint_scores(f, m, s) -> FeatureScores:
+    """FeatureScores holding the three given score vectors, which are all that
+    centrality reads; the spreads read-only, as score_features leaves them."""
+    s = np.array(s, dtype=float)
+    s.setflags(write=False)
+    return FeatureScores(np.arange(1), np.zeros(1, dtype=int), None, 2,
+                         np.asarray(f, dtype=float), np.asarray(m, dtype=float), s)
+
+
+def _endpoint_case(kind: str, n: int, seed: int) -> tuple:
+    """Fisher scores, MI scores and spreads (at most 0.5, as a command's are):
+    random; tie-heavy, five values each; or constant Fisher scores and spreads."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random(n), rng.random(n), 0.5 * rng.random(n)
+    if kind == "ties":
+        return tuple(rng.integers(0, 5, size=(3, n)) / np.array([[4.0], [4.0], [8.0]]))
+    return np.full(n, 0.3), rng.random(n), np.full(n, 0.2)
+
+
+# the tie-heavy cases stay at n = 5e3: from n = 2e4 some draws stall the
+# alpha-0 solve, whose residual stops near 1e-9, above the fixed tol 1e-10,
+# since the rounding of equal spreads' shared sums adds up (ROADMAP item 6)
+ENDPOINT_CASES = [("random", 200_000, 0), ("random", 1000, 1), ("ties", 5000, 2),
+                  ("ties", 50, 3), ("constant", 200_000, 4), ("constant", 1, 5)]
+
+
+class TestEndpointOracles:
+    """At alpha 1 the feature graph is the rank-1 fs ms^T, whose Perron vector
+    is fs up to scale, so ec_fs ranks as the Fisher filter does. At alpha 0 it
+    is Sigma, whose Perron vector is non-decreasing in the spreads, so it ranks
+    as a variance filter does. Rounding breaks each only where the exceptions
+    below say: it never reorders scores that it keeps apart."""
+
+    @pytest.mark.parametrize("kind, n, seed", ENDPOINT_CASES)
+    def test_alpha_one_ranks_as_fisher(self, kind, n, seed):
+        f, m, s = _endpoint_case(kind, n, seed)
+        ranking = _endpoint_scores(f, m, s).centrality(1.0)[0]
+        assert np.array_equal(ranking.order, FeatureRanking(f).order)
+
+    @pytest.mark.parametrize("kind, n, seed", ENDPOINT_CASES)
+    def test_alpha_zero_ranks_as_the_spreads(self, kind, n, seed):
+        f, m, s = _endpoint_case(kind, n, seed)
+        ranking = _endpoint_scores(f, m, s).centrality(0.0)[0]
+        assert np.array_equal(ranking.order, FeatureRanking(s).order)
+
+    def test_alpha_one_ties_fisher_scores_that_rounding_merges(self):
+        # Fisher scores one ulp apart can round to one rescaled score, or one
+        # product: those features tie, and the tie breaks toward the smaller
+        # index. No two features ever come in the reverse of Fisher order.
+        rng = np.random.default_rng(6)
+        a = rng.uniform(1.0, 3.0, size=40)
+        f = np.concatenate(([0.0, 3.0], a, np.nextafter(a, np.inf)))
+        ranking, eigen, _ = _endpoint_scores(f, rng.random(f.size), rng.random(f.size)) \
+            .centrality(1.0)
+        order = FeatureRanking(f).order
+        values = eigen.v0[order]
+        assert (values[1:] <= values[:-1]).all()
+        merged = (values[1:] == values[:-1]) & (f[order][1:] != f[order][:-1])
+        assert merged.any()
+        # the Fisher order, with each run of equal entries in index order
+        runs = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
+        assert np.array_equal(ranking.order, order[np.lexsort((order, runs))])
+        assert not np.array_equal(ranking.order, order)
+
+    def test_alpha_one_with_constant_mi_is_the_zero_graph(self):
+        # ms is all zeros, so fs ms^T is: the solve reports a degenerate graph,
+        # and the ranking is the index order, not Fisher's
+        rng = np.random.default_rng(7)
+        ranking, eigen, _ = _endpoint_scores(rng.random(500), np.full(500, 0.4),
+                                             0.5 * rng.random(500)).centrality(1.0)
+        assert eigen.degenerate and ranking.order.tolist() == list(range(500))
+
+    def test_alpha_zero_ties_or_swaps_spreads_closer_than_rounding(self):
+        # spreads packed near 0 differ by less than the rounding of the sums in
+        # A v, so their entries tie, or come out of spread order by the rounding
+        # of the last steps of two entries, at most 4 ulps (2 here); equal
+        # spreads keep bit-equal entries
+        n = 200_000
+        rng = np.random.default_rng(3)
+        s = 0.5 * rng.random(n) ** 8
+        eigen = _endpoint_scores(rng.random(n), rng.random(n), s).centrality(0.0)[1]
+        order = FeatureRanking(s).order
+        values, spreads = eigen.v0[order], s[order]
+        assert (values[1:] <= values[:-1] + 4 * np.spacing(values[:-1])).all()
+        assert (values[1:] > values[:-1]).any()
+        assert ((values[1:] == values[:-1]) & (spreads[1:] != spreads[:-1])).any()
+        assert (values[1:] == values[:-1])[spreads[1:] == spreads[:-1]].all()

@@ -22,7 +22,6 @@ from ecfs import (
     split_indices,
 )
 from ecfs.cli import main
-from ecfs.data import _read_csv_fast
 from oracles import fisher_oracle, mi_oracle, normalize_features, spreads_oracle
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -161,8 +160,8 @@ class TestRank:
         assert [(int(r[0]), int(r[1]), r[2], float(r[3])) for r in rows[1:]] == [
             (row["rank"], row["index"], row["name"], row["score"]) for row in report["ranking"]]
 
-    def test_fast_and_cell_paths_give_the_same_reports(self, tmp_path):
-        # padded and non-ASCII names; one quoted header cell sends the same data
+    def test_fast_and_cell_paths_give_the_same_reports(self, tmp_path, monkeypatch):
+        # padded and non-ASCII names; one quoted header cell sends the header
         # through the csv module, whose names are a tuple of strings
         rng = np.random.default_rng(8)
         names = [f" caf\u00e9 {i}\u00a0" if i % 3 else f"\u2603{i}" for i in range(30)]
@@ -179,8 +178,15 @@ class TestRank:
                              "--output-format", fmt]) == 0
                 reports.append(out.read_bytes())
             assert reports[0] == reports[1]
-        assert _read_csv_fast(plain, "label") is not None
-        assert _read_csv_fast(quoted, "label") is None
+        # the records each load hands to csv.reader or to the float() route
+        records = []
+        for owner, name in ((ecfs.data, "_csv_record"), (ecfs.data._Rows, "_line")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, real=real: records.append(1) or real(*a))
+        for data, want in ((plain, 0), (quoted, 1)):
+            records.clear()
+            load_dataset(data)
+            assert len(records) == want
 
     def test_rank_peaks_at_the_matrix_and_a_few_vectors(self, tmp_path):
         # the names are held as one string, and the dataset goes before the

@@ -27,10 +27,6 @@ from ecfs.data import (
     _Names,
     _line_count,
     _map_labels,
-    _read_csv_cells,
-    _read_csv_fast,
-    _read_matrix_cells,
-    _read_matrix_fast,
     column_blocks,
 )
 from oracles import (
@@ -211,71 +207,92 @@ def _outcome(load):
     return d.X.shape, d.X.tobytes(), d.y.tolist(), d.label_names, d.feature_names
 
 
-# (text, label_col, whether np.loadtxt parses it); the rest go to the cell path
+def _routed(monkeypatch, load):
+    """load()'s _outcome, and the number of records it hands to csv.reader
+    or to the per-cell float() route; np.loadtxt parses the others whole."""
+    records = []
+    with monkeypatch.context() as m:
+        for owner, name in ((ecfs.data, "_csv_record"), (ecfs.data._Rows, "_line")):
+            real = getattr(owner, name)
+            m.setattr(owner, name, lambda *a, real=real: records.append(1) or real(*a))
+        return _outcome(load), len(records)
+
+
+# (text, label_col, the records that reach csv.reader or the float() route);
+# np.loadtxt parses every line of a case that counts 0
 CSV_CASES = {
-    "label first": ("label,a,b\nx,1,2\ny,3,4\nx,5,6\n", "label", True),
-    "label in the middle": ("a,label,b\n1,x,2\n3,y,4\n5,x,6\n", "label", True),
-    "label last": ("a,b,label\n1,2,x\n3,4,y\n5,6,x\n", "label", True),
-    "label by position": ("a,b,c\n1,2,x\n3,4,y\n", 2, True),
-    "CRLF": ("a,b,label\r\n1,2,x\r\n3,4,y\r\n", "label", True),
-    "CR": ("a,b,label\r1,2,x\r3,4,y\r", "label", True),
-    "BOM joins the first name": ("﻿a,b,label\n1,2,x\n3,4,y\n", "label", True),
-    "BOM hides a first label column": ("﻿label,a\nx,1\ny,2\n", "label", False),
-    "blank lines": ("a,b,label\n\n1,2,x\n\r\n3,4,y\n\n", "label", True),
-    "blank line before the header": ("\na,b,label\n1,2,x\n3,4,y\n", "label", False),
-    "whitespace-only line": ("a,b,label\n1,2,x\n  \n3,4,y\n", "label", False),
-    "no newline at the end": ("a,b,label\n1,2,x\n3,4,y", "label", True),
-    "trailing comma": ("a,b,label\n1,2,x,\n3,4,y\n", "label", False),
-    "trailing comma, label last": ("a,label\n1,x,\n2,y\n", "label", False),
-    "quoted cells": ('a,b,label\n"1",2,x\n3," 4",y\n', "label", False),
-    "quoted label": ('a,b,label\n1,2,"x,1"\n3,4,"y"\n', "label", False),
-    "quoted header": ('"a,b",c,label\n1,2,x\n3,4,y\n', "label", False),
-    "quoted header name": ('"a",b,label\n1,2,x\n3,4,y\n', "label", False),
-    "hash cell": ("a,b,label\n1,#2,x\n3,4,y\n", "label", False),
-    "hash line": ("a,b,label\n#1,2,x\n3,4,y\n", "label", False),
-    "underscore digits": ("a,b,label\n1_000,2,x\n3,4,y\n", "label", False),
-    "arabic-indic digit": ("a,b,label\n١,2,x\n3,4,y\n", "label", False),
-    "padded cell": ("a,b,label\n 2.5 ,\t2,x\n3,4 , y \n", "label", True),
-    "nan": ("a,b,label\n1,nan,x\n3,4,y\n", "label", True),
-    "1e400": ("a,b,label\n1,2,x\n3,1e400,y\n", "label", True),
-    "negative zero and subnormal": ("a,b,label\n-0,1e-320,x\n+0,-1e-320,y\n", "label", True),
-    "empty cell": ("a,b,label\n1,,x\n3,4,y\n", "label", False),
-    "NUL in a label": ("a,label\n1,x\x00\n2,y\n", "label", False),
-    "ragged row": ("a,b,label\n1,2,x\n3,y\n", "label", False),
-    "single class": ("a,label\n1,x\n2,x\n", "label", True),
-    "empty file": ("", "label", False),
-    "header only": ("a,b,label\n", "label", False),
-    "header and blank lines only": ("a,b,label\n\n\n", "label", False),
-    "unknown label column": ("a,b,label\n1,2,x\n3,4,y\n", "target", False),
-    "label index out of range": ("a,b,label\n1,2,x\n3,4,y\n", 3, False),
-    "label column only": ("label\nx\ny\n", "label", False),
+    "label first": ("label,a,b\nx,1,2\ny,3,4\nx,5,6\n", "label", 0),
+    "label in the middle": ("a,label,b\n1,x,2\n3,y,4\n5,x,6\n", "label", 0),
+    "label last": ("a,b,label\n1,2,x\n3,4,y\n5,6,x\n", "label", 0),
+    "label by position": ("a,b,c\n1,2,x\n3,4,y\n", 2, 0),
+    "CRLF": ("a,b,label\r\n1,2,x\r\n3,4,y\r\n", "label", 0),
+    "CR": ("a,b,label\r1,2,x\r3,4,y\r", "label", 0),
+    "BOM joins the first name": ("﻿a,b,label\n1,2,x\n3,4,y\n", "label", 0),
+    "BOM hides a first label column": ("﻿label,a\nx,1\ny,2\n", "label", 2),
+    "blank lines": ("a,b,label\n\n1,2,x\n\r\n3,4,y\n\n", "label", 0),
+    "blank line before the header": ("\na,b,label\n1,2,x\n3,4,y\n", "label", 0),
+    "whitespace-only line": ("a,b,label\n1,2,x\n  \n3,4,y\n", "label", 2),
+    "no newline at the end": ("a,b,label\n1,2,x\n3,4,y", "label", 0),
+    "trailing comma": ("a,b,label\n1,2,x,\n3,4,y\n", "label", 1),
+    "trailing comma, label last": ("a,label\n1,x,\n2,y\n", "label", 1),
+    "quoted cells": ('a,b,label\n"1",2,x\n3," 4",y\n', "label", 2),
+    "quoted label": ('a,b,label\n1,2,"x,1"\n3,4,"y"\n', "label", 2),
+    "quoted header": ('"a,b",c,label\n1,2,x\n3,4,y\n', "label", 1),
+    "quoted header name": ('"a",b,label\n1,2,x\n3,4,y\n', "label", 1),
+    # csv.reader keeps a quoted CR LF, which a read that turns line ends into
+    # LF would not; a quoted cell's line end joins the next line on
+    "quoted CRLF in a label": ('a,label\n1,"x\r\ny"\n2,z\n', "label", 1),
+    "quoted cell over two lines": ('a,b,label\n"1\n",2,x\n3,4,y\n', "label", 1),
+    "hash cell": ("a,b,label\n1,#2,x\n3,4,y\n", "label", 2),
+    "hash line": ("a,b,label\n#1,2,x\n3,4,y\n", "label", 2),
+    "underscore digits": ("a,b,label\n1_000,2,x\n3,4,y\n", "label", 2),
+    "arabic-indic digit": ("a,b,label\n١,2,x\n3,4,y\n", "label", 2),
+    "padded cell": ("a,b,label\n 2.5 ,\t2,x\n3,4 , y \n", "label", 0),
+    "nan": ("a,b,label\n1,nan,x\n3,4,y\n", "label", 0),
+    "1e400": ("a,b,label\n1,2,x\n3,1e400,y\n", "label", 0),
+    "negative zero and subnormal": ("a,b,label\n-0,1e-320,x\n+0,-1e-320,y\n", "label", 0),
+    "empty cell": ("a,b,label\n1,,x\n3,4,y\n", "label", 2),
+    "NUL in a label": ("a,label\n1,x\x00\n2,y\n", "label", 1),
+    "ragged row": ("a,b,label\n1,2,x\n3,y\n", "label", 1),
+    "single class": ("a,label\n1,x\n2,x\n", "label", 0),
+    "empty file": ("", "label", 0),
+    "header only": ("a,b,label\n", "label", 0),
+    "header and blank lines only": ("a,b,label\n\n\n", "label", 0),
+    "unknown label column": ("a,b,label\n1,2,x\n3,4,y\n", "target", 2),
+    "label index out of range": ("a,b,label\n1,2,x\n3,4,y\n", 3, 2),
+    "label column only": ("label\nx\ny\n", "label", 2),
 }
 
 MATRIX_CASES = {
-    "plain": ("1 2 3\n4 5 6\n7 8 9\n", True),
-    "tabs and padding": ("\t1  2 3 \n 4\t5\t6\n7 8 9\n", True),
-    "blank and whitespace-only lines": ("\n1 2 3\n  \n4 5 6\n\t\n7 8 9\n\n", True),
-    "CRLF": ("1 2 3\r\n4 5 6\r\n7 8 9\r\n", True),
-    "ragged rows": ("1 2 3\n4 5\n7 8 9\n", False),
-    "hash cell": ("1 2 3\n4 # 6\n7 8 9\n", False),
-    "hash comment": ("1 2 3\n4 5 6 # note\n7 8 9\n", False),
-    "form feed separates": ("1 2 3\n4\x0c5 6\n7 8 9\n", True),
-    "BOM": ("﻿1 2 3\n4 5 6\n7 8 9\n", False),
-    "underscore digits": ("1_000 2 3\n4 5 6\n7 8 9\n", False),
-    "quoted cell": ('"1" 2 3\n4 5 6\n7 8 9\n', False),
-    "nan": ("1 2 3\n4 nan 6\n7 8 9\n", True),
-    "negative zero": ("-0 2 3\n4 5 6\n7 8 -0.0\n", True),
-    "empty file": ("", False),
-    "whitespace only": (" \n\n", False),
+    "plain": ("1 2 3\n4 5 6\n7 8 9\n", 0),
+    "tabs and padding": ("\t1  2 3 \n 4\t5\t6\n7 8 9\n", 0),
+    "blank and whitespace-only lines": ("\n1 2 3\n  \n4 5 6\n\t\n7 8 9\n\n", 0),
+    "CRLF": ("1 2 3\r\n4 5 6\r\n7 8 9\r\n", 0),
+    "ragged rows": ("1 2 3\n4 5\n7 8 9\n", 2),
+    "hash cell": ("1 2 3\n4 # 6\n7 8 9\n", 3),
+    "hash comment": ("1 2 3\n4 5 6 # note\n7 8 9\n", 2),
+    "form feed separates": ("1 2 3\n4\x0c5 6\n7 8 9\n", 0),
+    "BOM": ("﻿1 2 3\n4 5 6\n7 8 9\n", 3),
+    "underscore digits": ("1_000 2 3\n4 5 6\n7 8 9\n", 3),
+    "quoted cell": ('"1" 2 3\n4 5 6\n7 8 9\n', 3),
+    "nan": ("1 2 3\n4 nan 6\n7 8 9\n", 0),
+    "negative zero": ("-0 2 3\n4 5 6\n7 8 -0.0\n", 0),
+    "empty file": ("", 0),
+    "whitespace only": (" \n\n", 0),
 }
 
 
-def _compare_random_files(tmp_path, seed: int, files: int, max_width: int) -> None:
+def _compare_random_files(tmp_path, monkeypatch, seed: int, files: int,
+                          max_width: int) -> None:
     """Load files of cells and line shapes drawn from the cases above, mixed at
-    random, by load_dataset and by the reference loaders, and compare."""
+    random, by load_dataset and by the reference loaders, and compare. A file
+    holding no quote, no ragged matrix row and none of the cells np.loadtxt
+    rejects must not lean on csv.reader or the float() route to be right."""
     rng = random.Random(seed)
     cells = ["1", "2.5", "-0", " 3 ", "nan", "1e400", "1_000", "#", '"4"', "", "x",
              " 5", "\x0c6", "١"]
+    rejected = {"1_000", "#", '"4"', "", "x", cells[-1]}
+    labels = ["a", "b", " a ", '"b"', ""]
     p, m, l = tmp_path / "d.csv", tmp_path / "m.txt", tmp_path / "l.txt"
     l.write_text("a\nb\na\nb\n", encoding="utf-8")
     for _ in range(files):
@@ -291,51 +308,45 @@ def _compare_random_files(tmp_path, seed: int, files: int, max_width: int) -> No
         header = ["label" if c == li else f"g{c}" for c in range(width)]
         for row in lines:
             if len(row) > li:
-                row[li] = rng.choice(["a", "b", " a ", '"b"', ""])
+                row[li] = rng.choice(labels)
         p.write_bytes(end.join(",".join(r) for r in [header] + lines).encode("utf-8") + b"\n")
+        # a quoted cell goes to csv.reader; a feature cell that needs it, a row
+        # with no feature cell and any row after a ragged one to the float() route
+        routed = width == 1 or any('"' in "".join(r) or (
+            any(c in rejected for c in r[:li] + r[li + 1:]) if len(r) == width else r != [""])
+            for r in lines)
         want = _outcome(lambda: _load_csv_reference(p, "label"))
-        assert _outcome(lambda: load_dataset(p)) == want, p.read_bytes()
-        # a file the fast path takes must not lean on the cell path to be right
-        fast = _read_csv_fast(p, "label")
-        if fast is not None:
-            assert _parsed(fast) == _parsed(_read_csv_cells(p, "label")), p.read_bytes()
+        got, records = _routed(monkeypatch, lambda: load_dataset(p))
+        assert got == want and (routed or not records), p.read_bytes()
         m.write_bytes(end.join(rng.choice([" ", "\t"]).join(r) for r in lines).encode("utf-8"))
+        rows = [r for r in lines if "".join(r).strip()]
+        routed = len({len(r) for r in rows}) > 1 or any(
+            c in rejected or c in labels for r in rows for c in r)
         want = _outcome(lambda: _load_matrix_reference(m, l))
-        assert _outcome(lambda: load_dataset(m, format="matrix", labels_path=l)) == want, (
-            m.read_bytes()
-        )
-        fast = _read_matrix_fast(m)
-        if fast is not None:
-            assert _parsed(fast) == _parsed(_read_matrix_cells(m)), m.read_bytes()
-
-
-def _parsed(result):
-    """A loader's matrix, or its (names, matrix, labels), as comparable bytes."""
-    if isinstance(result, np.ndarray):
-        return result.shape, result.tobytes()
-    names, X, labels = result
-    return names, X.shape, X.tobytes(), labels
+        got, records = _routed(monkeypatch, lambda: load_dataset(m, format="matrix",
+                                                                 labels_path=l))
+        assert got == want and (routed or not records), m.read_bytes()
 
 
 class TestLoaderMatchesCellReference:
     @pytest.mark.parametrize("case", sorted(CSV_CASES))
-    def test_csv(self, tmp_path, case):
-        text, label_col, fast = CSV_CASES[case]
+    def test_csv(self, tmp_path, monkeypatch, case):
+        text, label_col, records = CSV_CASES[case]
         p = tmp_path / "d.csv"
         p.write_bytes(text.encode("utf-8"))
         want = _outcome(lambda: _load_csv_reference(p, label_col))
-        assert _outcome(lambda: load_dataset(p, label_col=label_col)) == want
-        assert (_read_csv_fast(p, label_col) is not None) == fast
+        assert _routed(monkeypatch, lambda: load_dataset(p, label_col=label_col)) == (
+            want, records)
 
     @pytest.mark.parametrize("case", sorted(MATRIX_CASES))
-    def test_matrix(self, tmp_path, case):
-        text, fast = MATRIX_CASES[case]
+    def test_matrix(self, tmp_path, monkeypatch, case):
+        text, records = MATRIX_CASES[case]
         m, l = tmp_path / "m.txt", tmp_path / "l.txt"
         m.write_bytes(text.encode("utf-8"))
         l.write_text("a\nb\na\n", encoding="utf-8")
         want = _outcome(lambda: _load_matrix_reference(m, l))
-        assert _outcome(lambda: load_dataset(m, format="matrix", labels_path=l)) == want
-        assert (_read_matrix_fast(m) is not None) == fast
+        assert _routed(monkeypatch, lambda: load_dataset(m, format="matrix", labels_path=l)) == (
+            want, records)
 
     def test_undecodable_bytes(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -344,26 +355,29 @@ class TestLoaderMatchesCellReference:
         assert want[0] is UnicodeDecodeError
         assert _outcome(lambda: load_dataset(p)) == want
 
-    def test_random_files(self, tmp_path):
+    def test_random_files(self, tmp_path, monkeypatch):
         # cells and line shapes drawn from the cases above, mixed at random
-        _compare_random_files(tmp_path, seed=7, files=300, max_width=3)
+        _compare_random_files(tmp_path, monkeypatch, seed=7, files=300, max_width=3)
 
     @pytest.mark.parametrize("piece_chars", [1, 3, 12])
     def test_cases_in_small_pieces(self, tmp_path, monkeypatch, piece_chars):
-        # lines cut into pieces of a cell or a few at a time parse as whole lines do
+        # lines cut into pieces of a cell or a few at a time parse as whole lines
+        # do; a line parsed alone, not in a block, may send fewer records to the
+        # float() route, and a case that sends none still sends none
         monkeypatch.setattr(ecfs.data, "PIECE_CHARS", piece_chars)
         p, m, l = tmp_path / "d.csv", tmp_path / "m.txt", tmp_path / "l.txt"
         l.write_text("a\nb\na\n", encoding="utf-8")
-        for text, label_col, fast in CSV_CASES.values():
+        for text, label_col, records in CSV_CASES.values():
             p.write_bytes(text.encode("utf-8"))
             want = _outcome(lambda: _load_csv_reference(p, label_col))
-            assert _outcome(lambda: load_dataset(p, label_col=label_col)) == want, text
-            assert (_read_csv_fast(p, label_col) is not None) == fast, text
-        for text, fast in MATRIX_CASES.values():
+            got, n = _routed(monkeypatch, lambda: load_dataset(p, label_col=label_col))
+            assert got == want and (records or not n), text
+        for text, records in MATRIX_CASES.values():
             m.write_bytes(text.encode("utf-8"))
             want = _outcome(lambda: _load_matrix_reference(m, l))
-            assert _outcome(lambda: load_dataset(m, format="matrix", labels_path=l)) == want, text
-            assert (_read_matrix_fast(m) is not None) == fast, text
+            got, n = _routed(monkeypatch, lambda: load_dataset(m, format="matrix",
+                                                               labels_path=l))
+            assert got == want and (records or not n), text
 
     @pytest.mark.parametrize("piece_chars", [1, 2, 5, 24])
     def test_random_files_in_small_pieces(self, tmp_path, monkeypatch, piece_chars):
@@ -371,12 +385,13 @@ class TestLoaderMatchesCellReference:
         # a piece at a time wherever it is; at 24 characters several short
         # lines share one block, next to lines cut into pieces
         monkeypatch.setattr(ecfs.data, "PIECE_CHARS", piece_chars)
-        _compare_random_files(tmp_path, seed=8 + piece_chars, files=100, max_width=8)
+        _compare_random_files(tmp_path, monkeypatch, seed=8 + piece_chars, files=100,
+                              max_width=8)
 
     @pytest.mark.parametrize("piece_chars", [1, 4, 2**16])
     def test_label_column_anywhere(self, tmp_path, monkeypatch, piece_chars):
         # numeric labels, so a label cell cut out at the wrong comma would still
-        # parse: the fast path takes every file and gives the cell path's result
+        # parse: np.loadtxt takes every line and gives the reference's result
         monkeypatch.setattr(ecfs.data, "PIECE_CHARS", piece_chars)
         rng = np.random.default_rng(4)
         width = 13
@@ -388,10 +403,9 @@ class TestLoaderMatchesCellReference:
             header = ["label" if c == li else f"g{c}" for c in range(width)]
             p.write_text("\n".join(",".join(r) for r in [header] + rows.tolist()) + "\n",
                          encoding="utf-8")
-            fast = _read_csv_fast(p, "label")
-            assert fast is not None
-            assert _parsed(fast) == _parsed(_read_csv_cells(p, "label"))
-            assert fast[2] == [str(7 + r % 2) for r in range(5)]
+            want = _outcome(lambda: _load_csv_reference(p, "label"))
+            assert _routed(monkeypatch, lambda: load_dataset(p)) == (want, 0)
+            assert want[2:4] == ([r % 2 for r in range(5)], ("7", "8"))
 
     def test_line_count_is_the_text_mode_line_count(self, tmp_path):
         # LF, CR LF and CR mixed, a last line with and without an end, and a
@@ -406,7 +420,7 @@ class TestLoaderMatchesCellReference:
         for text in texts:
             p.write_bytes(text.encode("utf-8"))
             with open(p, encoding="utf-8") as fh:
-                assert _line_count(p) == sum(1 for _ in fh), text[:40]
+                assert _line_count(p) == (sum(1 for _ in fh), "\r" in text), text[:40]
 
     def test_blank_lines_leave_no_unfilled_rows(self, tmp_path):
         # the count pass counts blank lines too; their rows are trimmed in place
@@ -447,7 +461,7 @@ class TestLoaderMatchesCellReference:
     def test_short_file_cannot_ask_for_a_large_matrix(self, tmp_path, fmt):
         # a wide first line, then many one-cell lines: the matrix is allocated
         # at no more rows than the file's size allows (one row per line would be
-        # 320 MB), and the cell path reports the ragged rows
+        # 320 MB), and the first ragged row is reported
         width, lines = 20000, 2000
         p = tmp_path / "ragged.txt"
         if fmt == "csv":
@@ -488,6 +502,45 @@ class TestLoaderMatchesCellReference:
             tracemalloc.stop()
         assert d.X.tobytes() == X.tobytes()
         assert peak < 12 * T * n
+
+    def test_memory_of_quoted_records_and_a_bad_cell(self, tmp_path):
+        # R's write.csv quotes every header cell and label, and an NA cell is
+        # not a number: either once sent the whole file to a table of one str
+        # per cell, at about 110 B per cell. Now csv.reader and the float()
+        # route take one record at a time, so the peak stays near the clean
+        # file's: the matrix, the names as a tuple, and one record's cells
+        T, n = 20, 20000
+        rng = np.random.default_rng(0)
+        rows = [list(map(repr, row.tolist())) for row in rng.normal(size=(T, n))]
+        names = [f"f{j}" for j in range(n)] + ["label"]
+
+        def write(name, header, label):
+            lines = [",".join(header)] + [",".join(r) + label % (i % 2) for i, r in enumerate(rows)]
+            (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            return tmp_path / name
+
+        def peak(path):
+            tracemalloc.start()
+            try:
+                try:
+                    load_dataset(path)
+                except NonNumericValueError:
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        clean = write("clean.csv", names, ",%d")
+        quoted = write("quoted.csv", [f'"{c}"' for c in names], ',"%d"')
+        rows[-1][5] = "NA"
+        bad = write("na.csv", names, ",%d")
+        del rows
+        assert _outcome(lambda: load_dataset(quoted)) == _outcome(lambda: load_dataset(clean))
+        want = _outcome(lambda: _load_csv_reference(bad, "label"))
+        assert want == (NonNumericValueError, "non-numeric value 'NA' at (row 19, column f5)")
+        assert _outcome(lambda: load_dataset(bad)) == want
+        limit = 1.5 * peak(clean)
+        assert peak(quoted) < limit and peak(bad) < limit
 
     def test_load_leaves_numpy_ma_unimported(self, tmp_path):
         # np.unique imports numpy.ma, some 10-20 ms and 1 MB of every command
@@ -758,25 +811,25 @@ def _names_csv(path, li: int):
 
 class TestFeatureNames:
     @pytest.mark.parametrize("li", [0, 4, len(NAME_CELLS)])
-    def test_fast_and_cell_paths_give_the_same_names(self, tmp_path, li):
+    def test_fast_and_cell_paths_give_the_same_names(self, tmp_path, monkeypatch, li):
+        # the plain header's names, held as one string, equal the csv module's
         p = _names_csv(tmp_path / "d.csv", li)
-        fast = _read_csv_fast(p, "label")
-        assert isinstance(fast[0], _Names)
-        assert _parsed(fast) == _parsed(_read_csv_cells(p, "label"))
+        want = _outcome(lambda: _load_csv_reference(p, "label"))
+        assert _routed(monkeypatch, lambda: load_dataset(p)) == (want, 0)
         names = load_dataset(p).feature_names
+        assert isinstance(names, _Names)
         assert names == NAMES and NAMES == names and names != list(NAMES)
         assert (len(names), list(names), names[2:4], hash(names)) == (
             len(NAMES), list(NAMES), NAMES[2:4], hash(NAMES))
         assert repr(names) == repr(NAMES)
 
     @pytest.mark.parametrize("label_col", ["1", "2", 3, "dup"])
-    def test_label_column_by_name_before_position(self, tmp_path, label_col):
+    def test_label_column_by_name_before_position(self, tmp_path, monkeypatch, label_col):
         # a header cell named "1" is the label column "1"; "2" is a position
         p = tmp_path / "d.csv"
         p.write_text("a, 1 ,b,dup,c\n1,0,2,3,4\n5,1,6,0,8\n", encoding="utf-8")
-        fast = _read_csv_fast(p, label_col)
-        assert fast is not None
-        assert _parsed(fast) == _parsed(_read_csv_cells(p, label_col))
+        want = _outcome(lambda: _load_csv_reference(p, label_col))
+        assert _routed(monkeypatch, lambda: load_dataset(p, label_col=label_col)) == (want, 0)
 
     def test_feature_name_from_either_end(self, tmp_path):
         p = _names_csv(tmp_path / "d.csv", 4)

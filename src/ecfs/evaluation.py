@@ -340,20 +340,18 @@ def cross_validate(d: Dataset, protocol: Protocol, seed: int, rows=None) -> tupl
 def _kuncheva_curve(tops: np.ndarray, n: int, ks: list[int]) -> list[tuple[int, float]]:
     """Mean pairwise Kuncheva overlap of the top-k sets, for each k in ks, of
     rankings of n features given as their top max(ks) indices, one row per
-    ranking: a list of (k, mean)."""
-    R = len(tops)
-    pairs = np.triu_indices(R, 1)  # row-major: itertools.combinations order
+    ranking: a list of (k, mean).
+
+    A feature held by c of the top-k sets is shared by c (c - 1) / 2 pairs, so
+    the P pairs share S features in all, and the mean of their indices
+    (r n - k^2) / (k (n - k)) is (S n - P k^2) / (P k (n - k)): a ratio of
+    Python ints, rounded once. Memory is O(n + R k)."""
+    P = len(tops) * (len(tops) - 1) // 2
     out = []
     for k in ks:
-        # membership over the union of the top-k sets only, at most R*k columns
-        union, cols = np.unique(tops[:, :k], return_inverse=True)
-        member = np.zeros((R, len(union)))
-        member[np.arange(R)[:, None], cols.reshape(R, k)] = 1.0
-        shared = (member @ member.T)[pairs].astype(np.int64)
-        # Kuncheva index (r n - k^2) / (k (n - k)) of each pair: integers exact while
-        # k * n < 2^53, rounded once
-        vals = (shared * n - k * k) / (k * (n - k))
-        out.append((k, float(np.mean(vals))))
+        c = np.bincount(tops[:, :k].ravel(), minlength=n)
+        S = int(np.dot(c, c - 1)) // 2
+        out.append((k, (S * n - P * k * k) / (P * k * (n - k))))
     return out
 
 

@@ -154,7 +154,10 @@ def _load_csv_reference(path, label_col):
     """The csv-module loader that the np.loadtxt path replaced, one string per cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        table = [row for row in reader if row]
+        try:
+            table = [row for row in reader if row]
+        except csv.Error as e:
+            raise DatasetError(f"{path}: line {reader.line_num}: {e}") from None
     if len(table) < 2:
         raise DatasetError(f"{path}: need a header row and at least one data row")
     header = [h.strip() for h in table[0]]
@@ -253,6 +256,8 @@ CSV_CASES = {
     "negative zero and subnormal": ("a,b,label\n-0,1e-320,x\n+0,-1e-320,y\n", "label", 0),
     "empty cell": ("a,b,label\n1,,x\n3,4,y\n", "label", 2),
     "NUL in a label": ("a,label\n1,x\x00\n2,y\n", "label", 1),
+    "quoted cell past the field limit": ('a,b,label\n1,2,0\n"' + "1" * 131073 + '",3,1\n4,5,0\n',
+                                         "label", 1),
     "ragged row": ("a,b,label\n1,2,x\n3,y\n", "label", 1),
     "single class": ("a,label\n1,x\n2,x\n", "label", 0),
     "empty file": ("", "label", 0),

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -613,13 +614,36 @@ class TestStabilityCurve:
                 order[[a, b]] = order[[b, a]]
             rankings.append(ranking_of_order(order))
         ks = [1, 2, 5, 13, 20, n - 1]
-        want = []
+        pairs = list(combinations(range(n_rankings), 2))
+        exact, floats = [], []
         for k in ks:
             tops = [r.top(k) for r in rankings]
-            vals = [kuncheva_index(tops[i], tops[j], n)
-                    for i, j in combinations(range(n_rankings), 2)]
-            want.append((k, float(np.mean(vals))))
-        assert _curve(rankings, ks) == want
+            shared = [len(set(tops[i].tolist()) & set(tops[j].tolist())) for i, j in pairs]
+            mean = sum(Fraction(r * n - k * k, k * (n - k)) for r in shared) / len(pairs)
+            exact.append((k, float(mean)))
+            floats.append(float(np.mean([kuncheva_index(tops[i], tops[j], n) for i, j in pairs])))
+        curve = _curve(rankings, ks)
+        # the exactly rounded mean of the pairs' indices, bit for bit
+        assert curve == exact
+        # and within 4 ulps of the rounded indices' float mean
+        for (_, v), w in zip(curve, floats):
+            assert abs(v - w) <= 4 * math.ulp(v)
+
+    def test_memory_is_linear_in_features_and_tops(self):
+        # 60 rankings of 1e5 features whose top 1e4 share their first half
+        rng = np.random.default_rng(0)
+        n, k_max, R = 100_000, 10_000, 60
+        tops = np.stack([np.concatenate((rng.permutation(k_max // 2),
+                                         rng.permutation(np.arange(k_max // 2, n))[:k_max // 2]))
+                         for _ in range(R)])
+        tracemalloc.start()
+        try:
+            curve = ev._kuncheva_curve(tops, n, [100, 1000, k_max])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [k for k, _ in curve] == [100, 1000, k_max]
+        assert peak < tops.nbytes
 
 
 class TestTwoSampleTTest:
